@@ -8,6 +8,7 @@ under ``benchmarks/results/``.
 """
 
 import os
+import resource
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,20 @@ def save_result(results_dir, request):
         return path
 
     return _save
+
+
+def cpu_seconds() -> float:
+    """CPU seconds of this process plus its reaped worker processes.
+
+    The sweep engine runs every simulation in a worker process (at
+    ``jobs=1`` too) and joins it before the run completes, so this
+    counts a whole engine sweep where ``time.process_time`` would see
+    only the parent's orchestration.
+    """
+    own = resource.getrusage(resource.RUSAGE_SELF)
+    workers = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return (own.ru_utime + own.ru_stime
+            + workers.ru_utime + workers.ru_stime)
 
 
 def bench_once(benchmark, fn, *args, **kwargs):

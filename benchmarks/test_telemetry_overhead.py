@@ -3,18 +3,19 @@
 Telemetry must be cheap enough to leave on for entire campaigns: the
 budget is **< 5% of engine run time** on the quick config, enforced when
 ``REPRO_PERF_ENFORCE=1`` (the CI ``telemetry`` job) and recorded
-otherwise.  The measured path is the worst case for the bus: a
-``jobs=1`` inline sweep, where every emission site — job lifecycle,
-``run_start``/``run_end`` spans, stats-store reconciliation — runs in
-the engine process itself, with no child-process launch cost to hide
-behind.  (The PDES per-window and pool-child emitters guard on the same
-``bus is None`` test and write through the same ``O_APPEND``
-descriptor, so their per-record cost is the one measured here.)
+otherwise.  The measured path is a ``jobs=1`` sweep, where every
+emission site — job lifecycle, ``run_start``/``run_end`` spans
+queued from the worker, stats-store reconciliation — fires once per
+run with no parallelism to hide behind.  (The PDES per-window emitters
+guard on the same ``bus is None`` test and write through the same
+``O_APPEND`` descriptor, so their per-record cost is the one measured
+here.)
 
 Methodology — identical to ``test_profile_overhead.py``, built for
 noisy single-core CI boxes:
 
-* ``time.process_time`` (CPU seconds), not wall clock;
+* CPU seconds of the engine process plus its reaped workers
+  (:func:`conftest.cpu_seconds`), not wall clock;
 * cyclic GC collected then paused around each timed run;
 * interleaved runs (off, on, off, on, ...) and the ratio of the
   *minimum* of each group — remaining noise is one-sided;
@@ -29,9 +30,8 @@ import gc
 import json
 import os
 import statistics
-import time
 
-from conftest import QUICK, bench_once
+from conftest import QUICK, bench_once, cpu_seconds
 
 from repro import AmrConfig, RunSpec, sphere
 from repro.exec import RunStatsStore, Sweep, SweepEngine
@@ -76,9 +76,9 @@ def _timed_sweep(specs, tmp, *, telemetry):
         gc.collect()
         gc.disable()
         try:
-            t0 = time.process_time()
+            t0 = cpu_seconds()
             report = engine.run(Sweep(specs, name="telemetry-overhead"))
-            dt = time.process_time() - t0
+            dt = cpu_seconds() - t0
         finally:
             gc.enable()
         assert report.failed == 0
@@ -134,7 +134,7 @@ def test_telemetry_overhead(benchmark, results_dir, save_result,
 
     save_result(
         "telemetry overhead (best-of-N CPU time, bus on vs off)\n"
-        f"  inline sweep            {report['overhead']:+7.1%}  "
+        f"  jobs=1 sweep            {report['overhead']:+7.1%}  "
         f"(pair median {report['median_pair_overhead']:+.1%}, "
         f"{report['pairs']} pairs, "
         f"{report['records_per_sweep']} records/sweep, "

@@ -12,7 +12,8 @@ bookkeeping, attribution reads, and report assembly.
 Methodology — identical to ``test_telemetry_overhead.py``, built for
 noisy single-core CI boxes:
 
-* ``time.process_time`` (CPU seconds), not wall clock;
+* CPU seconds of the engine process plus its reaped workers
+  (:func:`conftest.cpu_seconds`), not wall clock;
 * cyclic GC collected then paused around each timed run;
 * interleaved runs (sweep, tune, sweep, tune, ...) and the ratio of
   the *minimum* of each group — remaining noise is one-sided;
@@ -27,10 +28,9 @@ import gc
 import json
 import os
 import statistics
-import time
 from dataclasses import replace
 
-from conftest import QUICK, bench_once
+from conftest import QUICK, bench_once, cpu_seconds
 
 from repro import AmrConfig, RunSpec, sphere
 from repro.exec import Sweep, SweepEngine
@@ -78,9 +78,9 @@ def _timed(fn):
     gc.collect()
     gc.disable()
     try:
-        t0 = time.process_time()
+        t0 = cpu_seconds()
         fn()
-        return time.process_time() - t0
+        return cpu_seconds() - t0
     finally:
         gc.enable()
 

@@ -2,10 +2,10 @@
 
 The three variants (MPI-only, MPI+OMP fork-join, TAMPI+OmpSs-2 data-flow)
 run the same miniAMR workload on the simulated cluster;
-:func:`run_simulation` executes one :class:`RunSpec` (or the legacy
-``(config, machine_spec, **options)`` form) and returns a serializable
-:class:`RunResult` with the metrics the paper reports (total / refinement
-time, GFLOPS throughput, checksums, communication and runtime statistics).
+:func:`run_simulation` executes one :class:`RunSpec` and returns a
+serializable :class:`RunResult` with the metrics the paper reports (total /
+refinement time, GFLOPS throughput, checksums, communication and runtime
+statistics).
 """
 
 from .app import BaseRankProgram, SharedState

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import gc
-import warnings
 
 from ..amr.balance import max_imbalance
 from ..faults.injectors import FaultInjector
@@ -29,44 +28,27 @@ VARIANTS = {
 assert set(VARIANTS) == set(VARIANT_NAMES)
 
 
-def run_simulation(config, spec=None, **kwargs) -> RunResult:
-    """Simulate one miniAMR execution.
-
-    The one canonical form takes a single :class:`~repro.core.RunSpec`::
+def run_simulation(spec, *extra, **kwargs) -> RunResult:
+    """Simulate one miniAMR execution described by a :class:`RunSpec`::
 
         run_simulation(RunSpec(config=cfg, machine="marenostrum4", ...))
 
-    The legacy form — ``run_simulation(config, machine_spec, variant=...,
-    num_nodes=..., ranks_per_node=..., scheduler=..., delayed_checksum=...,
-    stage_barrier=..., trace=..., cost_overrides=...)`` — is **deprecated**
-    and will be removed next release: it emits a
-    :class:`DeprecationWarning` and builds the equivalent
-    :class:`RunSpec`.  Defaults (notably ranks-per-node: all cores for
-    MPI-only, 4 for the hybrids) are resolved by :meth:`RunSpec.resolve`
-    either way.
+    Defaults (notably ranks-per-node: all cores for MPI-only, 4 for the
+    hybrids) are resolved by :meth:`RunSpec.resolve`.  Anything but a
+    single :class:`RunSpec` raises :class:`TypeError`.
     """
-    if isinstance(config, RunSpec):
-        if spec is not None or kwargs:
-            raise TypeError(
-                "run_simulation(RunSpec) takes no further arguments; "
-                "use dataclasses.replace() to derive a new spec"
-            )
-        run_spec = config
-    else:
-        if spec is None:
-            raise TypeError(
-                "run_simulation(config, machine_spec, ...) requires a "
-                "machine spec (or pass a single RunSpec)"
-            )
-        warnings.warn(
-            "run_simulation(config, machine_spec, ...) is deprecated and "
-            "will be removed in the next release; pass a single RunSpec: "
-            "run_simulation(RunSpec(config=cfg, machine=machine, ...))",
-            DeprecationWarning,
-            stacklevel=2,
+    if not isinstance(spec, RunSpec):
+        raise TypeError(
+            "run_simulation() takes a single RunSpec, not "
+            f"{type(spec).__name__}: "
+            "run_simulation(RunSpec(config=cfg, machine=machine, ...))"
         )
-        run_spec = RunSpec(config=config, machine=spec, **kwargs)
-    return execute(run_spec)
+    if extra or kwargs:
+        raise TypeError(
+            "run_simulation(RunSpec) takes no further arguments; "
+            "use dataclasses.replace() to derive a new spec"
+        )
+    return execute(spec)
 
 
 def execute(run_spec: RunSpec) -> RunResult:

@@ -11,10 +11,10 @@ the general one.  Both flow through one scheduler with one contract:
   durations from the persistent :class:`~repro.exec.stats.RunStatsStore`
   (falling back to a conservative cost-model estimate when history is
   cold) — longest remaining chain starts first;
-* runs are dispatched across a pool of worker **processes** (``jobs``);
-  results come back as serialized dicts and are bit-identical to serial
-  execution (the simulator is deterministic and ``RunResult`` round-trips
-  losslessly through JSON);
+* every run executes in a worker **process** from a pool of ``jobs``
+  slots — at ``jobs=1`` too; results come back as serialized dicts and
+  are bit-identical at any ``jobs`` count (the simulator is
+  deterministic and ``RunResult`` round-trips losslessly through JSON);
 * each run is looked up in / stored to a content-addressed
   :class:`~repro.exec.cache.ResultCache` by its spec fingerprint —
   lookups happen when the node becomes *ready*, so a cached calibrate
@@ -27,13 +27,19 @@ the general one.  Both flow through one scheduler with one contract:
 * progress (cached / start / ok / retry / failed / blocked, wall-time
   per run) is reported through a callback.
 
-Trace runs (``spec.trace=True``) are live-only: the tracer cannot cross a
-process boundary or live in the JSON cache, so they always execute
-in-process and bypass the cache.  Profiled runs (``spec.profile=True``)
-are *not* live-only — the :class:`~repro.obs.ProfileReport` serializes
-with the result, so they flow through the pool and the cache like any
-other run (under their own fingerprint, since ``profile`` is part of the
-spec).
+One scheduler core does the executing: :class:`EngineSession` launches,
+reaps, times out, retries, cancels and finalizes every run, for the
+serve broker's incremental submissions and for :meth:`SweepEngine.run`
+alike — ``run()`` is DAG admission on top of a session.  Timeout, retry
+and cancel therefore behave the same at every ``jobs`` count.
+
+Trace runs (``spec.trace=True``) are the one exception: the tracer
+cannot cross a process boundary or live in the JSON cache, so they
+execute in the engine process and bypass the cache.  Profiled runs
+(``spec.profile=True``) are *not* live-only — the
+:class:`~repro.obs.ProfileReport` serializes with the result, so they
+flow through the pool and the cache like any other run (under their own
+fingerprint, since ``profile`` is part of the spec).
 """
 
 from __future__ import annotations
@@ -118,7 +124,8 @@ class RunOutcome:
     error: str = None
     attempts: int = 0
     wall_time: float = 0.0
-    #: Node name inside its pipeline (== ``label`` for flat sweeps).
+    #: Node name inside its pipeline (flat sweeps: ``label``, suffixed
+    #: ``#index`` when several runs share one).
     name: str = None
     #: Seconds between "all predecessors done" and first launch.
     wait_time: float = 0.0
@@ -273,10 +280,10 @@ class _Pending:
     __slots__ = ("index", "spec", "fingerprint", "label", "name",
                  "priority", "ready_at", "attempts", "not_before",
                  "started", "first_started", "deadline", "proc", "conn",
-                 "wall_time", "slots", "wids", "tenant")
+                 "wall_time", "slots", "wids", "tenant", "predicted")
 
     def __init__(self, index, spec, fingerprint, label, name, priority,
-                 ready_at, slots=1, tenant=None):
+                 ready_at, tenant=None, predicted=None):
         self.index = index
         self.spec = spec
         self.fingerprint = fingerprint
@@ -295,13 +302,15 @@ class _Pending:
         #: Pool slots this run occupies while it executes.  A partitioned
         #: run (``pdes_workers > 1``) spawns that many worker processes,
         #: so the scheduler bin-packs it as that many jobs.
-        self.slots = slots
+        self.slots = 1
         #: Worker ids claimed while executing (``wids[0]`` names the run's
         #: worker in outcomes and telemetry); ``None`` between attempts.
         self.wids = None
         #: Tenant attribution for serve-session telemetry (``None`` for
         #: plain sweeps).
         self.tenant = tenant
+        #: Predicted host seconds (job-graph nodes only; telemetry).
+        self.predicted = predicted
 
     @property
     def wid(self):
@@ -319,19 +328,21 @@ class SweepEngine:
 
     ``run`` accepts a flat :class:`Sweep` (or iterable of specs) or a
     :class:`~repro.pipeline.PipelineSpec`; both are lowered to the same
-    internal :class:`~repro.pipeline.JobGraph`.  All constructor
+    internal :class:`~repro.pipeline.JobGraph` and admitted into an
+    :class:`EngineSession`, which executes every run.  All constructor
     parameters are keyword-only.
 
     Parameters
     ----------
     jobs:
-        Worker processes.  ``1`` (the default) executes in-process —
-        identical numbers, easier debugging, and results keep live
-        attachments.
+        Worker processes (default 1).  Every run executes in a worker
+        process at every ``jobs`` count, so timeout, retry and cancel
+        behave the same at 1 as at 8; only live-only trace runs execute
+        in the engine process.
     cache:
         A :class:`~repro.exec.cache.ResultCache` (or ``None`` to disable).
     timeout:
-        Per-run wall-clock limit in seconds (subprocess runs only).
+        Per-run wall-clock limit in seconds (every run but trace runs).
     retries:
         Crash/timeout retries per run before it is marked failed.
         Deterministic Python exceptions are *not* retried.
@@ -366,7 +377,7 @@ class SweepEngine:
     drain_timeout:
         Seconds a graceful shutdown (:meth:`request_shutdown`, or
         SIGTERM/SIGINT while running on the main thread) waits for
-        in-flight subprocess runs before terminating them.
+        in-flight runs before terminating them.
     """
 
     def __init__(self, *, jobs=1, cache=None, timeout=None, retries=2,
@@ -385,8 +396,8 @@ class SweepEngine:
         self.runner = runner or run_spec_dict
         self.stats = stats
         self.telemetry = telemetry
-        #: Seconds a graceful shutdown waits for in-flight subprocess
-        #: runs before terminating them (see :meth:`request_shutdown`).
+        #: Seconds a graceful shutdown waits for in-flight runs before
+        #: terminating them (see :meth:`request_shutdown`).
         self.drain_timeout = drain_timeout
         self._shutdown = False
         if stats is not None and telemetry is not None and getattr(
@@ -407,8 +418,8 @@ class SweepEngine:
     def request_shutdown(self):
         """Ask a running sweep to drain gracefully.
 
-        The scheduling loop stops launching new work, waits up to
-        ``drain_timeout`` seconds for in-flight subprocess runs to
+        The scheduling loop stops admitting and launching new work,
+        waits up to ``drain_timeout`` seconds for in-flight runs to
         finish (terminating and failing whatever is still alive after
         that), marks every not-yet-launched node ``blocked`` with the
         distinct reason ``"engine shutdown"``, emits the terminal
@@ -455,8 +466,6 @@ class SweepEngine:
             return self._run_graph(graph)
         finally:
             self._restore_signal_handlers(previous)
-            if self.stats is not None:
-                self.stats.flush()
 
     def session(self, *, aging_rate=0.0) -> "EngineSession":
         """Open an :class:`EngineSession` for incremental job admission."""
@@ -536,81 +545,70 @@ class SweepEngine:
 
     # ------------------------------------------------------------------
     def _run_graph(self, graph) -> SweepReport:
+        """DAG admission over an :class:`EngineSession`.
+
+        The session launches, reaps, times out, retries and finalizes
+        every run; this loop only decides *when* a node enters it (the
+        moment its own predecessors finish), with which priority
+        (critical-path-first, node index breaking ties), and settles the
+        nodes that never need a worker: cache hits, analysis values,
+        builder failures, blocked dependents and trace runs.
+        """
         t0 = time.monotonic()
         total = len(graph)
-        outcomes = [None] * total
-        results = {}        # index -> result payload for dependents
-        fingerprints = {}   # index -> fingerprint for analysis hashing
-        remaining = [len(p) for p in graph.preds]
-        state = {"finished": 0}
         costs = self.predict_costs(graph)
         priority = graph.critical_path_priorities(costs)
-
-        launchable = []     # admitted _Pending tasks awaiting a slot
-        running = []
-        free_wids = list(range(self.jobs))  # pool slots, lowest-first
-        tel = self.telemetry
-        tel_queue = None
-        if tel is not None:
-            predicted_makespan = None
+        remaining = [len(p) for p in graph.preds]
+        results = {}        # index -> result payload for dependents
+        fingerprints = {}   # index -> fingerprint for analysis hashing
+        session = EngineSession(self)
+        session._graph, session._total = graph.name, total
+        if self.telemetry is not None:
             try:
-                predicted_makespan = graph.simulate_makespan(
+                session._predicted = graph.simulate_makespan(
                     costs, workers=self.jobs
                 )
             except ValueError:
                 pass  # degenerate graph: telemetry must never fail a run
-            tel.emit(
-                "engine_start", graph=graph.name, jobs=self.jobs,
-                total=total, predicted_makespan=predicted_makespan,
+
+        def node_outcome(index, status, spec=None, **fields):
+            node = graph.nodes[index]
+            return RunOutcome(
+                index=index, spec=spec, fingerprint=fingerprints.get(index),
+                label=node.label, name=node.name, status=status, **fields,
             )
-            if self.jobs > 1:
-                tel_queue = self._ctx.Queue()
-        # Cache counters are cumulative per ResultCache instance; the
-        # stop record reports this graph's delta so streams holding many
-        # engine sessions stay summable.
-        cache_hits0 = getattr(self.cache, "hits", 0) or 0
-        cache_misses0 = getattr(self.cache, "misses", 0) or 0
 
-        def finish(outcome, payload):
-            """Record a terminal outcome and wake/block dependents."""
+        def finish(outcome):
+            """A node is terminal: wake its dependents or block them."""
             index = outcome.index
-            outcomes[index] = outcome
-            results[index] = payload
-            state["finished"] += 1
-            if outcome.ok:
-                self._record_stats(outcome)
-                for s in graph.succs[index]:
-                    if outcomes[s] is not None:
-                        continue
-                    remaining[s] -= 1
-                    if remaining[s] == 0:
-                        admit(s)
-            else:
-                cascade_block(index)
+            results[index] = outcome.result
+            if not outcome.ok:
+                block_dependents(index)
+                return
+            if self._shutdown:
+                return  # nothing new is admitted while draining
+            for s in graph.succs[index]:
+                remaining[s] -= 1
+                if remaining[s] == 0 and session.outcome(s) is None:
+                    admit(s)
 
-        def cascade_block(index):
-            """Terminally block every not-yet-finished transitive dependent."""
+        def block_dependents(index):
+            """Terminally block every unfinished transitive dependent."""
+            blocker = graph.nodes[index].name
+            error = (
+                f"blocked: predecessor {blocker!r} "
+                f"{session.outcome(index).status}"
+            )
             stack = list(graph.succs[index])
             while stack:
                 s = stack.pop()
-                if outcomes[s] is not None:
-                    continue
-                node = graph.nodes[s]
-                blocker = graph.nodes[index].name
-                outcome = RunOutcome(
-                    index=s, spec=node.spec, fingerprint=None,
-                    label=node.label, name=node.name, status="blocked",
-                    error=(
-                        f"blocked: predecessor {blocker!r} "
-                        f"{outcomes[index].status}"
-                    ),
-                )
-                outcomes[s] = outcome
-                state["finished"] += 1
-                self._emit("blocked", outcome, total)
-                if tel is not None:
-                    tel.emit("job_blocked", node=node.name, blocker=blocker)
-                stack.extend(graph.succs[s])
+                if session.outcome(s) is None:
+                    session._settle(
+                        node_outcome(s, "blocked", graph.nodes[s].spec,
+                                     error=error),
+                        blocker=blocker,
+                    )
+                    stack.extend(graph.succs[s])
 
         def admit(index):
             """A node's predecessors are all done: resolve and enqueue it.
@@ -624,527 +622,131 @@ class SweepEngine:
             ready_at = time.monotonic()
             spec = node.spec
             if node.builder is not None:
-                deps = {
-                    graph.nodes[p].name: results[p]
-                    for p in graph.preds[index]
-                }
-                nfp = self._node_fingerprint(
-                    node, [fingerprints[p] for p in graph.preds[index]]
-                )
+                preds = graph.preds[index]
+                deps = [fingerprints[p] for p in preds]
+                nfp = fingerprints[index] = self._node_fingerprint(node, deps)
                 if self.cache is not None:
                     entry = self.cache.get_entry(nfp)
                     if entry is not None and entry.kind == "analysis":
-                        fingerprints[index] = nfp
-                        outcome = RunOutcome(
-                            index=index, spec=None, fingerprint=nfp,
-                            label=node.label, name=node.name,
-                            status="cached", result=entry.value,
-                        )
-                        self._emit("cached", outcome, total)
-                        if tel is not None:
-                            tel.emit("job_cached", node=node.name, run=nfp)
-                        finish(outcome, entry.value)
-                        return
+                        return finish(session._settle(node_outcome(
+                            index, "cached", result=entry.value,
+                        )))
                 try:
-                    built = node.builder(dict(node.params or {}), deps)
-                except Exception:
-                    fingerprints[index] = nfp
-                    outcome = RunOutcome(
-                        index=index, spec=None, fingerprint=nfp,
-                        label=node.label, name=node.name, status="failed",
-                        error=traceback.format_exc(), attempts=1,
-                        wall_time=time.monotonic() - ready_at,
+                    spec = node.builder(
+                        dict(node.params or {}),
+                        {graph.nodes[p].name: results[p] for p in preds},
                     )
-                    self._emit("failed", outcome, total)
-                    if tel is not None:
-                        tel.emit(
-                            "job_failed", node=node.name, run=nfp,
-                            attempts=1, error=outcome.error,
-                        )
-                    finish(outcome, None)
-                    return
-                if not isinstance(built, RunSpec):
+                except Exception:
+                    return finish(session._settle(node_outcome(
+                        index, "failed", error=traceback.format_exc(),
+                        attempts=1, wall_time=time.monotonic() - ready_at,
+                    )))
+                if not isinstance(spec, RunSpec):
                     # Analysis node: the value *is* the result.
                     wall = time.monotonic() - ready_at
-                    fingerprints[index] = nfp
                     if self.cache is not None:
                         self.cache.put_value(
                             nfp,
-                            {
-                                "generator": node.generator,
-                                "params": node.params or {},
-                                "deps": [
-                                    fingerprints[p]
-                                    for p in graph.preds[index]
-                                ],
-                            },
-                            built,
-                            wall_time=wall,
+                            {"generator": node.generator,
+                             "params": node.params or {}, "deps": deps},
+                            spec, wall_time=wall,
                         )
-                    outcome = RunOutcome(
-                        index=index, spec=None, fingerprint=nfp,
-                        label=node.label, name=node.name, status="ok",
-                        result=built, attempts=1, wall_time=wall,
-                    )
-                    self._emit("ok", outcome, total)
-                    if tel is not None:
-                        tel.emit(
-                            "job_done", node=node.name, run=nfp,
-                            status="ok", attempts=1, wall_time=wall,
-                        )
-                    finish(outcome, built)
-                    return
-                spec = built
-            fingerprint = spec.fingerprint()
-            fingerprints[index] = fingerprint
+                    return finish(session._settle(node_outcome(
+                        index, "ok", result=spec, attempts=1,
+                        wall_time=wall,
+                    )))
+            fingerprints[index] = spec.fingerprint()
+            task = _Pending(
+                index, spec, fingerprints[index], node.label, node.name,
+                priority[index], ready_at, predicted=costs[index],
+            )
             if spec.trace:
-                # Live-only: executes in the engine parent (worker -1).
-                outcome = self._run_inline(
-                    index, spec, fingerprint, node.label, cacheable=False,
-                    total=total, name=node.name, wid=-1,
-                    predicted=costs[index],
-                )
-                finish(outcome, outcome.result)
-                return
+                return finish(session._run_inline(task))
             if self.cache is not None:
-                entry = self.cache.get_entry(fingerprint)
+                entry = self.cache.get_entry(task.fingerprint)
                 if entry is not None and entry.kind == "result":
-                    outcome = RunOutcome(
-                        index=index, spec=spec, fingerprint=fingerprint,
-                        label=node.label, name=node.name, status="cached",
-                        result=entry.value,
-                    )
-                    self._emit("cached", outcome, total)
-                    if tel is not None:
-                        tel.emit(
-                            "job_cached", node=node.name, run=fingerprint,
-                        )
+                    outcome = session._settle(node_outcome(
+                        index, "cached", spec, result=entry.value,
+                    ))
                     if self.stats is not None:
                         self.stats.record(
                             spec_signature(spec), entry.wall_time,
                             cached=True,
                         )
-                    finish(outcome, entry.value)
-                    return
-            slots = max(1, min(spec.pdes_workers or 1, self.jobs))
-            if tel is not None:
-                tel.emit(
-                    "job_queued", node=node.name, run=fingerprint,
-                    slots=slots, predicted=costs[index],
-                )
-            launchable.append(_Pending(
-                index, spec, fingerprint, node.label, node.name,
-                priority[index], ready_at, slots=slots,
-            ))
-
-        # Pool-side helpers ------------------------------------------------
-        def launch(task):
-            parent, child = self._ctx.Pipe(duplex=False)
-            # Claim pool slots: a partitioned run takes ``slots`` worker
-            # ids and is named by the lowest one.
-            task.wids = free_wids[:task.slots]
-            del free_wids[:task.slots]
-            runner = self.runner
-            if tel_queue is not None:
-                runner = _ChildTelemetryRunner(
-                    runner, tel_queue, task.name or task.label,
-                    task.fingerprint, task.wid,
-                )
-            # Partitioned runs (slots > 1) spawn their own PDES worker
-            # processes, which daemonic children may not do — those
-            # workers are daemons of the child, so they still die with
-            # it; plain runs keep the stronger daemon cleanup guarantee.
-            proc = self._ctx.Process(
-                target=_child_main,
-                args=(child, runner, task.spec.to_dict()),
-                daemon=task.slots == 1,
-            )
-            task.attempts += 1
-            task.started = time.monotonic()
-            if task.first_started is None:
-                task.first_started = task.started
-            task.deadline = (
-                task.started + self.timeout if self.timeout else None
-            )
-            task.proc, task.conn = proc, parent
-            proc.start()
-            child.close()
-            running.append(task)
-            if tel is not None:
-                tel.emit(
-                    "job_launched", node=task.name or task.label,
-                    run=task.fingerprint, wid=task.wid, slots=task.slots,
-                    attempt=task.attempts,
-                )
-            if task.attempts == 1:
-                self._emit(
-                    "start",
-                    RunOutcome(
-                        index=task.index, spec=task.spec,
-                        fingerprint=task.fingerprint, label=task.label,
-                        name=task.name, status="running",
-                        attempts=task.attempts,
-                        wait_time=task.wait_time,
-                    ),
-                    total,
-                )
-
-        def release(task):
-            """Return a task's claimed worker ids to the free list."""
-            if task.wids:
-                free_wids.extend(task.wids)
-                free_wids.sort()
-            task.wids = None
-
-        def finalize(task, status, result=None, error=None,
-                     exec_time=None):
-            wid = task.wid
-            release(task)
-            outcome = RunOutcome(
-                index=task.index, spec=task.spec,
-                fingerprint=task.fingerprint, label=task.label,
-                name=task.name, status=status, result=result, error=error,
-                attempts=task.attempts, wall_time=task.wall_time,
-                wait_time=task.wait_time, exec_time=exec_time,
-                worker_id=wid, slots=task.slots,
-            )
-            self._emit("ok" if status == "ok" else "failed", outcome, total)
-            if tel is not None:
-                node = task.name or task.label
-                if status == "ok":
-                    tel.emit(
-                        "job_done", node=node, run=task.fingerprint,
-                        wid=wid, status=status, attempts=task.attempts,
-                        wall_time=task.wall_time, exec_time=exec_time,
-                        wait_time=task.wait_time,
-                        predicted=costs[task.index],
-                    )
-                else:
-                    tel.emit(
-                        "job_failed", node=node, run=task.fingerprint,
-                        wid=wid, attempts=task.attempts,
-                        wall_time=task.wall_time, error=error,
-                    )
-            finish(outcome, result)
-
-        def reap(task):
-            """Collect one finished/overdue subprocess attempt."""
-            msg = None
-            if task.conn.poll():
-                try:
-                    msg = task.conn.recv()
-                except (EOFError, OSError):
-                    msg = None
-            elif task.proc.is_alive():
-                if task.deadline is not None and (
-                    time.monotonic() > task.deadline
-                ):
-                    task.proc.terminate()
-                    task.proc.join()
-                    self._close(task)
-                    return _requeue_or_fail(
-                        task, f"timed out after {self.timeout}s"
-                    )
-                return False  # still working
-            # Either a message arrived or the process died silently.
-            task.proc.join()
-            self._close(task)
-            attempt_time = time.monotonic() - task.started
-            task.wall_time += attempt_time
-            if msg is None:
-                return _requeue_or_fail(
-                    task,
-                    f"worker died (exit code {task.proc.exitcode})",
-                    charged=True,
-                )
-            kind, payload = msg
-            if kind == "ok":
-                result = RunResult.from_dict(payload)
-                self._store(
-                    task.spec, task.fingerprint, result,
-                    wall_time=attempt_time,
-                )
-                finalize(task, "ok", result=result, exec_time=attempt_time)
-            else:
-                # Deterministic Python exception: retrying cannot help.
-                finalize(task, "failed", error=payload)
-            return True
-
-        def _requeue_or_fail(task, reason, charged=False):
-            if not charged:
-                task.wall_time += time.monotonic() - task.started
-            if task.attempts > self.retries:
-                finalize(task, "failed", error=reason)
-            else:
-                release(task)
-                if tel is not None:
-                    tel.emit(
-                        "job_retry", node=task.name or task.label,
-                        run=task.fingerprint, attempt=task.attempts,
-                        reason=reason,
-                    )
-                # Exponential backoff with seeded jitter (up to +50%).
-                task.not_before = time.monotonic() + (
-                    self.backoff
-                    * (2 ** (task.attempts - 1))
-                    * (1.0 + 0.5 * retry_jitter(
-                        task.fingerprint, task.attempts
-                    ))
-                )
-                launchable.append(task)
-                self._emit(
-                    "retry",
-                    RunOutcome(
-                        index=task.index, spec=task.spec,
-                        fingerprint=task.fingerprint, label=task.label,
-                        name=task.name, status="retrying", error=reason,
-                        attempts=task.attempts, wall_time=task.wall_time,
-                    ),
-                    total,
-                )
-            return True
-
-        # Admit every root (in node order, so flat-sweep cache hits keep
-        # their historical event ordering); admission cascades through
-        # cached/analytic chains synchronously.
-        for index in range(total):
-            if remaining[index] == 0 and outcomes[index] is None:
-                admit(index)
+                    return finish(outcome)
+            session._enqueue(task)
 
         def drain_and_block():
             """Graceful shutdown: drain in-flight runs, block the rest.
 
-            In-flight subprocess attempts get up to ``drain_timeout``
-            seconds to finish (their results still count and cache);
-            whatever survives the deadline is terminated and failed.
-            Every node that never launched — queued, backing off, or
-            not yet admitted — terminates as ``blocked`` with the
-            distinct reason ``"engine shutdown"``.
+            In-flight attempts get up to ``drain_timeout`` seconds to
+            finish (their results still count and cache); whatever
+            survives the deadline is terminated and failed.  Every node
+            that never launched — queued, backing off, or not yet
+            admitted — terminates as ``blocked`` with the distinct
+            reason ``"engine shutdown"``.
             """
             deadline = time.monotonic() + max(0.0, self.drain_timeout or 0.0)
-            while running:
-                if tel_queue is not None:
-                    drain_queue(tel_queue, tel)
-                for task in list(running):
-                    if reap(task):
-                        running.remove(task)
-                if not running:
+            while True:
+                for task in list(session._launchable):
+                    session._withdraw(
+                        task, "blocked", "blocked: engine shutdown",
+                        blocker="<shutdown>",
+                    )
+                if not session._running:
                     break
                 if time.monotonic() > deadline:
-                    for task in list(running):
-                        task.proc.terminate()
-                        task.proc.join()
-                        self._close(task)
-                        task.wall_time += time.monotonic() - task.started
-                        finalize(
+                    for task in list(session._running):
+                        session._withdraw(
                             task, "failed",
-                            error=(
-                                "terminated: engine shutdown after "
-                                f"{self.drain_timeout}s drain"
-                            ),
+                            "terminated: engine shutdown after "
+                            f"{self.drain_timeout}s drain",
                         )
-                    running.clear()
                     break
+                for _, outcome in session.poll().finished:
+                    finish(outcome)
                 time.sleep(0.01)
-            # A run finishing during the drain may have admitted cached
-            # or analytic successors (they completed synchronously) and
-            # queued runnable ones — those, plus everything else not yet
-            # terminal, block here.
-            launchable.clear()
-            for i in range(total):
-                if outcomes[i] is not None:
-                    continue
-                node = graph.nodes[i]
-                outcome = RunOutcome(
-                    index=i, spec=node.spec, fingerprint=None,
-                    label=node.label, name=node.name, status="blocked",
-                    error="blocked: engine shutdown",
-                )
-                outcomes[i] = outcome
-                state["finished"] += 1
-                self._emit("blocked", outcome, total)
-                if tel is not None:
-                    tel.emit(
-                        "job_blocked", node=node.name, blocker="<shutdown>",
+            for index in range(total):
+                if session.outcome(index) is None:
+                    session._settle(
+                        node_outcome(index, "blocked",
+                                     graph.nodes[index].spec,
+                                     error="blocked: engine shutdown"),
+                        blocker="<shutdown>",
                     )
 
-        # Main scheduling loop: launch critical-path-first, reap, repeat.
-        while state["finished"] < total:
-            if self._shutdown:
-                drain_and_block()
-                break
-            if tel_queue is not None:
-                drain_queue(tel_queue, tel)
-            now = time.monotonic()
-            launchable.sort(key=lambda t: (-t.priority, t.index))
-            # A partitioned run claims ``slots`` pool slots; narrower
-            # tasks may backfill around a wide one that does not fit yet
-            # (``not running`` guarantees progress for a task wider than
-            # what ever frees up).
-            used = sum(t.slots for t in running)
-            task = next(
-                (t for t in launchable
-                 if t.not_before <= now
-                 and (used + t.slots <= self.jobs or not running)),
-                None,
-            )
-            if task is not None:
-                launchable.remove(task)
-                if self.jobs == 1:
-                    task.first_started = time.monotonic()
-                    outcome = self._run_inline(
-                        task.index, task.spec, task.fingerprint,
-                        task.label, cacheable=True, total=total,
-                        name=task.name, wait_time=task.wait_time,
-                        wid=0, predicted=costs[task.index],
+        try:
+            # Admit every root in node order, so flat-sweep cache hits
+            # keep their historical event ordering; admission cascades
+            # through cached/analytic chains synchronously.
+            for index in range(total):
+                if not graph.preds[index]:
+                    admit(index)
+            while len(session._outcomes) < total:
+                if self._shutdown:
+                    drain_and_block()
+                    break
+                finished = session.poll().finished
+                for _, outcome in finished:
+                    finish(outcome)
+                if not session.active and len(session._outcomes) < total:
+                    raise RuntimeError(
+                        f"job graph {graph.name!r}: no runnable work but "
+                        f"{total - len(session._outcomes)} node(s) "
+                        "unfinished"
                     )
-                    finish(outcome, outcome.result)
-                else:
-                    launch(task)
-                continue  # keep launching while slots and ready work last
-            for task in list(running):
-                if reap(task):
-                    running.remove(task)
-            if state["finished"] >= total:
-                break
-            if not running and not launchable:
-                raise RuntimeError(
-                    f"job graph {graph.name!r}: no runnable work but "
-                    f"{total - state['finished']} node(s) unfinished"
-                )
-            if not running and launchable:
-                # Everything runnable is backing off; nap until the
-                # soonest retry.
-                soonest = min(t.not_before for t in launchable)
-                time.sleep(max(0.0, min(0.05, soonest - now)))
-            else:
-                time.sleep(0.005)
-
-        report = SweepReport(
-            outcomes=outcomes, wall_time=time.monotonic() - t0
+                if not finished:
+                    time.sleep(0.005)
+        finally:
+            session.close()
+        return SweepReport(
+            outcomes=[session.outcome(i) for i in range(total)],
+            wall_time=time.monotonic() - t0,
         )
-        if tel is not None:
-            if tel_queue is not None:
-                # All children are joined: one last drain empties the
-                # queue, then the feeder thread can go.
-                drain_queue(tel_queue, tel)
-                tel_queue.close()
-            cache = self.cache
-            tel.emit(
-                "engine_stop", graph=graph.name,
-                reason="shutdown" if self._shutdown else None,
-                makespan=report.wall_time, executed=report.executed,
-                cached=report.cached, failed=report.failed,
-                blocked=report.blocked,
-                cache_hits=(
-                    None if cache is None
-                    else getattr(cache, "hits", 0) - cache_hits0
-                ),
-                cache_misses=(
-                    None if cache is None
-                    else getattr(cache, "misses", 0) - cache_misses0
-                ),
-            )
-        return report
-
-    # ------------------------------------------------------------------
-    def _record_stats(self, outcome):
-        """Fold one executed run node into the duration history."""
-        if (
-            self.stats is None
-            or outcome.status != "ok"
-            or outcome.spec is None
-        ):
-            return
-        wall = (
-            outcome.exec_time
-            if outcome.exec_time is not None
-            else outcome.wall_time
-        )
-        self.stats.record(spec_signature(outcome.spec), wall)
-
-    def _emit(self, event, outcome, total, **extra):
-        if self.progress is None:
-            return
-        payload = {
-            "event": event,
-            "index": outcome.index,
-            "total": total,
-            "label": outcome.label,
-            "name": outcome.name,
-            "fingerprint": outcome.fingerprint,
-            "status": outcome.status,
-            "attempts": outcome.attempts,
-            "wall_time": outcome.wall_time,
-            "wait_time": outcome.wait_time,
-            "worker_id": outcome.worker_id,
-            "slots": outcome.slots,
-        }
-        payload.update(extra)
-        self.progress(payload)
-
-    def _store(self, spec, fingerprint, result, wall_time=None):
-        if self.cache is not None:
-            self.cache.put(fingerprint, spec, result, wall_time=wall_time)
-
-    # ------------------------------------------------------------------
-    def _run_inline(self, index, spec, fingerprint, label, cacheable,
-                    total=None, name=None, wait_time=0.0, wid=None,
-                    predicted=None):
-        tel = self.telemetry
-        node = name or label
-        if tel is not None:
-            tel.emit(
-                "job_launched", node=node, run=fingerprint, wid=wid,
-                slots=1, attempt=1, predicted=predicted,
-            )
-        start = time.monotonic()
-        try:
-            result = run_simulation(spec)
-        except Exception:
-            outcome = RunOutcome(
-                index=index, spec=spec, fingerprint=fingerprint,
-                label=label, name=name, status="failed",
-                error=traceback.format_exc(), attempts=1,
-                wall_time=time.monotonic() - start, wait_time=wait_time,
-                worker_id=wid,
-            )
-            self._emit("failed", outcome, total or 0)
-            if tel is not None:
-                tel.emit(
-                    "job_failed", node=node, run=fingerprint, wid=wid,
-                    attempts=1, wall_time=outcome.wall_time,
-                    error=outcome.error,
-                )
-            return outcome
-        wall = time.monotonic() - start
-        if cacheable:
-            self._store(spec, fingerprint, result, wall_time=wall)
-        outcome = RunOutcome(
-            index=index, spec=spec, fingerprint=fingerprint, label=label,
-            name=name, status="ok", result=result, attempts=1,
-            wall_time=wall, wait_time=wait_time, exec_time=wall,
-            worker_id=wid,
-        )
-        self._emit("ok", outcome, total or 0)
-        if tel is not None:
-            tel.emit(
-                "job_done", node=node, run=fingerprint, wid=wid,
-                status="ok", attempts=1, wall_time=wall, exec_time=wall,
-                wait_time=wait_time, predicted=predicted,
-            )
-        return outcome
-
-    @staticmethod
-    def _close(task):
-        try:
-            task.conn.close()
-        except OSError:
-            pass
 
 
 # ----------------------------------------------------------------------
-# Incremental admission: EngineSession
+# The scheduler core: EngineSession
 # ----------------------------------------------------------------------
 @dataclass
 class SessionStep:
@@ -1157,30 +759,30 @@ class SessionStep:
 
 
 class EngineSession:
-    """Incremental job admission into a live engine.
+    """Incremental job admission into a live engine — its one scheduler.
 
-    :meth:`SweepEngine.run` executes one closed job graph start to
-    finish; a session stays open instead: callers :meth:`submit`
-    independent specs at any time, :meth:`poll` advances launching and
-    reaping without ever blocking on a run, :meth:`cancel` withdraws
-    queued work (and best-effort terminates running work), and
-    :meth:`drain`/:meth:`close` wind the session down.  The serving
-    layer (:mod:`repro.serve`) runs its broker on one of these.
+    Callers :meth:`submit` independent specs at any time, :meth:`poll`
+    advances launching and reaping without ever blocking on a run,
+    :meth:`cancel` withdraws queued work (and terminates running work),
+    and :meth:`drain`/:meth:`close` wind the session down.  The serving
+    layer (:mod:`repro.serve`) runs its broker on one of these, and
+    :meth:`SweepEngine.run` admits a job graph's nodes into one.
 
-    Two deliberate differences from ``run()``:
-
-    * **Every run executes in a subprocess, even with ``jobs=1``** — a
-      poll must never block on a simulation, and a cancel needs a
-      process to terminate.
-    * **No cache lookups.**  The caller decides its own fast path (the
-      serve broker coalesces *before* the session ever sees a spec);
-      the session only executes, stores to the cache, and feeds the
-      stats store — exactly like a pool run inside ``run()``.
+    This is the engine's only code that launches, reaps, times out,
+    retries, cancels and finalizes a run.  Every run executes in a
+    worker process at every ``jobs`` count, so timeout, retry and cancel
+    behave identically at ``jobs=1``; the one exception is a live-only
+    trace run, which a job graph executes in the engine process because
+    its tracer cannot cross a process boundary.  A session does no cache
+    lookups — the caller decides its own fast path (``run()`` looks up
+    at admission, the serve broker coalesces *before* the session ever
+    sees a spec); it stores completed runs to the cache and feeds the
+    stats store, which it flushes on :meth:`close`.
 
     Ready work is ordered by ``priority + aging_rate * age`` (highest
-    first), so a weighted-fair caller can hand tenants different base
-    priorities without starving anyone: every queued job's effective
-    priority grows linearly with its queue age.
+    first, then by ticket), so a weighted-fair caller can hand tenants
+    different base priorities without starving anyone: every queued
+    job's effective priority grows linearly with its queue age.
 
     Thread-safe: submit/cancel/poll may race from different threads.
     """
@@ -1198,12 +800,23 @@ class EngineSession:
         self._next_ticket = 0
         self._closed = False
         self._started_t = time.monotonic()
-        tel = engine.telemetry
-        self._tel_queue = engine._ctx.Queue() if tel is not None else None
-        if tel is not None:
-            tel.emit(
-                "engine_start", graph="session", jobs=engine.jobs, total=0,
-            )
+        # Stream identity: ``run()`` names its graph, size and predicted
+        # makespan here before anything is recorded; ``engine_start`` is
+        # written with the session's first record.
+        self._graph = "session"
+        self._total = 0
+        self._predicted = None
+        self._opened = False
+        # Cache counters are cumulative per ResultCache instance; the
+        # stop record reports this session's delta so streams holding
+        # many sessions stay summable.
+        cache = engine.cache
+        self._cache0 = (getattr(cache, "hits", 0) or 0,
+                        getattr(cache, "misses", 0) or 0)
+        self._tel_queue = (
+            engine._ctx.SimpleQueue()
+            if engine.telemetry is not None else None
+        )
 
     # ------------------------------------------------------------------
     def submit(self, spec, *, name=None, priority=0.0, tenant=None) -> int:
@@ -1221,19 +834,10 @@ class EngineSession:
             ticket = self._next_ticket
             self._next_ticket += 1
             name = name or f"job-{ticket}"
-            slots = max(1, min(spec.pdes_workers or 1, self.engine.jobs))
-            task = _Pending(
+            self._enqueue(_Pending(
                 ticket, spec, fingerprint, name, name, priority,
-                time.monotonic(), slots=slots, tenant=tenant,
-            )
-            self._tickets[ticket] = task
-            self._launchable.append(task)
-            tel = self.engine.telemetry
-            if tel is not None:
-                tel.emit(
-                    "job_queued", node=name, run=fingerprint, slots=slots,
-                    tenant=tenant,
-                )
+                time.monotonic(), tenant=tenant,
+            ))
             return ticket
 
     def outcome(self, ticket):
@@ -1255,7 +859,7 @@ class EngineSession:
 
     # ------------------------------------------------------------------
     def cancel(self, ticket) -> bool:
-        """Withdraw a job: immediate for queued, best-effort for running.
+        """Withdraw a job: immediate for queued, next poll for running.
 
         Returns ``True`` when the cancel took (or was already pending),
         ``False`` when the job is already terminal or unknown.  A run
@@ -1267,16 +871,9 @@ class EngineSession:
             if task is None:
                 return False
             if task in self._launchable:
-                self._launchable.remove(task)
-                self._finalize(task, "canceled",
-                               error="canceled while queued")
-                return True
-            self._cancel_requested.add(ticket)
-            if task.proc is not None:
-                try:
-                    task.proc.terminate()
-                except (OSError, ValueError):  # pragma: no cover - race
-                    pass
+                self._withdraw(task, "canceled", "canceled while queued")
+            else:
+                self._cancel_requested.add(ticket)
             return True
 
     # ------------------------------------------------------------------
@@ -1284,9 +881,7 @@ class EngineSession:
         """Advance the session one step; never blocks on a run."""
         step = SessionStep()
         with self._lock:
-            tel = self.engine.telemetry
-            if self._tel_queue is not None and tel is not None:
-                drain_queue(self._tel_queue, tel)
+            self._drain_telemetry()
             now = time.monotonic()
             self._launchable.sort(
                 key=lambda t: (
@@ -1295,6 +890,10 @@ class EngineSession:
                 )
             )
             while True:
+                # A partitioned run claims ``slots`` pool slots; narrower
+                # tasks may backfill around a wide one that does not fit
+                # yet (``not self._running`` guarantees progress for a
+                # task wider than what ever frees up).
                 used = sum(t.slots for t in self._running)
                 task = next(
                     (t for t in self._launchable
@@ -1311,10 +910,8 @@ class EngineSession:
                     step.started.append(task.index)
             for task in list(self._running):
                 outcome = self._reap(task)
-                if outcome is not None or task.proc is None:
-                    self._running.remove(task)
-                    if outcome is not None:
-                        step.finished.append((task.index, outcome))
+                if outcome is not None:
+                    step.finished.append((task.index, outcome))
         return step
 
     def drain(self, timeout=None) -> bool:
@@ -1337,46 +934,43 @@ class EngineSession:
         """Terminate everything still live; the session ends canceled.
 
         Queued jobs finish ``canceled`` immediately; running processes
-        are terminated and finish ``canceled`` too.  Idempotent.
+        are terminated and finish ``canceled`` too.  Writes the
+        ``engine_stop`` record and flushes the engine's stats store.
+        Idempotent.
         """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            for task in list(self._launchable):
-                self._launchable.remove(task)
-                self._finalize(task, "canceled",
-                               error="canceled: session closed")
-            for task in list(self._running):
-                self._cancel_requested.add(task.index)
-                try:
-                    task.proc.terminate()
-                except (OSError, ValueError):  # pragma: no cover - race
-                    pass
-                task.proc.join()
-                SweepEngine._close(task)
-                task.wall_time += time.monotonic() - task.started
-                self._running.remove(task)
-                self._finalize(task, "canceled",
-                               error="canceled: session closed")
-            tel = self.engine.telemetry
-            if self._tel_queue is not None and tel is not None:
-                drain_queue(self._tel_queue, tel)
+            for task in self._launchable + self._running:
+                self._withdraw(task, "canceled", "canceled: session closed")
+            self._drain_telemetry()
+            if self._tel_queue is not None:
                 self._tel_queue.close()
                 self._tel_queue = None
-            if tel is not None:
-                counts = {"ok": 0, "failed": 0, "canceled": 0}
-                for outcome in self._outcomes.values():
-                    counts[outcome.status] = (
-                        counts.get(outcome.status, 0) + 1
-                    )
-                tel.emit(
-                    "engine_stop", graph="session",
-                    makespan=time.monotonic() - self._started_t,
-                    executed=counts["ok"], cached=0,
-                    failed=counts["failed"], blocked=0,
-                    canceled=counts["canceled"],
-                )
+            counts = {"ok": 0, "cached": 0, "failed": 0, "blocked": 0,
+                      "canceled": 0}
+            for outcome in self._outcomes.values():
+                counts[outcome.status] += 1
+            cache = self.engine.cache
+            self._record(
+                "engine_stop", graph=self._graph,
+                reason="shutdown" if self.engine._shutdown else None,
+                makespan=time.monotonic() - self._started_t,
+                executed=counts["ok"], cached=counts["cached"],
+                failed=counts["failed"], blocked=counts["blocked"],
+                canceled=counts["canceled"],
+                cache_hits=(
+                    None if cache is None
+                    else getattr(cache, "hits", 0) - self._cache0[0]
+                ),
+                cache_misses=(
+                    None if cache is None
+                    else getattr(cache, "misses", 0) - self._cache0[1]
+                ),
+            )
+            if self.engine.stats is not None:
+                self.engine.stats.flush()
 
     def __enter__(self):
         return self
@@ -1385,9 +979,21 @@ class EngineSession:
         self.close()
 
     # ------------------------------------------------------------------
+    def _enqueue(self, task):
+        """Queue a task for a worker slot (``submit`` and graph admission)."""
+        task.slots = max(1, min(task.spec.pdes_workers or 1,
+                                self.engine.jobs))
+        self._tickets[task.index] = task
+        self._total = max(self._total, task.index + 1)
+        self._launchable.append(task)
+        self._record(
+            "job_queued", node=task.name, run=task.fingerprint,
+            slots=task.slots, predicted=task.predicted, tenant=task.tenant,
+        )
+
     def _launch(self, task):
+        """Fork one attempt of ``task`` onto its claimed pool slots."""
         engine = self.engine
-        parent, child = engine._ctx.Pipe(duplex=False)
         task.wids = self._free_wids[:task.slots]
         del self._free_wids[:task.slots]
         runner = engine.runner
@@ -1396,142 +1002,234 @@ class EngineSession:
                 runner, self._tel_queue, task.name, task.fingerprint,
                 task.wid,
             )
-        proc = engine._ctx.Process(
+        parent, child = engine._ctx.Pipe(duplex=False)
+        # Partitioned runs (slots > 1) spawn their own PDES worker
+        # processes, which daemonic children may not do — those
+        # workers are daemons of the child, so they still die with
+        # it; plain runs keep the stronger daemon cleanup guarantee.
+        task.proc = engine._ctx.Process(
             target=_child_main,
             args=(child, runner, task.spec.to_dict()),
             daemon=task.slots == 1,
         )
+        task.conn = parent
+        self._begin_attempt(task)
+        task.deadline = (
+            task.started + engine.timeout if engine.timeout else None
+        )
+        task.proc.start()
+        child.close()
+        self._running.append(task)
+
+    def _run_inline(self, task):
+        """Execute a live-only trace run in this process (worker ``-1``).
+
+        The tracer cannot cross a process boundary or live in the cache,
+        so this is the one run that neither forks nor stores; ``runner``,
+        ``timeout`` and ``retries`` do not apply to it.
+        """
+        task.wids = [-1]
+        self._begin_attempt(task)
+        try:
+            result, error = run_simulation(task.spec), None
+        except Exception:
+            result, error = None, traceback.format_exc()
+        task.wall_time = time.monotonic() - task.started
+        if error is not None:
+            return self._finalize(task, "failed", error=error)
+        return self._finalize(task, "ok", result=result,
+                              exec_time=task.wall_time)
+
+    def _begin_attempt(self, task):
+        """Count an attempt and announce it (``start`` on the first)."""
         task.attempts += 1
         task.started = time.monotonic()
         if task.first_started is None:
             task.first_started = task.started
-        task.deadline = (
-            task.started + engine.timeout if engine.timeout else None
+        self._record(
+            "job_launched", node=task.name, run=task.fingerprint,
+            wid=task.wid, slots=task.slots, attempt=task.attempts,
+            predicted=task.predicted, tenant=task.tenant,
         )
-        task.proc, task.conn = proc, parent
-        proc.start()
-        child.close()
-        self._running.append(task)
-        tel = engine.telemetry
-        if tel is not None:
-            tel.emit(
-                "job_launched", node=task.name, run=task.fingerprint,
-                wid=task.wid, slots=task.slots, attempt=task.attempts,
-                tenant=task.tenant,
-            )
+        if task.attempts == 1:
+            self._progress("start", self._outcome(task, "running"))
 
     def _reap(self, task):
-        """One reap step; returns the terminal outcome or ``None``."""
-        engine = self.engine
-        msg = None
+        """One reap step for a running task; the terminal outcome or
+        ``None`` (still running, or requeued for a retry)."""
+        msg = reason = None
         if task.conn.poll():
             try:
                 msg = task.conn.recv()
             except (EOFError, OSError):
-                msg = None
+                pass
         elif task.proc.is_alive():
-            canceled = task.index in self._cancel_requested
-            overdue = task.deadline is not None and (
-                time.monotonic() > task.deadline
-            )
-            if not canceled and not overdue:
-                return None
+            if task.index not in self._cancel_requested:
+                if task.deadline is None or (
+                    time.monotonic() <= task.deadline
+                ):
+                    return None  # still working
+                reason = f"timed out after {self.engine.timeout}s"
             task.proc.terminate()
-            task.proc.join()
-            SweepEngine._close(task)
-            task.wall_time += time.monotonic() - task.started
-            if canceled:
-                return self._finalize(
-                    task, "canceled", error="canceled while running",
-                )
-            return self._retry_or_fail(
-                task, f"timed out after {engine.timeout}s",
-            )
-        task.proc.join()
-        SweepEngine._close(task)
-        attempt_time = time.monotonic() - task.started
-        task.wall_time += attempt_time
-        if msg is None:
-            if task.index in self._cancel_requested:
-                return self._finalize(
-                    task, "canceled", error="canceled while running",
-                )
-            return self._retry_or_fail(
-                task, f"worker died (exit code {task.proc.exitcode})",
-            )
-        kind, payload = msg
-        if kind == "ok":
+        attempt_time = self._stop_attempt(task)
+        if msg is not None and msg[0] == "ok":
             # A completed result always wins, even over a pending
             # cancel — exactly-once beats promptly-withdrawn.
-            result = RunResult.from_dict(payload)
-            engine._store(
-                task.spec, task.fingerprint, result,
-                wall_time=attempt_time,
-            )
-            if engine.stats is not None:
-                engine.stats.record(
-                    spec_signature(task.spec), attempt_time,
+            result = RunResult.from_dict(msg[1])
+            if self.engine.cache is not None:
+                self.engine.cache.put(
+                    task.fingerprint, task.spec, result,
+                    wall_time=attempt_time,
                 )
-            return self._finalize(
-                task, "ok", result=result, exec_time=attempt_time,
-            )
-        return self._finalize(task, "failed", error=payload)
+            return self._finalize(task, "ok", result=result,
+                                  exec_time=attempt_time)
+        if task.index in self._cancel_requested:
+            return self._finalize(task, "canceled",
+                                  error="canceled while running")
+        if msg is not None:
+            # Deterministic Python exception: retrying cannot help.
+            return self._finalize(task, "failed", error=msg[1])
+        return self._retry_or_fail(
+            task,
+            reason or f"worker died (exit code {task.proc.exitcode})",
+        )
+
+    def _stop_attempt(self, task) -> float:
+        """Join an ended attempt's process and charge its wall time."""
+        task.proc.join()
+        try:
+            task.conn.close()
+        except OSError:
+            pass
+        self._running.remove(task)
+        elapsed = time.monotonic() - task.started
+        task.wall_time += elapsed
+        return elapsed
 
     def _retry_or_fail(self, task, reason):
         engine = self.engine
         if task.attempts > engine.retries:
             return self._finalize(task, "failed", error=reason)
-        if task.wids:
-            self._free_wids.extend(task.wids)
-            self._free_wids.sort()
-        task.wids = None
-        task.proc = task.conn = None
+        self._release(task)
+        # Exponential backoff with seeded jitter (up to +50%).
         task.not_before = time.monotonic() + (
             engine.backoff
             * (2 ** (task.attempts - 1))
             * (1.0 + 0.5 * retry_jitter(task.fingerprint, task.attempts))
         )
         self._launchable.append(task)
-        tel = engine.telemetry
-        if tel is not None:
-            tel.emit(
-                "job_retry", node=task.name, run=task.fingerprint,
-                attempt=task.attempts, reason=reason, tenant=task.tenant,
-            )
+        self._record(
+            "job_retry", node=task.name, run=task.fingerprint,
+            attempt=task.attempts, reason=reason, tenant=task.tenant,
+        )
+        self._progress("retry", self._outcome(task, "retrying",
+                                              error=reason))
         return None
 
-    def _finalize(self, task, status, result=None, error=None,
-                  exec_time=None):
-        wid = task.wid
-        if task.wids:
+    def _withdraw(self, task, status, error, blocker=None):
+        """End a live task without a result, killing a running attempt."""
+        if task in self._launchable:
+            self._launchable.remove(task)
+        else:
+            task.proc.terminate()
+            self._stop_attempt(task)
+        return self._finalize(task, status, error=error, blocker=blocker)
+
+    def _release(self, task):
+        """Return a task's claimed worker ids to the pool."""
+        if task.wids and task.wids[0] >= 0:
             self._free_wids.extend(task.wids)
             self._free_wids.sort()
         task.wids = None
-        outcome = RunOutcome(
-            index=task.index, spec=task.spec,
-            fingerprint=task.fingerprint, label=task.label,
-            name=task.name, status=status, result=result, error=error,
+
+    def _outcome(self, task, status, **fields) -> RunOutcome:
+        """``task`` as a :class:`RunOutcome` with the given status."""
+        return RunOutcome(
+            index=task.index, spec=task.spec, fingerprint=task.fingerprint,
+            label=task.label, name=task.name, status=status,
             attempts=task.attempts, wall_time=task.wall_time,
-            wait_time=task.wait_time, exec_time=exec_time,
-            worker_id=wid, slots=task.slots,
+            wait_time=task.wait_time, worker_id=task.wid, slots=task.slots,
+            **fields,
         )
-        self._outcomes[task.index] = outcome
-        self._tickets.pop(task.index, None)
-        self._cancel_requested.discard(task.index)
-        tel = self.engine.telemetry
-        if tel is not None:
-            if status == "failed":
-                tel.emit(
-                    "job_failed", node=task.name, run=task.fingerprint,
-                    wid=wid, attempts=task.attempts,
-                    wall_time=task.wall_time, error=error,
-                    tenant=task.tenant,
-                )
-            else:
-                tel.emit(
-                    "job_done", node=task.name, run=task.fingerprint,
-                    wid=wid, status=status, attempts=task.attempts,
-                    wall_time=task.wall_time, exec_time=exec_time,
-                    wait_time=task.wait_time, tenant=task.tenant,
-                )
+
+    def _finalize(self, task, status, result=None, error=None,
+                  exec_time=None, blocker=None):
+        """End ``task`` with a terminal outcome (and free its slots)."""
+        outcome = self._outcome(task, status, result=result, error=error,
+                                exec_time=exec_time)
+        self._release(task)
+        if status == "ok" and self.engine.stats is not None:
+            self.engine.stats.record(spec_signature(task.spec), exec_time)
+        return self._settle(outcome, tenant=task.tenant,
+                            predicted=task.predicted, blocker=blocker)
+
+    def _settle(self, outcome, *, tenant=None, predicted=None,
+                blocker=None):
+        """Record a terminal outcome: bookkeeping, progress, telemetry.
+
+        Executed runs arrive through :meth:`_finalize`; job-graph
+        admission settles the nodes it decides itself (cached, analysis,
+        builder failures, blocked) directly.
+        """
+        index, status = outcome.index, outcome.status
+        self._outcomes[index] = outcome
+        self._tickets.pop(index, None)
+        self._cancel_requested.discard(index)
+        if status != "canceled":
+            self._progress(status, outcome)
+        job = dict(node=outcome.name or outcome.label,
+                   run=outcome.fingerprint, tenant=tenant)
+        if status == "cached":
+            self._record("job_cached", **job)
+        elif status == "blocked":
+            self._record("job_blocked", blocker=blocker, **job)
+        elif status == "failed":
+            self._record(
+                "job_failed", wid=outcome.worker_id,
+                attempts=outcome.attempts, wall_time=outcome.wall_time,
+                error=outcome.error, **job,
+            )
+        else:
+            self._record(
+                "job_done", wid=outcome.worker_id, status=status,
+                attempts=outcome.attempts, wall_time=outcome.wall_time,
+                exec_time=outcome.exec_time, wait_time=outcome.wait_time,
+                predicted=predicted, **job,
+            )
         return outcome
+
+    def _progress(self, event, outcome):
+        progress = self.engine.progress
+        if progress is None:
+            return
+        progress({
+            "event": event,
+            "index": outcome.index,
+            "total": self._total,
+            "label": outcome.label,
+            "name": outcome.name,
+            "fingerprint": outcome.fingerprint,
+            "status": outcome.status,
+            "attempts": outcome.attempts,
+            "wall_time": outcome.wall_time,
+            "wait_time": outcome.wait_time,
+            "worker_id": outcome.worker_id,
+            "slots": outcome.slots,
+        })
+
+    def _record(self, rtype, **fields):
+        """The session's one telemetry emitter (``engine_start`` first)."""
+        tel = self.engine.telemetry
+        if tel is None:
+            return
+        if not self._opened:
+            self._opened = True
+            tel.emit(
+                "engine_start", graph=self._graph, jobs=self.engine.jobs,
+                total=self._total, predicted_makespan=self._predicted,
+            )
+        tel.emit(rtype, **fields)
+
+    def _drain_telemetry(self):
+        if self._tel_queue is not None:
+            drain_queue(self._tel_queue, self.engine.telemetry)

@@ -297,15 +297,16 @@ def drain_queue(queue, bus) -> int:
     """Move every currently-queued record onto ``bus``; returns the count.
 
     Non-blocking: used by the engine's scheduling loop and once more
-    after the last child has been joined.
+    after the last child has been joined.  ``queue`` is a
+    ``multiprocessing`` ``SimpleQueue`` (the engine's choice: a child's
+    ``put`` writes the pipe directly instead of starting a feeder
+    thread) or ``Queue``.
     """
-    import queue as queue_mod
-
     moved = 0
-    while True:
-        try:
-            record = queue.get_nowait()
-        except (queue_mod.Empty, OSError, EOFError):
-            return moved
-        bus.write_record(record)
-        moved += 1
+    try:
+        while not queue.empty():
+            bus.write_record(queue.get())
+            moved += 1
+    except (OSError, EOFError):
+        pass
+    return moved

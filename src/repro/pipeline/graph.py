@@ -22,6 +22,7 @@ dry-run via ``--show-dag``) without touching worker processes:
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .spec import PipelineSpec, get_generator
@@ -72,13 +73,20 @@ class JobGraph:
     # ------------------------------------------------------------------
     @classmethod
     def from_sweep(cls, sweep) -> "JobGraph":
-        """An edgeless graph: the existing flat-sweep contract."""
+        """An edgeless graph: the existing flat-sweep contract.
+
+        Node names must be unique (telemetry keys its per-job ledgers by
+        node name), so a label shared by several runs is suffixed with
+        the run's index; labels stay as given.
+        """
+        labels = [sweep.label(i) for i in range(len(sweep))]
+        counts = Counter(labels)
         nodes = [
             JobNode(
-                index=i, name=sweep.label(i), label=sweep.label(i),
-                spec=spec,
+                index=i, label=label, spec=spec,
+                name=label if counts[label] == 1 else f"{label}#{i}",
             )
-            for i, spec in enumerate(sweep)
+            for i, (label, spec) in enumerate(zip(labels, sweep))
         ]
         return cls(nodes, [()] * len(nodes), name=sweep.name)
 

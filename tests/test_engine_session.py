@@ -9,7 +9,14 @@ from pathlib import Path
 import pytest
 
 from repro import AmrConfig, RunSpec, sphere
-from repro.exec import EngineSession, ResultCache, SweepEngine, run_spec_dict
+from repro.exec import (
+    EngineSession,
+    ResultCache,
+    RunStatsStore,
+    SweepEngine,
+    run_spec_dict,
+    spec_signature,
+)
 from repro.obs.telemetry import TelemetryBus, read_records, validate_file
 
 
@@ -166,6 +173,18 @@ def test_session_close_cancels_and_emits_stream(tmp_path, monkeypatch):
     # Tenant attribution rides on the session's job records.
     queued = [r for r in records if r["type"] == "job_queued"]
     assert {r.get("tenant") for r in queued} == {"alice", "bob"}
+
+
+def test_session_close_flushes_the_stats_store(tmp_path):
+    path = tmp_path / "stats.json"
+    spec = small_spec()
+    session = SweepEngine(jobs=1, stats=RunStatsStore(path)).session()
+    ticket = session.submit(spec)
+    pump(session, until=lambda: session.active == 0)
+    assert session.outcome(ticket).status == "ok"
+    session.close()
+    # A fresh store at the same path learned the run's duration.
+    assert RunStatsStore(path).predict(spec_signature(spec)) is not None
 
 
 # ----------------------------------------------------------------------

@@ -125,10 +125,13 @@ def test_trace_specs_bypass_the_cache(tmp_path):
 # ----------------------------------------------------------------------
 # Fault isolation
 # ----------------------------------------------------------------------
-def test_worker_crash_is_retried_then_succeeds(tmp_path, monkeypatch):
+# Every run executes in a worker process at every ``jobs`` count, so the
+# fault handling below must hold at jobs=1 exactly as in a wider pool.
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_worker_crash_is_retried_then_succeeds(tmp_path, monkeypatch, jobs):
     monkeypatch.setenv("REPRO_EXEC_TEST_DIR", str(tmp_path))
     spec = small_sweep()[2]
-    engine = SweepEngine(jobs=2, retries=2, backoff=0.01,
+    engine = SweepEngine(jobs=jobs, retries=2, backoff=0.01,
                          mp_context="fork",
                          runner=_crash_until_third_attempt)
     report = engine.run([spec])
@@ -138,9 +141,10 @@ def test_worker_crash_is_retried_then_succeeds(tmp_path, monkeypatch):
     assert outcome.result == SweepEngine(jobs=1).run([spec]).results[0]
 
 
-def test_worker_crash_fails_only_that_run():
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_worker_crash_fails_only_that_run(jobs):
     specs = small_sweep()
-    engine = SweepEngine(jobs=2, retries=1, backoff=0.01,
+    engine = SweepEngine(jobs=jobs, retries=1, backoff=0.01,
                          mp_context="fork", runner=_crash_fork_join_only)
     report = engine.run(specs)
     by_variant = {o.spec.variant: o for o in report.outcomes}
@@ -154,9 +158,10 @@ def test_worker_crash_fails_only_that_run():
         report.raise_failures()
 
 
-def test_timeout_kills_and_fails_the_run():
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_timeout_kills_and_fails_the_run(jobs):
     spec = small_sweep()[0]
-    engine = SweepEngine(jobs=2, timeout=0.25, retries=0,
+    engine = SweepEngine(jobs=jobs, timeout=0.25, retries=0,
                          mp_context="fork", runner=_hang_forever)
     report = engine.run([spec])
     outcome = report.outcomes[0]
@@ -164,9 +169,10 @@ def test_timeout_kills_and_fails_the_run():
     assert "timed out" in outcome.error
 
 
-def test_deterministic_exception_is_not_retried():
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_deterministic_exception_is_not_retried(jobs):
     spec = small_sweep()[0]
-    engine = SweepEngine(jobs=2, retries=5, backoff=0.01,
+    engine = SweepEngine(jobs=jobs, retries=5, backoff=0.01,
                          mp_context="fork", runner=_raise_value_error)
     report = engine.run([spec])
     outcome = report.outcomes[0]

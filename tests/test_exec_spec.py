@@ -204,18 +204,8 @@ def test_rejects_unknown_preset():
 
 
 # ----------------------------------------------------------------------
-# Back-compat shim (deprecated; removed next release)
+# run_simulation accepts exactly one RunSpec
 # ----------------------------------------------------------------------
-def test_legacy_call_form_warns_and_matches_spec_form():
-    with pytest.warns(DeprecationWarning, match="pass a single RunSpec"):
-        legacy = run_simulation(
-            small_config(), laptop(), variant="tampi_dataflow",
-            num_nodes=1, ranks_per_node=2,
-        )
-    via_spec = run_simulation(base_spec())
-    assert legacy == via_spec
-
-
 def test_spec_form_does_not_warn():
     import warnings
 
@@ -224,9 +214,11 @@ def test_spec_form_does_not_warn():
         run_simulation(base_spec())
 
 
-def test_legacy_form_requires_machine_spec():
-    with pytest.raises(TypeError, match="machine spec"):
+def test_non_spec_argument_raises_type_error():
+    with pytest.raises(TypeError, match="single RunSpec"):
         run_simulation(small_config())
+    with pytest.raises(TypeError, match="single RunSpec"):
+        run_simulation(small_config(), laptop(), variant="tampi_dataflow")
 
 
 def test_spec_form_rejects_extra_arguments():

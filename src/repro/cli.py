@@ -309,9 +309,6 @@ def _add_profile_parser(sub):
     p.add_argument("--ranks-per-node", type=int, default=None)
     _add_geometry_options(p)
     _add_fault_options(p)
-    p.add_argument("--trace-max-events", type=int, default=None,
-                   help="bound tracer memory (ring buffer; evictions are "
-                        "counted, not fatal)")
     p.add_argument("--json", default=None, metavar="PATH",
                    help="write the ProfileReport JSON here (the input "
                         "format of `miniamr-sim report`)")
@@ -675,8 +672,7 @@ def spec_from_args(args, **extra) -> RunSpec:
 
     Shared by ``run``, ``profile``, and fault-injected runs so every
     entry point resolves geometry, machine, and ranks-per-node the same
-    way.  ``extra`` passes command-specific fields (``profile=True``,
-    ``trace_max_events=...``).
+    way.  ``extra`` passes command-specific fields (``profile=True``).
     """
     machine = get_preset(args.preset)()
     ranks_per_node = resolve_ranks_per_node(
@@ -731,9 +727,7 @@ def cmd_profile(args) -> int:
 
     from .obs import ascii_summary, metrics_csv, write_chrome_trace
 
-    res = run_simulation(spec_from_args(
-        args, profile=True, trace_max_events=args.trace_max_events,
-    ))
+    res = run_simulation(spec_from_args(args, profile=True))
     report = res.profile
     # Write every requested export before printing: stdout may be a pipe
     # that closes early (e.g. `| head`), and SIGPIPE must not lose files.
@@ -749,12 +743,6 @@ def cmd_profile(args) -> int:
         with open(args.metrics_csv, "w") as fh:
             fh.write(metrics_csv(report))
     print(ascii_summary(report, top=args.top), end="")
-    if report.phase_summary.dropped_events:
-        print(
-            f"note: tracer ring buffer dropped "
-            f"{report.phase_summary.dropped_events} events "
-            f"(--trace-max-events {args.trace_max_events})"
-        )
     if args.json:
         print(f"profile report written: {args.json}")
     if args.chrome_trace:

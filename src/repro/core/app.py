@@ -41,12 +41,11 @@ class SharedState:
     exclusively through simulated messages.
     """
 
-    def __init__(self, config, machine, spec, world, tracer=None):
+    def __init__(self, config, machine, spec, world):
         self.config = config
         self.machine = machine
         self.spec = spec
         self.world = world
-        self.tracer = tracer
         self.structure = MeshStructure(config)
         self.board = PlanBoard(config.num_ranks)
         #: Total stencil FLOPs executed (all ranks).
@@ -78,7 +77,7 @@ class BaseRankProgram:
         self.env = comm.env
         self.cost = shared.spec.cost
         self.numa = shared.machine.placement(rank).spans_numa
-        self.tracer = shared.tracer
+        self.profiler = runtime.profiler
 
         self.blocks = {}
         for bid in shared.structure.blocks_of_rank(rank):
@@ -111,9 +110,8 @@ class BaseRankProgram:
         if seconds > 0:
             t0 = self.env.now
             yield self.env.timeout(self.rt.noise.stretch(seconds))
-            profiler = self.rt.profiler
-            if profiler is not None:
-                profiler.inline_busy(self.rank, t0, self.env.now)
+            if self.profiler is not None:
+                self.profiler.inline_busy(self.rank, t0, self.env.now)
 
     def stencil_cost(self, nvars) -> float:
         return self.cost.stencil_time(
@@ -238,8 +236,8 @@ class BaseRankProgram:
         stage_index = 0
         for ts in range(cfg.num_tsteps):
             self.rt.timestep = ts
-            if self.tracer:
-                self.tracer.phase_begin(self.rank, "timestep", self.env.now)
+            if self.profiler is not None:
+                self.profiler.phase_begin(self.rank, "timestep", self.env.now)
             for _stage in range(cfg.stages_per_ts):
                 for group in range(cfg.num_groups):
                     yield from self.communicate(group)
@@ -249,8 +247,8 @@ class BaseRankProgram:
                     yield from self.join_all()
                 if cfg.checksum_freq and stage_index % cfg.checksum_freq == 0:
                     yield from self.checksum(stage_index)
-            if self.tracer:
-                self.tracer.phase_end(self.rank, "timestep", self.env.now)
+            if self.profiler is not None:
+                self.profiler.phase_end(self.rank, "timestep", self.env.now)
             last = ts + 1 == cfg.num_tsteps
             if cfg.refine_freq and (ts + 1) % cfg.refine_freq == 0 and not last:
                 yield from self.refinement_phase(move_objects=True)
@@ -276,8 +274,8 @@ class BaseRankProgram:
         cfg = self.cfg
         yield from self.join_all()  # explicit barrier before refinement
         t_enter = self.env.now
-        if self.tracer:
-            self.tracer.phase_begin(self.rank, "refine", self.env.now)
+        if self.profiler is not None:
+            self.profiler.phase_begin(self.rank, "refine", self.env.now)
 
         # Global synchronization: nobody may still be using the old
         # structure when the shared plan mutates it (miniAMR performs
@@ -327,8 +325,8 @@ class BaseRankProgram:
 
         self._plan_cache = {}
         self.refine_seconds += self.env.now - t_enter
-        if self.tracer:
-            self.tracer.phase_end(self.rank, "refine", self.env.now)
+        if self.profiler is not None:
+            self.profiler.phase_end(self.rank, "refine", self.env.now)
         return not plan.is_empty or bool(balance_moves)
 
     def refine_control_factor(self) -> float:

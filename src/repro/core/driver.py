@@ -82,7 +82,7 @@ class _Sim:
 
     __slots__ = (
         "machine", "env", "world", "shared", "programs", "procs",
-        "profiler", "tracer", "witness", "injector", "cores_per_rank",
+        "profiler", "witness", "injector", "cores_per_rank",
     )
 
 
@@ -98,17 +98,10 @@ def _build_simulation(rs, machine, local_ranks=None, partition=None):
     """
     config, spec = rs.config, rs.machine
 
-    profiler = Profiler() if rs.profile else None
+    # The profiler is the run's one recorder: the trace is a view over it.
+    profiler = Profiler() if (rs.trace or rs.profile) else None
     env = Environment(
         metrics=profiler.metrics if profiler is not None else None
-    )
-    # Profiled runs always collect a tracer internally (phase spans feed
-    # the ProfileReport); it is only attached to the result — live-only —
-    # when tracing was explicitly requested.
-    tracer = (
-        Tracer(max_events=rs.trace_max_events)
-        if (rs.trace or rs.profile)
-        else None
     )
     witness = AccessWitness(env) if rs.check_access else None
     network = spec.network.scaled_to(rs.num_nodes)
@@ -124,10 +117,10 @@ def _build_simulation(rs, machine, local_ranks=None, partition=None):
         else None
     )
     world = World(
-        env, machine, network, tracer=tracer, profiler=profiler,
+        env, machine, network, profiler=profiler,
         faults=injector, partition=partition,
     )
-    shared = SharedState(config, machine, spec, world, tracer=tracer)
+    shared = SharedState(config, machine, spec, world)
 
     cores_per_rank = 1 if rs.variant == "mpi_only" else machine.cores_per_rank
     program_cls = VARIANTS[rs.variant]
@@ -143,7 +136,6 @@ def _build_simulation(rs, machine, local_ranks=None, partition=None):
             scheduler=rs.scheduler,
             sched_seed=rs.sched_seed,
             witness=witness,
-            tracer=tracer,
             profiler=profiler,
             faults=injector,
         )
@@ -165,7 +157,6 @@ def _build_simulation(rs, machine, local_ranks=None, partition=None):
         env.process(p.run(), name=f"rank{p.rank}") for p in programs
     ]
     sim.profiler = profiler
-    sim.tracer = tracer
     sim.witness = witness
     sim.injector = injector
     sim.cores_per_rank = cores_per_rank
@@ -204,7 +195,7 @@ def _execute(run_spec: RunSpec) -> RunResult:
         sim.witness.check()  # raises AccessRaceError on undeclared accesses
 
     env.flush_metrics()
-    profiler, tracer, injector = sim.profiler, sim.tracer, sim.injector
+    profiler, injector = sim.profiler, sim.injector
     profile = (
         build_profile_report(
             profiler,
@@ -212,10 +203,9 @@ def _execute(run_spec: RunSpec) -> RunResult:
             num_ranks=machine.num_ranks,
             cores_per_rank=sim.cores_per_rank,
             makespan=env.now,
-            tracer=tracer,
             fault_injector=injector,
         )
-        if profiler is not None
+        if rs.profile
         else None
     )
 
@@ -232,12 +222,14 @@ def _execute(run_spec: RunSpec) -> RunResult:
         comm_stats=CommStats.from_world(sim.world.stats),
         runtime_stats=[RuntimeStats.from_runtime(p.rt.stats) for p in programs],
         phase_summary=(
-            PhaseSummary.from_tracer(tracer) if tracer is not None else None
+            PhaseSummary.from_profiler(profiler)
+            if profiler is not None
+            else None
         ),
         profile=profile,
         fault_stats=(
             injector.stats.to_dict() if injector is not None else None
         ),
-        tracer=tracer if rs.trace else None,
+        tracer=Tracer.from_profiler(profiler) if rs.trace else None,
         profiler=profiler,
     )

@@ -5,12 +5,13 @@ summaries of the simulated-MPI and tasking-runtime counters.  Everything
 serializes losslessly through :meth:`RunResult.to_dict` /
 :meth:`RunResult.from_dict` — float64 values survive JSON exactly — so
 results can cross process boundaries and live in the on-disk cache of
-:mod:`repro.exec`.  The only live-only attachment is the optional
-:class:`~repro.trace.Tracer`, which is excluded from serialization and
-from equality.  Trace-derived *data* does serialize: a compact
-:class:`~repro.obs.PhaseSummary` rides along whenever the run traced or
-profiled, and a full :class:`~repro.obs.ProfileReport` when
-``RunSpec(profile=True)`` — so cached results are no longer blind.
+:mod:`repro.exec`.  The only live-only attachments are the run's
+:class:`~repro.obs.Profiler` and its :class:`~repro.trace.Tracer` view,
+which are excluded from serialization and from equality.  Data derived
+from them does serialize: a compact :class:`~repro.obs.PhaseSummary`
+rides along whenever the run traced or profiled, and a full
+:class:`~repro.obs.ProfileReport` when ``RunSpec(profile=True)`` — so
+cached results are no longer blind.
 """
 
 from __future__ import annotations
@@ -120,8 +121,8 @@ class RunResult:
     comm_stats: CommStats = None
     #: Tasking-runtime summary per rank.
     runtime_stats: list = field(default_factory=list)
-    #: Compact trace-derived phase-time summary (present when the run
-    #: traced or profiled; serialized, unlike the tracer itself).
+    #: Compact phase-time summary of the profiler's records (present when
+    #: the run traced or profiled; serialized, unlike the profiler).
     phase_summary: PhaseSummary = None
     #: Full profiling report (present when ``RunSpec(profile=True)``).
     profile: ProfileReport = None
@@ -133,9 +134,9 @@ class RunResult:
     #: serialized, ignored by equality).
     tracer: object = None
     #: Live-only :class:`~repro.obs.Profiler` (present when the run was
-    #: profiled in-process; never serialized, ignored by equality — the
-    #: serializable digest is :attr:`profile`).  Needed by exporters that
-    #: read raw records, e.g. the Chrome trace writer.
+    #: traced or profiled in-process; never serialized, ignored by
+    #: equality — the serializable digest is :attr:`profile`).  Needed by
+    #: exporters that read raw records, e.g. the Chrome trace writer.
     profiler: object = None
 
     @property
@@ -151,7 +152,8 @@ class RunResult:
 
     # ------------------------------------------------------------------
     def __eq__(self, other):
-        """Field equality modulo the live tracer (checksum arrays exact)."""
+        """Field equality modulo the live attachments (checksum arrays
+        exact)."""
         if not isinstance(other, RunResult):
             return NotImplemented
         for f in fields(self):

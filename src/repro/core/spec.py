@@ -144,7 +144,8 @@ class RunSpec:
     stage_barrier: bool = False
     #: :class:`~repro.machine.CostSpec` field overrides (for ablations).
     cost_overrides: dict = None
-    #: Collect a live :class:`~repro.trace.Tracer` (never cached).
+    #: Attach a live :class:`~repro.trace.Tracer` — a view over the run's
+    #: :class:`~repro.obs.Profiler` records — to the result (never cached).
     trace: bool = False
     #: Profile the run: collect a serializable
     #: :class:`~repro.obs.ProfileReport` (metrics, critical path, idle-gap
@@ -152,10 +153,6 @@ class RunSpec:
     #: omitted from :meth:`to_dict` so fingerprints and goldens of
     #: unprofiled runs are unchanged by this field's existence.
     profile: bool = False
-    #: Bound the tracer's memory: keep at most this many events (ring
-    #: buffer; evictions counted in ``Tracer.dropped_events``).  ``None``
-    #: (the default, omitted from :meth:`to_dict`) keeps everything.
-    trace_max_events: int = None
     #: Deterministic fault injection: a :class:`~repro.faults.FaultPlan`
     #: (or ``None`` = clean run).  Omitted from :meth:`to_dict` when
     #: ``None``, and :meth:`resolve` normalizes *inactive* plans to
@@ -209,11 +206,6 @@ class RunSpec:
             }
             if bad:
                 raise ValueError(f"unknown cost_overrides: {sorted(bad)}")
-        if self.trace_max_events is not None and (
-            not isinstance(self.trace_max_events, int)
-            or self.trace_max_events < 1
-        ):
-            raise ValueError("trace_max_events must be a positive int")
         if self.faults is not None and not isinstance(self.faults, FaultPlan):
             raise TypeError(
                 f"faults must be a FaultPlan or None, got {self.faults!r}"
@@ -271,8 +263,7 @@ class RunSpec:
         """JSON-compatible dict (inverse of :meth:`from_dict`).
 
         Fields added after the golden store was seeded (``profile``,
-        ``trace_max_events``, ``faults``) are emitted only at non-default
-        values, so
+        ``faults``, ``pdes_*``) are emitted only at non-default values, so
         the canonical JSON — and therefore every fingerprint and golden
         key — of a pre-existing spec is byte-identical.
         """
@@ -298,8 +289,6 @@ class RunSpec:
         }
         if self.profile:
             d["profile"] = True
-        if self.trace_max_events is not None:
-            d["trace_max_events"] = self.trace_max_events
         if self.faults is not None:
             d["faults"] = self.faults.to_dict()
         if self.pdes_workers != 1:
@@ -310,6 +299,9 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunSpec":
+        """Inverse of :meth:`to_dict`.  Keys of retired fields are
+        ignored, so spec dicts journaled or cached by older versions
+        still load."""
         machine = data["machine"]
         if not isinstance(machine, str):
             machine = machine_from_dict(machine)
@@ -327,7 +319,6 @@ class RunSpec:
             cost_overrides=data.get("cost_overrides"),
             trace=data.get("trace", False),
             profile=data.get("profile", False),
-            trace_max_events=data.get("trace_max_events"),
             faults=(
                 FaultPlan.from_dict(data["faults"])
                 if data.get("faults") is not None

@@ -8,7 +8,7 @@ envelope — updates a small persistent JSON store.
 
 The store key is deliberately *not* the cache fingerprint.  Two specs
 that differ only in observational knobs (``profile``, ``trace``,
-``trace_max_events``, ``pdes_partition``) or in an inactive
+``pdes_partition``) or in an inactive
 :class:`~repro.faults.FaultPlan` execute the same simulation with
 near-identical cost, so they must share one duration history; and
 unlike cache entries, history stays valid across package versions (a
@@ -47,7 +47,7 @@ from ..core.spec import RunSpec
 logger = logging.getLogger(__name__)
 
 #: ``RunSpec`` fields stripped from the signature: they change how a run
-#: is *observed* (profiling hooks, tracer retention), not what it
+#: is *observed* (the profiler and its trace view), not what it
 #: computes or how long the host works on it.  ``pdes_partition`` stays
 #: here: with the worker count fixed, the rank→worker policy shifts
 #: host time by at most the window-barrier slack, and one EWMA history
@@ -55,7 +55,7 @@ logger = logging.getLogger(__name__)
 #: plans need no entry here: :meth:`RunSpec.resolve` already normalizes
 #: them to ``None``.
 OBSERVATIONAL_FIELDS = (
-    "profile", "trace", "trace_max_events", "pdes_partition",
+    "profile", "trace", "pdes_partition",
 )
 
 #: Every other ``RunSpec`` field: these define *what* is simulated — or,
@@ -98,8 +98,7 @@ def spec_signature(spec: RunSpec) -> str:
     observational fields removed and *no* package version mixed in, so:
 
     * specs identical modulo ``profile`` / ``trace`` /
-      ``trace_max_events`` / ``pdes_partition`` / an inactive
-      ``FaultPlan`` share one key;
+      ``pdes_partition`` / an inactive ``FaultPlan`` share one key;
     * specs differing in ``pdes_workers`` get distinct keys (the worker
       count divides host wall time, so sharing a history would corrupt
       both predictions);

@@ -114,13 +114,12 @@ class World:
     """All communication state of one simulated MPI world."""
 
     def __init__(
-        self, env, machine, network, tracer=None, profiler=None, faults=None,
+        self, env, machine, network, profiler=None, faults=None,
         partition=None,
     ):
         self.env = env
         self.machine = machine
         self.network = network
-        self.tracer = tracer
         #: Optional partitioned-run link (:mod:`repro.simx.parallel`): an
         #: object with ``pmap`` (the rank→worker map), ``wid`` (this
         #: worker), and ``post(dst_worker, record)`` /
@@ -521,10 +520,8 @@ class RankComm:
     def env(self):
         return self.world.env
 
-    def _trace(self, name, t0, **meta):
+    def _trace(self, name, t0):
         world = self.world
-        if world.tracer is not None:
-            world.tracer.mpi_event(self.rank, name, t0, self.env.now, **meta)
         if world.profiler is not None:
             # The profiler keys everything by world rank; map comm-local
             # ranks of derived communicators back through the world.
@@ -548,7 +545,7 @@ class RankComm:
         self.world._post_send(
             self.comm_id, self.rank, dest, tag, nbytes, payload, req
         )
-        self._trace("Isend", t0, dest=dest, tag=tag, nbytes=nbytes)
+        self._trace("Isend", t0)
         return req
 
     def irecv(self, source=ANY_SOURCE, tag=ANY_TAG, nbytes=0):
@@ -574,7 +571,7 @@ class RankComm:
                 break
         else:
             ep.posted.append((req, source, tag))
-        self._trace("Irecv", t0, source=source, tag=tag)
+        self._trace("Irecv", t0)
         return req
 
     def send(self, dest, tag, nbytes=None, payload=None):
@@ -588,7 +585,7 @@ class RankComm:
         t0 = self.env.now
         req = yield from self.irecv(source, tag, nbytes)
         yield req.event
-        self._trace("Recv", t0, source=source, tag=tag)
+        self._trace("Recv", t0)
         return req
 
     # ------------------------------------------------------------------
@@ -598,7 +595,7 @@ class RankComm:
         """Block until ``request`` completes; returns it."""
         t0 = self.env.now
         yield request.event
-        self._trace("Wait", t0, kind=request.kind)
+        self._trace("Wait", t0)
         return request
 
     def waitall(self, requests):
@@ -607,7 +604,7 @@ class RankComm:
         pending = [r for r in requests if r is not None and not r.completed]
         if pending:
             yield self.env.all_of([r.event for r in pending])
-        self._trace("Waitall", t0, count=len(requests))
+        self._trace("Waitall", t0)
         return list(requests)
 
     def waitany(self, requests):
@@ -622,12 +619,12 @@ class RankComm:
             raise ValueError("waitany on empty request list")
         for i, r in live:
             if r.completed:
-                self._trace("Waitany", t0, index=i)
+                self._trace("Waitany", t0)
                 return i, r
         yield self.env.any_of([r.event for _i, r in live])
         for i, r in live:
             if r.completed:
-                self._trace("Waitany", t0, index=i)
+                self._trace("Waitany", t0)
                 return i, r
         raise RuntimeError("waitany: no request completed")  # pragma: no cover
 

@@ -2,8 +2,10 @@
 
 Metrics registry, run profiler, critical-path / idle-gap attribution,
 serializable profile reports, and exporters (Chrome trace JSON, CSV,
-ASCII summaries).  Enabled per run via ``RunSpec(profile=True)``; every
-hook in the instrumented layers is a no-op when profiling is off.
+ASCII summaries).  The profiler is a run's only recorder: it is
+installed by ``RunSpec(profile=True)`` or ``RunSpec(trace=True)`` (whose
+:class:`~repro.trace.Tracer` is a view over it), and every hook in the
+instrumented layers is a no-op when neither is set.
 
 Above the single run sits the engine-wide telemetry layer: the
 :class:`TelemetryBus` JSONL stream every engine actor emits into

@@ -1,8 +1,9 @@
-"""The run profiler: executed-task-graph and communication recording.
+"""The run profiler: the one recorder of a simulated run.
 
 One :class:`Profiler` is threaded through a simulated run (driver →
-kernel, tasking runtime, TAMPI, simulated MPI) when
-``RunSpec(profile=True)``.  It records, with one guarded call per event:
+kernel, tasking runtime, TAMPI, simulated MPI, application) when
+``RunSpec(profile=True)`` or ``RunSpec(trace=True)``.  It records, with
+one guarded call per event:
 
 * a :class:`TaskRecord` per executed task — spawn/ready/start/end/complete
   timestamps, the executing (rank, core), and the *executed* dependency
@@ -12,6 +13,7 @@ kernel, tasking runtime, TAMPI, simulated MPI) when
   requests still in flight — the window ``TAMPI_Iwait`` hides);
 * per-rank MPI call intervals (name, duration) and per-message network
   in-flight intervals (used to classify idle gaps as network-blocked);
+* per-rank application phase spans (timestep, refine);
 * a :class:`~repro.obs.metrics.MetricsRegistry` of runtime counters:
   ready-queue depth, task wait→run latency, steal/pop decisions, TAMPI
   binds, MPI wait time by call, message sizes, kernel events processed.
@@ -23,9 +25,16 @@ dict counters; the labelled :class:`MetricsRegistry` series are
 materialized once from those records by :meth:`Profiler.finalize_metrics`
 (called when the report is built), so per-event cost is a few attribute
 writes rather than a registry lookup.
+
+Every other view of a run is derived from these records: the
+:class:`~repro.trace.Tracer` (Paraver export, Figs 1–3 analyses) via
+:meth:`repro.trace.Tracer.from_profiler`, and the
+:class:`~repro.obs.PhaseSummary`.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
 
 from .metrics import MetricsRegistry
 
@@ -90,8 +99,8 @@ class TaskRecord:
         }
 
 
-class MpiCall:
-    """One MPI call interval on a rank."""
+class Span:
+    """One named interval on a rank: an MPI call or an application phase."""
 
     __slots__ = ("rank", "name", "t0", "t1")
 
@@ -120,12 +129,21 @@ class Message:
 
 
 class Profiler:
-    """Collects the records above during one simulated run."""
+    """Collects the records above during one simulated run.
+
+    Each record list is appended when its interval *ends*, so ``ran``,
+    ``mpi_calls`` and ``phases`` are each in end-time order (and
+    :meth:`absorb` keeps them so).
+    """
 
     def __init__(self):
         self.metrics = MetricsRegistry()
         self.tasks = {}  # tid -> TaskRecord
-        self.mpi_calls = []  # MpiCall
+        #: Executed tasks' records in the order their bodies finished.
+        self.ran = []  # TaskRecord
+        self.mpi_calls = []  # Span
+        self.phases = []  # Span
+        self._open_phases = {}  # (rank, name) -> t0
         self.messages = []  # Message
         #: Per-rank inline (untasked, main-thread) busy intervals.
         self.inline = {}  # rank -> [(t0, t1), ...]
@@ -167,6 +185,7 @@ class Profiler:
             rec.core = core
             rec.t_start = t0
             rec.t_end = t1
+            self.ran.append(rec)
 
     def task_completed(self, task, now):
         rec = self.tasks.get(task.tid)
@@ -209,7 +228,7 @@ class Profiler:
     # Simulated-MPI hooks (called from repro.mpi.comm)
     # ------------------------------------------------------------------
     def mpi_call(self, rank, name, t0, t1):
-        self.mpi_calls.append(MpiCall(rank, name, t0, t1))
+        self.mpi_calls.append(Span(rank, name, t0, t1))
 
     def message_posted(self, src, dst, t_post, t_arrive, nbytes):
         self.messages.append(Message(src, dst, t_post, t_arrive, nbytes))
@@ -237,6 +256,15 @@ class Profiler:
         so idle-gap attribution doesn't misread it as starvation."""
         if t1 > t0:
             self.inline.setdefault(rank, []).append((t0, t1))
+
+    def phase_begin(self, rank, name, now):
+        self._open_phases[(rank, name)] = now
+
+    def phase_end(self, rank, name, now):
+        """Close ``name`` on ``rank``; an unopened phase is ignored."""
+        t0 = self._open_phases.pop((rank, name), None)
+        if t0 is not None:
+            self.phases.append(Span(rank, name, t0, now))
 
     # ------------------------------------------------------------------
     # Metrics materialization
@@ -339,7 +367,8 @@ class Profiler:
         :meth:`materialize_edges` called (its deferred edge log still
         references live Task objects, which do not cross workers);
         everything else merges structurally — per-rank collections are
-        disjoint across workers, counters add, peaks max.
+        disjoint across workers, record streams interleave by end time,
+        counters add, peaks max.
         """
         if other._edges:
             raise ValueError(
@@ -351,7 +380,13 @@ class Profiler:
             rec.tid += tid_offset
             rec.preds = [p + tid_offset for p in rec.preds]
             self.tasks[rec.tid] = rec
-        self.mpi_calls.extend(other.mpi_calls)
+        # Merge the recording-order streams by end time; the stable sort
+        # keeps each side's own order and puts ``self``'s records first on
+        # ties, so the merged streams read like one serial recording.
+        t1 = attrgetter("t1")
+        self.ran = sorted(self.ran + other.ran, key=attrgetter("t_end"))
+        self.mpi_calls = sorted(self.mpi_calls + other.mpi_calls, key=t1)
+        self.phases = sorted(self.phases + other.phases, key=t1)
         self.messages.extend(other.messages)
         for rank, spans in other.inline.items():
             self.inline.setdefault(rank, []).extend(spans)

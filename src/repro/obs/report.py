@@ -5,11 +5,11 @@ Both are plain-data containers with strict JSON round-trips (no numpy,
 no integer dict keys), so they ride inside
 :class:`~repro.core.results.RunResult` through the process pool, the
 on-disk :class:`~repro.exec.ResultCache`, and sweeps — the evidence a
-run produces is no longer discarded with the live tracer.
+run produces is no longer discarded with the live profiler.
 
 * :class:`PhaseSummary` is the compact always-affordable summary (phase
   wall times, MPI time by call, task time by phase) derived from the
-  tracer; it is attached whenever a run traces or profiles.
+  profiler's records; it is attached whenever a run traces or profiles.
 * :class:`ProfileReport` is the full product of ``RunSpec(profile=True)``:
   the phase summary plus the critical path, the classified idle-gap
   taxonomy, the cross-phase overlap fraction, and the metrics registry
@@ -31,28 +31,27 @@ from .attribution import (
 from .metrics import MetricsRegistry
 
 
-def _summarize_events(tracer):
-    """One pass over the trace: phase / MPI-call / task-phase times.
+def _summarize_records(profiler):
+    """Phase / MPI-call / task-phase times from the profiler's records.
 
     Same quantities as :func:`repro.trace.analysis.phase_time` (rank 0,
     the paper's methodology), :func:`~repro.trace.analysis.mpi_time_by_call`
-    and :func:`~repro.trace.analysis.task_time_by_phase`, fused into a
-    single scan so building a report stays cheap on large traces.
+    and :func:`~repro.trace.analysis.task_time_by_phase`, summed in
+    recording order.
     """
     phase_times = {}
     mpi_times = {}
     task_times = {}
-    for e in tracer.events:
-        kind = e.kind
-        if kind == "task":
-            task_times[e.phase] = (
-                task_times.get(e.phase, 0.0) + (e.t1 - e.t0)
-            )
-        elif kind == "mpi":
-            mpi_times[e.name] = mpi_times.get(e.name, 0.0) + (e.t1 - e.t0)
-        elif e.rank == 0:  # phase span
-            phase_times[e.name] = (
-                phase_times.get(e.name, 0.0) + (e.t1 - e.t0)
+    for r in profiler.ran:
+        task_times[r.phase] = task_times.get(r.phase, 0.0) + (
+            r.t_end - r.t_start
+        )
+    for c in profiler.mpi_calls:
+        mpi_times[c.name] = mpi_times.get(c.name, 0.0) + (c.t1 - c.t0)
+    for p in profiler.phases:
+        if p.rank == 0:
+            phase_times[p.name] = phase_times.get(p.name, 0.0) + (
+                p.t1 - p.t0
             )
     return (
         dict(sorted(phase_times.items())),
@@ -63,7 +62,7 @@ def _summarize_events(tracer):
 
 @dataclass
 class PhaseSummary:
-    """Compact trace-derived summary that serializes with the result."""
+    """Compact summary of a run's records that serializes with the result."""
 
     #: Rank-0 wall seconds per phase (timestep, refine, ...).
     phase_times: dict = field(default_factory=dict)
@@ -71,19 +70,21 @@ class PhaseSummary:
     mpi_time_by_call: dict = field(default_factory=dict)
     #: Task execution seconds per phase tag (stencil, pack, ...).
     task_time_by_phase: dict = field(default_factory=dict)
-    #: Events the tracer kept / dropped (ring-buffer mode).
+    #: Task, MPI and phase events recorded (the trace view's length).
     events: int = 0
-    dropped_events: int = 0
 
     @classmethod
-    def from_tracer(cls, tracer) -> "PhaseSummary":
-        phase_times, mpi_times, task_times = _summarize_events(tracer)
+    def from_profiler(cls, profiler) -> "PhaseSummary":
+        phase_times, mpi_times, task_times = _summarize_records(profiler)
         return cls(
             phase_times=phase_times,
             mpi_time_by_call=mpi_times,
             task_time_by_phase=task_times,
-            events=len(tracer.events),
-            dropped_events=getattr(tracer, "dropped_events", 0),
+            events=(
+                len(profiler.ran)
+                + len(profiler.mpi_calls)
+                + len(profiler.phases)
+            ),
         )
 
     def to_dict(self) -> dict:
@@ -92,7 +93,6 @@ class PhaseSummary:
             "mpi_time_by_call": dict(self.mpi_time_by_call),
             "task_time_by_phase": dict(self.task_time_by_phase),
             "events": self.events,
-            "dropped_events": self.dropped_events,
         }
 
     @classmethod
@@ -102,7 +102,6 @@ class PhaseSummary:
             mpi_time_by_call=dict(data.get("mpi_time_by_call", {})),
             task_time_by_phase=dict(data.get("task_time_by_phase", {})),
             events=data.get("events", 0),
-            dropped_events=data.get("dropped_events", 0),
         )
 
 
@@ -207,17 +206,16 @@ class ProfileReport:
 
 
 def build_profile_report(
-    profiler, rs, num_ranks, cores_per_rank, makespan, tracer=None,
+    profiler, rs, num_ranks, cores_per_rank, makespan,
     fault_injector=None, pdes=None,
 ) -> ProfileReport:
     """Assemble a :class:`ProfileReport` from one finished run.
 
-    ``rs`` is the *resolved* :class:`~repro.core.RunSpec`; ``tracer`` is
-    the run's tracer (profiled runs always carry one internally, even
-    when ``rs.trace`` is off).  ``fault_injector`` is the run's
-    :class:`~repro.faults.FaultInjector` when its fault plan was active —
-    its ledger is embedded next to the observed fault-blocker idle
-    seconds so injected and observed delay can be reconciled.  ``pdes``
+    ``rs`` is the *resolved* :class:`~repro.core.RunSpec`.
+    ``fault_injector`` is the run's :class:`~repro.faults.FaultInjector`
+    when its fault plan was active — its ledger is embedded next to the
+    observed fault-blocker idle seconds so injected and observed delay
+    can be reconciled.  ``pdes``
     is the partitioned-run accounting dict of
     :func:`repro.simx.parallel.run_partitioned`, absent on serial runs.
     """
@@ -244,11 +242,7 @@ def build_profile_report(
         cores_per_rank=cores_per_rank,
         tasks=executed,
         messages=len(profiler.messages),
-        phase_summary=(
-            PhaseSummary.from_tracer(tracer)
-            if tracer is not None
-            else PhaseSummary()
-        ),
+        phase_summary=PhaseSummary.from_profiler(profiler),
         overlap_fraction=phase_overlap_fraction(profiler),
         comm_blocked_fraction=comm_blocked_fraction(idle),
         critical_path=critical_path(profiler),

@@ -241,14 +241,6 @@ def _run_worker(wid, rs, barrier, queues, sent, mins, bus=None) -> dict:
         "fault_stats": (
             sim.injector.stats if sim.injector is not None else None
         ),
-        "tracer_events": (
-            list(sim.tracer.events) if sim.tracer is not None else None
-        ),
-        "tracer_dropped": (
-            getattr(sim.tracer, "dropped_events", 0)
-            if sim.tracer is not None
-            else 0
-        ),
         "profiler": sim.profiler,
     }
     for p in sim.programs:
@@ -288,26 +280,6 @@ def _merge_world_stats(stats_list):
     return merged
 
 
-def _merge_tracers(rs, workers):
-    """A fresh Tracer holding every worker's events in global time order.
-
-    Stable-sorted by ``(t0, rank)``: per-rank order is preserved and the
-    interleaving is run-invariant.
-    """
-    from ...trace import Tracer
-
-    if workers[0]["tracer_events"] is None:
-        return None
-    merged = Tracer()
-    events = []
-    for w in workers:
-        events.extend(w["tracer_events"])
-    events.sort(key=lambda e: (e.t0, e.rank))
-    merged.events.extend(events)
-    merged.dropped_events = sum(w["tracer_dropped"] for w in workers)
-    return merged
-
-
 def _merge_profilers(workers):
     """Fold the per-worker profilers into one, remapping task ids.
 
@@ -336,6 +308,7 @@ def run_partitioned(rs):
     from ...core.results import CommStats, RunResult
     from ...faults.injectors import FaultStats
     from ...obs.report import PhaseSummary, build_profile_report
+    from ...trace import Tracer
 
     spec = rs.machine
     machine = spec.machine(
@@ -432,7 +405,6 @@ def run_partitioned(rs):
         for w in workers:
             fault_stats.merge(w["fault_stats"])
 
-    tracer = _merge_tracers(rs, workers)
     profiler = _merge_profilers(workers)
     runtime_stats = [
         stats
@@ -446,14 +418,13 @@ def run_partitioned(rs):
         1 if rs.variant == "mpi_only" else machine.cores_per_rank
     )
     profile = None
-    if profiler is not None:
+    if rs.profile:
         profile = build_profile_report(
             profiler,
             rs,
             num_ranks=machine.num_ranks,
             cores_per_rank=cores_per_rank,
             makespan=total_time,
-            tracer=tracer,
             fault_injector=(
                 _InjectorView(fault_stats)
                 if fault_stats is not None
@@ -483,12 +454,14 @@ def run_partitioned(rs):
         ),
         runtime_stats=runtime_stats,
         phase_summary=(
-            PhaseSummary.from_tracer(tracer) if tracer is not None else None
+            PhaseSummary.from_profiler(profiler)
+            if profiler is not None
+            else None
         ),
         profile=profile,
         fault_stats=(
             fault_stats.to_dict() if fault_stats is not None else None
         ),
-        tracer=tracer if rs.trace else None,
+        tracer=Tracer.from_profiler(profiler) if rs.trace else None,
         profiler=profiler,
     )

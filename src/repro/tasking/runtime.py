@@ -82,7 +82,6 @@ class RankRuntime:
         scheduler="locality",
         sched_seed=0,
         witness=None,
-        tracer=None,
         profiler=None,
         faults=None,
     ):
@@ -116,7 +115,6 @@ class RankRuntime:
         #: Application-provided context for witness reports (the current
         #: timestep); see :meth:`repro.core.app.BaseRankProgram.run`.
         self.timestep = None
-        self.tracer = tracer
         #: Optional :class:`repro.obs.Profiler` recording the executed task
         #: graph and runtime metrics (None = every hook is a no-op branch).
         self.profiler = profiler
@@ -502,10 +500,6 @@ class RankRuntime:
         t1 = env._now
         phase_times = stats.per_phase_time
         phase_times[task.phase] = phase_times.get(task.phase, 0.0) + (t1 - t0)
-        if self.tracer is not None:
-            self.tracer.task_event(
-                self.rank, core, task.label, task.phase, t0, t1
-            )
         if self.profiler is not None:
             self.profiler.task_ran(task, core, t0, t1)
 

@@ -1,9 +1,10 @@
 """``repro.trace`` — Extrae/Paraver-like tracing and trace analysis.
 
-Backs the paper's Figures 1–3: event collection during simulated runs,
-Paraver ``.prv``/``.pcf`` export, an ASCII timeline renderer, and the
-quantitative analyses (phase times, MPI-call breakdown, core utilization,
-idle gaps, cross-phase overlap).
+Backs the paper's Figures 1–3: the :class:`Tracer` timeline view over a
+run's :class:`~repro.obs.Profiler` records, Paraver ``.prv``/``.pcf``
+export, an ASCII timeline renderer, and the quantitative analyses (phase
+times, MPI-call breakdown, core utilization, idle gaps, cross-phase
+overlap).
 """
 
 from .analysis import (

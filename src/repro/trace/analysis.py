@@ -18,6 +18,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 
+from ..obs.attribution import merge_intervals, overlap_length
+
 
 def phase_time(tracer, phase_name) -> float:
     """Total duration of a named phase on rank 0 (paper's methodology)."""
@@ -100,33 +102,18 @@ def overlap_fraction(tracer, rank, phase_a, phase_b) -> float:
     is *also* covered by a concurrently running ``phase_b`` task.
     """
     def intervals(phase):
-        spans = sorted(
+        return merge_intervals(
             (e.t0, e.t1)
             for e in tracer.by_kind("task")
             if e.rank == rank and e.phase == phase
         )
-        merged = []
-        for s in spans:
-            if merged and s[0] <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], s[1]))
-            else:
-                merged.append(list(s))
-        return merged
 
     ia = intervals(phase_a)
     ib = intervals(phase_b)
     total_a = sum(b - a for a, b in ia)
     if total_a == 0:
         return 0.0
-    overlap = 0.0
-    j = 0
-    for a0, a1 in ia:
-        for b0, b1 in ib:
-            lo = max(a0, b0)
-            hi = min(a1, b1)
-            if hi > lo:
-                overlap += hi - lo
-    return overlap / total_a
+    return sum(overlap_length(span, ib) for span in ia) / total_a
 
 
 def unpack_follows_gap_fraction(tracer, rank, gap_min=0.0) -> float:

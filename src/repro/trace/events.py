@@ -1,9 +1,9 @@
-"""Trace event model and the tracer (Extrae-like event collection)."""
+"""Trace event model and the tracer (an Extrae-like view of a run)."""
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 
 
 @dataclass(frozen=True)
@@ -24,62 +24,40 @@ class TraceEvent:
 
 
 class Tracer:
-    """Collects task/MPI/phase events during a simulated run.
+    """A read-only, Extrae-like timeline view of one run's events.
 
     Mirrors what Extrae gives the paper's authors: per-thread timelines of
     task executions and MPI calls, which Paraver then renders (Figs 1–3).
-
-    ``max_events`` bounds memory: the tracer becomes a ring buffer keeping
-    only the newest ``max_events`` events and counting evictions in
-    :attr:`dropped_events` (so profiling a large sweep cannot OOM).  The
-    default (``None``) keeps everything in a plain list.
+    The events themselves are recorded by the run's
+    :class:`~repro.obs.Profiler`; :meth:`from_profiler` derives the view.
     """
 
-    def __init__(self, enabled=True, max_events=None):
-        if max_events is not None and max_events < 1:
-            raise ValueError("max_events must be a positive int or None")
-        self.enabled = enabled
-        self.max_events = max_events
-        self.events = [] if max_events is None else deque(maxlen=max_events)
-        #: Events evicted by the ring buffer (0 in unbounded mode).
-        self.dropped_events = 0
-        self._phase_stack = {}
+    def __init__(self, events=()):
+        self.events = list(events)
 
-    def _record(self, event):
-        if (
-            self.max_events is not None
-            and len(self.events) == self.max_events
-        ):
-            self.dropped_events += 1
-        self.events.append(event)
+    @classmethod
+    def from_profiler(cls, profiler) -> "Tracer":
+        """Task, MPI and phase events of ``profiler`` in end-time order.
 
-    # ------------------------------------------------------------------
-    def task_event(self, rank, core, label, phase, t0, t1):
-        """Called by the tasking runtime for every executed task."""
-        if self.enabled:
-            self._record(
-                TraceEvent(rank, core, "task", label, phase, t0, t1)
-            )
-
-    def mpi_event(self, rank, name, t0, t1, **_meta):
-        """Called by the simulated MPI for every call interval."""
-        if self.enabled:
-            self._record(
-                TraceEvent(rank, -1, "mpi", name, "mpi", t0, t1)
-            )
-
-    def phase_begin(self, rank, phase, now):
-        if self.enabled:
-            self._phase_stack[(rank, phase)] = now
-
-    def phase_end(self, rank, phase, now):
-        if not self.enabled:
-            return
-        t0 = self._phase_stack.pop((rank, phase), None)
-        if t0 is not None:
-            self._record(
-                TraceEvent(rank, -1, "phase", phase, phase, t0, now)
-            )
+        Each record stream is in recording order, which is end-time
+        order, so the stable sort merges the three streams without
+        reordering the events of one kind.
+        """
+        events = [
+            TraceEvent(r.rank, r.core, "task", r.label, r.phase,
+                       r.t_start, r.t_end)
+            for r in profiler.ran
+        ]
+        events += [
+            TraceEvent(c.rank, -1, "mpi", c.name, "mpi", c.t0, c.t1)
+            for c in profiler.mpi_calls
+        ]
+        events += [
+            TraceEvent(p.rank, -1, "phase", p.name, p.name, p.t0, p.t1)
+            for p in profiler.phases
+        ]
+        events.sort(key=attrgetter("t1"))
+        return cls(events)
 
     # ------------------------------------------------------------------
     def by_kind(self, kind):

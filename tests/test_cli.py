@@ -223,15 +223,6 @@ def test_report_rejects_non_profile_json(tmp_path):
         main(["report", str(bad), str(bad)])
 
 
-def test_profile_with_bounded_tracer_warns_on_drops(capsys):
-    rc = main(_profile_argv(
-        "tampi_dataflow", extra=["--trace-max-events", "10"]
-    ))
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "ring buffer dropped" in out
-
-
 def _pipeline_argv(tmp_path, extra=()):
     return [
         "pipeline", "paper", "--quick",

@@ -41,10 +41,8 @@ def base_spec(**overrides):
 def test_observational_fields_share_one_signature():
     sig = spec_signature(base_spec())
     assert spec_signature(base_spec(profile=True)) == sig
-    assert spec_signature(base_spec(trace_max_events=100)) == sig
-    assert spec_signature(
-        base_spec(profile=True, trace_max_events=7)
-    ) == sig
+    assert spec_signature(base_spec(trace=True)) == sig
+    assert spec_signature(base_spec(profile=True, trace=True)) == sig
 
 
 def test_pdes_worker_counts_keep_distinct_histories():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro import AmrConfig, RunSpec, laptop, run_simulation, sphere
-from repro.trace import Tracer
+from repro.trace import TraceEvent, Tracer
 
 
 def cfg(**kw):
@@ -61,9 +61,10 @@ def test_commutative_ghosts_deterministic():
 # Trace exports
 # ----------------------------------------------------------------------
 def test_to_records_roundtrip():
-    t = Tracer()
-    t.task_event(0, 1, "stencil b", "stencil", 0.5, 1.5)
-    t.mpi_event(2, "Isend", 2.0, 2.1)
+    t = Tracer([
+        TraceEvent(0, 1, "task", "stencil b", "stencil", 0.5, 1.5),
+        TraceEvent(2, -1, "mpi", "Isend", "mpi", 2.0, 2.1),
+    ])
     records = t.to_records()
     assert len(records) == 2
     assert records[0]["phase"] == "stencil"
@@ -77,10 +78,11 @@ def test_summarize_empty():
 
 
 def test_summarize_counts():
-    t = Tracer()
-    t.task_event(0, 0, "a", "stencil", 0.0, 1.0)
-    t.task_event(1, 0, "b", "pack", 1.0, 2.0)
-    t.mpi_event(0, "Wait", 0.0, 0.5)
+    t = Tracer([
+        TraceEvent(0, 0, "task", "a", "stencil", 0.0, 1.0),
+        TraceEvent(1, 0, "task", "b", "pack", 1.0, 2.0),
+        TraceEvent(0, -1, "mpi", "Wait", "mpi", 0.0, 0.5),
+    ])
     text = t.summarize()
     assert "2 task" in text
     assert "1 mpi" in text

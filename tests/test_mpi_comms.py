@@ -4,17 +4,19 @@ import pytest
 
 from repro.machine import Machine, NetworkSpec, NodeSpec
 from repro.mpi import SUM, World
+from repro.obs import Profiler
 from repro.simx import Environment
+from repro.trace import Tracer
 
 
-def make_world(nranks=4):
+def make_world(nranks=4, profiler=None):
     env = Environment()
     machine = Machine(
         node=NodeSpec(cores_per_node=nranks, sockets_per_node=1),
         num_nodes=1,
         ranks_per_node=nranks,
     )
-    return env, World(env, machine, NetworkSpec())
+    return env, World(env, machine, NetworkSpec(), profiler=profiler)
 
 
 def run_all(env, world, body, nranks=4):
@@ -162,7 +164,17 @@ def test_p2p_inside_split_comm():
         req = yield from sub.recv(source=0, tag=3)
         return req.data
 
-    env, world = make_world()
+    env, world = make_world(profiler=Profiler())
     res = run_all(env, world, body)
     assert res[1] == "from0"
     assert res[3] == "from2"
+    # The trace files each call under its world rank, not the rank
+    # within the split communicator.
+    calls = {}
+    for e in Tracer.from_profiler(world.profiler).by_kind("mpi"):
+        calls.setdefault(e.rank, set()).add(e.name)
+    assert "Isend" in calls[2] and "Isend" in calls[0]
+    assert calls[3] & {"Irecv", "Recv"}
+    assert calls[1] & {"Irecv", "Recv"}
+    assert not calls[2] & {"Irecv", "Recv"}
+    assert not calls[3] & {"Isend"}

@@ -338,7 +338,31 @@ def test_phase_summary_attached(tampi_result):
     assert ps is not None
     assert ps.phase_times.get("timestep", 0.0) > 0.0
     assert ps.events > 0
-    assert ps.dropped_events == 0
+
+
+def test_phase_summary_sums_profiler_records(tampi_result):
+    """The summary is a view over the profiler: rank-0 phase spans, MPI
+    calls and executed tasks, summed in recording order."""
+    prof = tampi_result.profiler
+    phase_times, mpi_times, task_times = {}, {}, {}
+    for p in prof.phases:
+        if p.rank == 0:
+            phase_times[p.name] = phase_times.get(p.name, 0.0) + p.duration
+    for c in prof.mpi_calls:
+        mpi_times[c.name] = mpi_times.get(c.name, 0.0) + c.duration
+    for r in prof.ran:
+        task_times[r.phase] = task_times.get(r.phase, 0.0) + r.exec_time
+    ps = tampi_result.phase_summary
+    assert ps.phase_times == phase_times
+    assert ps.mpi_time_by_call == mpi_times
+    assert ps.task_time_by_phase == task_times
+    assert ps.events == (
+        len(prof.ran) + len(prof.mpi_calls) + len(prof.phases)
+    )
+    # Every executed task is counted, and both phases are present.
+    assert len(prof.ran) == tampi_result.profile.tasks
+    assert set(ps.phase_times) == {"refine", "timestep"}
+    assert ps == tampi_result.profile.phase_summary
 
 
 # ----------------------------------------------------------------------
@@ -385,7 +409,6 @@ def test_profile_off_spec_dict_is_unchanged():
     )
     d = spec.resolve().to_dict()
     assert "profile" not in d
-    assert "trace_max_events" not in d
     on = profiled_spec("mpi_only")
     assert on.resolve().to_dict()["profile"] is True
     assert on.fingerprint() != spec.fingerprint()
@@ -393,10 +416,20 @@ def test_profile_off_spec_dict_is_unchanged():
 
 
 def test_profile_field_survives_spec_round_trip():
-    spec = profiled_spec("tampi_dataflow", trace_max_events=500)
+    spec = profiled_spec("tampi_dataflow")
     back = RunSpec.from_dict(spec.resolve().to_dict())
     assert back.profile is True
-    assert back.trace_max_events == 500
+    assert back == spec.resolve()
+
+
+def test_spec_from_dict_loads_legacy_trace_max_events():
+    """Serve journals and cache envelopes replay spec dicts written when
+    ``trace_max_events`` was still a field; they must keep loading."""
+    spec = profiled_spec("tampi_dataflow")
+    legacy = dict(spec.resolve().to_dict(), trace_max_events=500)
+    back = RunSpec.from_dict(legacy)
+    assert back == spec.resolve()
+    assert back.fingerprint() == spec.fingerprint()
 
 
 # ----------------------------------------------------------------------
@@ -440,53 +473,19 @@ def test_metrics_exports(tampi_result):
 
 
 # ----------------------------------------------------------------------
-# Tracer ring buffer (bounded-memory mode)
+# Trace retention: the ring buffer is gone; the trace view holds every
+# event the (unbounded) profiler recorded
 # ----------------------------------------------------------------------
 class TestTracerRingBuffer:
-    def test_drops_oldest_and_counts(self):
-        from repro.trace import Tracer
-
-        t = Tracer(max_events=3)
-        for i in range(5):
-            t.mpi_event(0, f"call{i}", float(i), float(i) + 0.5)
-        assert len(t.events) == 3
-        assert t.dropped_events == 2
-        assert [e.name for e in t.events] == ["call2", "call3", "call4"]
-
     def test_unbounded_by_default(self):
         from repro.trace import Tracer
 
-        t = Tracer()
+        prof = Profiler()
         for i in range(100):
-            t.mpi_event(0, "x", float(i), float(i))
+            prof.mpi_call(0, "x", float(i), float(i))
+        t = Tracer.from_profiler(prof)
         assert len(t.events) == 100
-        assert t.dropped_events == 0
-
-    def test_invalid_max_events(self):
-        from repro.trace import Tracer
-
-        with pytest.raises(ValueError):
-            Tracer(max_events=0)
-
-    def test_spec_validates_trace_max_events(self):
-        with pytest.raises(ValueError):
-            RunSpec(
-                config=small_config(), machine="laptop",
-                variant="mpi_only", trace_max_events=-5,
-            ).resolve()
-
-    def test_bounded_trace_run_reports_drops(self):
-        res = run_simulation(
-            RunSpec(
-                config=small_config(), machine="laptop",
-                variant="tampi_dataflow", ranks_per_node=2,
-                trace=True, trace_max_events=50,
-            )
-        )
-        assert len(res.tracer.events) == 50
-        assert res.tracer.dropped_events > 0
-        assert res.phase_summary.dropped_events == res.tracer.dropped_events
-        assert res.phase_summary.events == 50
+        assert [e.t0 for e in t.events] == [float(i) for i in range(100)]
 
 
 # ----------------------------------------------------------------------

@@ -133,3 +133,25 @@ def test_profile_fault_attribution_consistent_when_partitioned():
     s_tasks = serial.profile.to_dict().get("tasks")
     p_tasks = part.profile.to_dict().get("tasks")
     assert s_tasks == p_tasks
+
+
+# ----------------------------------------------------------------------
+# Trace coverage: the merged profiler is the partitioned run's trace
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("variant", ["mpi_only", "tampi_dataflow"])
+def test_trace_partitioned_matches_serial(variant):
+    spec = _spec(trace=True, variant=variant)
+    if variant != "mpi_only":
+        spec = replace(spec, ranks_per_node=2, num_nodes=2)
+    serial = run_simulation(spec)
+    part = run_simulation(replace(spec, pdes_workers=2))
+    assert part.profile is None
+
+    def key(e):
+        return (e.t0, e.t1, e.rank, e.core, e.kind, e.name, e.phase)
+
+    s_events = sorted(serial.tracer.events, key=key)
+    assert s_events
+    assert sorted(part.tracer.events, key=key) == s_events
+    assert {e.kind for e in s_events} >= {"mpi", "phase"}
+    assert part.phase_summary == serial.phase_summary

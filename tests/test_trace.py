@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import AmrConfig, RunSpec, run_simulation
+from repro.obs import Profiler
 from repro.trace import (
     TraceEvent,
     Tracer,
@@ -18,21 +20,30 @@ from repro.trace import (
 )
 
 
+def _small_spec(**overrides):
+    cfg = AmrConfig(
+        npx=2, npy=1, npz=1, init_x=1, init_y=1, init_z=1,
+        nx=4, ny=4, nz=4, num_vars=2, num_tsteps=1, stages_per_ts=2,
+        refine_freq=0, checksum_freq=2, max_refine_level=0, objects=(),
+    )
+    return RunSpec(config=cfg, machine="laptop", variant="tampi_dataflow",
+                   ranks_per_node=2, **overrides)
+
+
 def make_tracer():
-    t = Tracer()
-    # rank 0, core 0: stencil [0,2], pack [2,3], idle [3,5], unpack [5,6]
-    t.task_event(0, 0, "stencil b1", "stencil", 0.0, 2.0)
-    t.task_event(0, 0, "pack b1", "pack", 2.0, 3.0)
-    t.task_event(0, 0, "unpack b1", "unpack", 5.0, 6.0)
-    # rank 0, core 1: intra [1,4]
-    t.task_event(0, 1, "intra b2", "intra", 1.0, 4.0)
-    # MPI calls on rank 0
-    t.mpi_event(0, "Isend", 2.9, 3.0)
-    t.mpi_event(0, "Waitany", 3.0, 5.0)
-    # phases
-    t.phase_begin(0, "refine", 6.0)
-    t.phase_end(0, "refine", 8.0)
-    return t
+    return Tracer([
+        # rank 0, core 0: stencil [0,2], pack [2,3], idle [3,5], unpack [5,6]
+        TraceEvent(0, 0, "task", "stencil b1", "stencil", 0.0, 2.0),
+        TraceEvent(0, 0, "task", "pack b1", "pack", 2.0, 3.0),
+        TraceEvent(0, 0, "task", "unpack b1", "unpack", 5.0, 6.0),
+        # rank 0, core 1: intra [1,4]
+        TraceEvent(0, 1, "task", "intra b2", "intra", 1.0, 4.0),
+        # MPI calls on rank 0
+        TraceEvent(0, -1, "mpi", "Isend", "mpi", 2.9, 3.0),
+        TraceEvent(0, -1, "mpi", "Waitany", "mpi", 3.0, 5.0),
+        # phases
+        TraceEvent(0, -1, "phase", "refine", "refine", 6.0, 8.0),
+    ])
 
 
 def test_event_duration():
@@ -41,12 +52,48 @@ def test_event_duration():
 
 
 def test_disabled_tracer_records_nothing():
-    t = Tracer(enabled=False)
-    t.task_event(0, 0, "x", "stencil", 0, 1)
-    t.mpi_event(0, "Isend", 0, 1)
-    t.phase_begin(0, "p", 0)
-    t.phase_end(0, "p", 1)
-    assert t.events == []
+    # Without trace or profile no recorder is installed: every hook site
+    # is a skipped ``is None`` branch and the result carries no trace.
+    res = run_simulation(_small_spec())
+    assert res.tracer is None
+    assert res.profiler is None
+    assert res.phase_summary is None
+
+
+class _Task:
+    def __init__(self, tid, label, phase):
+        self.tid, self.label, self.phase = tid, label, phase
+
+
+def test_from_profiler_merges_streams_by_end_time():
+    prof = Profiler()
+    a, b = _Task(0, "stencil a", "stencil"), _Task(1, "pack b", "pack")
+    prof.task_spawned(a, 0, 0.0)
+    prof.task_spawned(b, 1, 0.0)
+    prof.phase_begin(0, "timestep", 0.0)
+    prof.task_ran(b, 0, 0.0, 1.0)  # b finishes first: recording order
+    prof.mpi_call(1, "Isend", 1.0, 1.5)
+    prof.task_ran(a, 2, 0.5, 2.0)
+    prof.phase_end(0, "timestep", 3.0)
+    t = Tracer.from_profiler(prof)
+    assert [(e.kind, e.name) for e in t.events] == [
+        ("task", "pack b"), ("mpi", "Isend"), ("task", "stencil a"),
+        ("phase", "timestep"),
+    ]
+    assert t.events[0] == TraceEvent(1, 0, "task", "pack b", "pack", 0.0, 1.0)
+    assert t.events[1] == TraceEvent(1, -1, "mpi", "Isend", "mpi", 1.0, 1.5)
+    assert phase_time(t, "timestep") == 3.0
+
+
+def test_traced_run_is_a_view_over_its_profiler():
+    res = run_simulation(_small_spec(trace=True))
+    assert res.profile is None  # a report is built only for profile=True
+    assert res.tracer.events == Tracer.from_profiler(res.profiler).events
+    assert len(res.tracer.by_kind("task")) == len(res.profiler.ran) > 0
+    assert res.phase_summary.events == len(res.tracer.events)
+    assert res.phase_summary.task_time_by_phase == pytest.approx(
+        task_time_by_phase(res.tracer)
+    )
 
 
 def test_by_kind_and_for_rank():
@@ -64,9 +111,10 @@ def test_phase_time():
 
 
 def test_phase_end_without_begin_ignored():
-    t = Tracer()
-    t.phase_end(0, "never-began", 1.0)
-    assert t.events == []
+    prof = Profiler()
+    prof.phase_end(0, "never-began", 1.0)
+    assert prof.phases == []
+    assert Tracer.from_profiler(prof).events == []
 
 
 def test_mpi_time_by_call():

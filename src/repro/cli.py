@@ -419,8 +419,8 @@ def _add_serve_parser(sub):
                    help="per-tenant submit burst size "
                         "(default: %(default)s)")
     p.add_argument("--aging-rate", type=float, default=0.05,
-                   help="priority gained per queued second (weighted-"
-                        "fair anti-starvation; default: %(default)s)")
+                   help="priority gained per queued second "
+                        "(anti-starvation; default: %(default)s)")
     p.add_argument("--verbose", action="store_true",
                    help="log each HTTP request to stderr")
     _add_engine_options(p)

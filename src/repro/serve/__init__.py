@@ -2,11 +2,14 @@
 
 The serving layer turns the batch :class:`~repro.exec.SweepEngine` into
 a resident HTTP service (stdlib only): clients submit
-:class:`~repro.core.RunSpec`/:class:`~repro.pipeline.PipelineSpec`
-JSON, the broker coalesces identical fingerprints onto one execution,
-enforces per-tenant token-bucket quotas with 429 + Retry-After
-backpressure, journals every job transition crash-safely, and streams
-job lifecycle events over SSE.  See DESIGN.md §11.
+:class:`~repro.core.RunSpec`/:class:`~repro.pipeline.PipelineSpec`/
+:class:`~repro.tune.TuneSpec` JSON, the broker coalesces identical
+fingerprints onto one execution, enforces per-tenant token-bucket
+quotas with 429 + Retry-After backpressure, journals every job
+transition crash-safely, and streams job lifecycle events over SSE.
+Every job kind finishes through one completion path, and its result
+lives only in the shared :class:`~repro.exec.cache.ResultCache`, so a
+restarted server serves every finished job again.  See DESIGN.md §11.
 
 Layers (each importable on its own):
 

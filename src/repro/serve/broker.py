@@ -16,24 +16,29 @@ The broker sits between the HTTP handlers and a resident
   A fingerprint already in the content-addressed
   :class:`~repro.exec.cache.ResultCache` never executes at all — the
   job is born ``done`` (the cache-hit fast path).
-* **Weighted-fair priority aging** — a job's base priority is its
-  tenant's weight (plus any explicit submit priority); the session
-  grows effective priority linearly with queue age, so a heavy tenant
-  cannot starve a light one indefinitely.
+* **Priority aging** — an execution's base priority is its submit
+  priority; the session grows effective priority linearly with queue
+  age, so no queued execution starves indefinitely.
 
 Run jobs flow through the shared session (subprocess pool, cancelable);
 pipeline and tune jobs execute on a dedicated single-worker engine
-thread — they are DAGs/sweeps of runs whose inner nodes already cache
-and parallelize, so serving them serially keeps the broker simple
-without losing work.  Tune jobs are admitted per-tenant exactly like
-everything else: they draw quota tokens, count against ``queue_cap``,
-coalesce by :meth:`TuneSpec.fingerprint`, and memoize their reports.
+thread with the session engine's timeout, retry and runner settings —
+they are DAGs/sweeps of runs whose inner nodes already cache and
+parallelize, so serving them serially keeps the broker simple without
+losing work.  Both lanes start and finish an execution through the same
+:meth:`Broker._start`/:meth:`Broker._complete`, and admission treats
+every kind alike: tune and pipeline jobs draw quota tokens, count
+against ``queue_cap``, and coalesce by fingerprint.
 
-State is journaled through :class:`~repro.serve.store.JobStore` on every
-transition, so a restarted broker resumes exactly where the journal
-says: ``running`` jobs demote to ``queued`` (their execution died with
-the old process) and re-execute; ``done`` jobs re-attach results from
-the cache.
+The :class:`~repro.exec.cache.ResultCache` is the broker's only result
+store: the session writes run results, and ``_complete`` writes a
+finished pipeline or tune payload as an ``analysis`` entry under its
+submit fingerprint.  State is journaled through
+:class:`~repro.serve.store.JobStore` on every transition, so a
+restarted broker resumes exactly where the journal says: ``running``
+jobs demote to ``queued`` (their execution died with the old process)
+and re-execute; ``done`` jobs of every kind re-attach results from the
+cache.
 """
 
 from __future__ import annotations
@@ -43,20 +48,20 @@ import queue
 import threading
 import time
 import uuid
-from collections import OrderedDict, deque
+from collections import deque
 
 from ..pipeline import run_pipeline
 from .protocol import (
     ProtocolError,
+    decode_spec,
     envelope,
     parse_submit,
     submit_fingerprint,
 )
 from .store import JobRecord
 
-#: Bound on the in-memory result payload cache (results also live in the
-#: on-disk ResultCache; this only saves re-decoding hot entries).
-RESULT_MEMO_CAP = 128
+#: Engine outcome status -> terminal job state.
+_JOB_STATES = {"ok": "done", "failed": "failed", "canceled": "canceled"}
 
 #: Queue-wait histogram: power-of-two millisecond buckets up to ~17 min.
 WAIT_BUCKET_MAX_EXP = 20
@@ -113,8 +118,8 @@ class Broker:
     """See the module docstring; one broker per server process."""
 
     def __init__(self, *, engine, store, cache=None, queue_cap=64,
-                 quota_rate=5.0, quota_burst=10, tenant_weights=None,
-                 aging_rate=0.05, poll_interval=0.02):
+                 quota_rate=5.0, quota_burst=10, aging_rate=0.05,
+                 poll_interval=0.02):
         self.engine = engine
         self.cache = cache if cache is not None else engine.cache
         if self.cache is None:
@@ -127,7 +132,6 @@ class Broker:
         self.queue_cap = queue_cap
         self.quota_rate = quota_rate
         self.quota_burst = quota_burst
-        self.tenant_weights = dict(tenant_weights or {})
         self.poll_interval = poll_interval
         self.telemetry = engine.telemetry
         self.session = engine.session(aging_rate=aging_rate)
@@ -138,7 +142,6 @@ class Broker:
         self._by_ticket = {}             # session ticket -> _Execution
         self._pending = deque()          # run executions awaiting session
         self._pipeline_q = queue.Queue()
-        self._results = OrderedDict()    # fingerprint -> result payload
         self._subscribers = []
         self._tenant_counts = {}         # tenant -> {counter: n}
         self._wait_hist = {}             # "2^k ms" bucket -> count
@@ -156,8 +159,10 @@ class Broker:
         from ..exec.engine import SweepEngine
 
         self._pipeline_engine = SweepEngine(
-            jobs=1, cache=self.cache, retries=engine.retries,
-            telemetry=engine.telemetry,
+            jobs=1, cache=self.cache, timeout=engine.timeout,
+            retries=engine.retries, backoff=engine.backoff,
+            runner=engine.runner, telemetry=engine.telemetry,
+            drain_timeout=engine.drain_timeout,
         )
         self._recover()
 
@@ -208,10 +213,7 @@ class Broker:
             # Survivors go back to the journal as queued: their
             # execution died with this process, not their job.
             for execution in self._inflight.values():
-                for job_id in execution.job_ids:
-                    job = self.store.get(job_id)
-                    if job is None or job.terminal:
-                        continue
+                for job in self._live_jobs(execution):
                     job.state = "queued"
                     job.started_at = None
                     self.store.record(job)
@@ -237,22 +239,19 @@ class Broker:
             # A fingerprint another process finished meanwhile (or that
             # completed between cache-put and journal-update when we
             # crashed) is served straight from the cache.
-            if job.kind == "run":
-                entry = self.cache.get_entry(job.fingerprint)
-                if entry is not None and entry.kind == "result":
-                    self._memo(job.fingerprint, entry.value.to_dict())
-                    job.state = "done"
-                    job.cached = True
-                    job.finished_at = time.time()
-                    self.store.record(job)
-                    continue
+            if self._lookup_result(job.fingerprint) is not None:
+                job.state = "done"
+                job.cached = True
+                job.finished_at = time.time()
+                self.store.record(job)
+                continue
             by_fp.setdefault(job.fingerprint, []).append(job)
         for fingerprint, jobs in by_fp.items():
             primary = next(
                 (j for j in jobs if j.coalesced_with is None), jobs[0]
             )
             try:
-                payload = self._payload_from_journal(primary)
+                payload = decode_spec(primary.kind, primary.spec)
             except Exception as exc:
                 for job in jobs:
                     job.state = "failed"
@@ -265,23 +264,7 @@ class Broker:
                 primary.priority, primary.tenant,
             )
             execution.job_ids = [j.id for j in jobs]
-            self._inflight[fingerprint] = execution
-            if primary.kind == "run":
-                self._pending.append(execution)
-            else:
-                self._pipeline_q.put(execution)
-
-    @staticmethod
-    def _payload_from_journal(job: JobRecord):
-        from ..core import RunSpec
-        from ..pipeline import PipelineSpec
-        from ..tune import TuneSpec
-
-        if job.kind == "run":
-            return RunSpec.from_dict(job.spec)
-        if job.kind == "tune":
-            return TuneSpec.from_dict(job.spec)
-        return PipelineSpec.from_dict(job.spec)
+            self._enqueue(execution)
 
     # ------------------------------------------------------------------
     # API surface (called from HTTP handler threads)
@@ -325,8 +308,7 @@ class Broker:
             self._count(tenant, "submitted")
 
             # Fast path 1: the content-addressed cache already holds it.
-            result_payload = self._lookup_result(kind, fingerprint)
-            if result_payload is not None:
+            if self._lookup_result(fingerprint) is not None:
                 job = JobRecord(
                     id=job_id, tenant=tenant, kind=kind,
                     fingerprint=fingerprint, spec=payload.to_dict(),
@@ -379,15 +361,10 @@ class Broker:
                 priority=priority,
             )
             execution = _Execution(
-                fingerprint, kind, payload, job_id,
-                priority + self.tenant_weights.get(tenant, 1.0), tenant,
+                fingerprint, kind, payload, job_id, priority, tenant,
             )
-            self._inflight[fingerprint] = execution
             self.store.record(job)
-            if kind == "run":
-                self._pending.append(execution)
-            else:
-                self._pipeline_q.put(execution)
+            self._enqueue(execution)
             self._emit_submit(job, "new")
             return envelope(job=job.view(), mode="new")
 
@@ -408,7 +385,7 @@ class Broker:
                 "job_failed",
                 f"job {job_id} {job.state}: {job.error or 'unknown'}",
             )
-        payload = self._lookup_result(job.kind, job.fingerprint)
+        payload = self._lookup_result(job.fingerprint)
         if payload is None:
             raise ProtocolError(
                 "server_error",
@@ -567,25 +544,26 @@ class Broker:
         counts = self._tenant_counts.setdefault(tenant, {})
         counts[counter] = counts.get(counter, 0) + 1
 
-    def _memo(self, fingerprint, payload):
-        self._results[fingerprint] = payload
-        self._results.move_to_end(fingerprint)
-        while len(self._results) > RESULT_MEMO_CAP:
-            self._results.popitem(last=False)
+    def _lookup_result(self, fingerprint):
+        """Result payload of a fingerprint from the cache, or ``None``.
 
-    def _lookup_result(self, kind, fingerprint):
-        """Result payload dict for a fingerprint, or ``None``."""
-        memo = self._results.get(fingerprint)
-        if memo is not None:
-            return memo
-        if kind != "run":
-            return None      # pipeline/tune results are memo-only
+        Runs are ``result`` entries; pipeline and tune payloads are the
+        ``analysis`` entries :meth:`_complete` writes.
+        """
         entry = self.cache.get_entry(fingerprint)
-        if entry is None or entry.kind != "result":
+        if entry is None:
             return None
-        payload = entry.value.to_dict()
-        self._memo(fingerprint, payload)
-        return payload
+        if entry.kind == "result":
+            return entry.value.to_dict()
+        return entry.value
+
+    def _enqueue(self, execution):
+        """Hand a new execution to its lane: the session or pipelines."""
+        self._inflight[execution.fingerprint] = execution
+        if execution.kind == "run":
+            self._pending.append(execution)
+        else:
+            self._pipeline_q.put(execution)
 
     def _emit_submit(self, job, mode):
         if self.telemetry is not None:
@@ -627,50 +605,60 @@ class Broker:
         with self._lock:
             for ticket in step.started:
                 execution = self._by_ticket.get(ticket)
-                if execution is None:
-                    continue
-                execution.state = "running"
-                self._executions_started += 1
-                for job_id in execution.job_ids:
-                    job = self.store.get(job_id)
-                    if job is None or job.terminal:
-                        continue
-                    job.state = "running"
-                    job.started_at = time.time()
-                    job.attempts = max(1, job.attempts)
-                    self.store.record(job)
-                    self._observe_wait(
-                        job.started_at - job.submitted_at
-                    )
-                    self._publish(
-                        {"event": "started", "job": job.view()}
-                    )
+                if execution is not None:
+                    self._start(execution)
             for ticket, outcome in step.finished:
                 execution = self._by_ticket.pop(ticket, None)
-                if execution is None:
-                    continue
-                self._complete(execution, outcome)
+                if execution is not None:
+                    self._complete(
+                        execution,
+                        _JOB_STATES.get(outcome.status, "failed"),
+                        error=outcome.error, attempts=outcome.attempts,
+                    )
 
-    def _complete(self, execution, outcome):
-        """Fan one terminal engine outcome out to every attached job."""
-        state = {
-            "ok": "done", "failed": "failed", "canceled": "canceled",
-        }.get(outcome.status, "failed")
-        if state == "done":
-            self._memo(
-                execution.fingerprint, outcome.result.to_dict(),
+    def _live_jobs(self, execution):
+        """The attached jobs of an execution that are not yet terminal."""
+        for job_id in execution.job_ids:
+            job = self.store.get(job_id)
+            if job is not None and not job.terminal:
+                yield job
+
+    def _start(self, execution):
+        """Mark an execution and every attached job ``running``."""
+        execution.state = "running"
+        self._executions_started += 1
+        for job in self._live_jobs(execution):
+            job.state = "running"
+            job.started_at = time.time()
+            job.attempts = max(1, job.attempts)
+            self.store.record(job)
+            self._observe_wait(job.started_at - job.submitted_at)
+            self._publish({"event": "started", "job": job.view()})
+
+    def _complete(self, execution, state, *, payload=None, error=None,
+                  attempts=1):
+        """Fan one terminal outcome out to every attached job.
+
+        ``payload`` is a finished pipeline or tune result; it goes to
+        the cache before any job is journaled ``done``, so a crash in
+        between still recovers the result.  Run results are already
+        cached by the session.
+        """
+        if payload is not None:
+            self.cache.put_value(
+                execution.fingerprint,
+                {"kind": execution.kind,
+                 "spec": execution.payload.to_dict()},
+                payload,
             )
         self._executions_completed += 1
         self._inflight.pop(execution.fingerprint, None)
-        for job_id in execution.job_ids:
-            job = self.store.get(job_id)
-            if job is None or job.terminal:
-                continue
+        for job in self._live_jobs(execution):
             job.state = state
             job.finished_at = time.time()
-            job.attempts = outcome.attempts
-            if outcome.error is not None:
-                job.error = outcome.error
+            job.attempts = attempts
+            if error is not None:
+                job.error = error
             self.store.record(job)
             self._count(job.tenant, state)
             if self.telemetry is not None:
@@ -689,99 +677,44 @@ class Broker:
                 execution = self._pipeline_q.get(timeout=0.1)
             except queue.Empty:
                 continue
-            if execution.canceled:
-                with self._lock:
+            with self._lock:
+                if execution.canceled:
                     self._inflight.pop(execution.fingerprint, None)
-                continue
+                    continue
+                self._start(execution)
+            state, payload, error = self._execute(execution)
             with self._lock:
-                execution.state = "running"
-                self._executions_started += 1
-                for job_id in execution.job_ids:
-                    job = self.store.get(job_id)
-                    if job is None or job.terminal:
-                        continue
-                    job.state = "running"
-                    job.started_at = time.time()
-                    self.store.record(job)
-                    self._observe_wait(
-                        job.started_at - job.submitted_at
-                    )
-                    self._publish(
-                        {"event": "started", "job": job.view()}
-                    )
-            try:
-                if execution.kind == "tune":
-                    # Candidate failures are part of the tune report,
-                    # not a job failure; only a broken declaration or
-                    # engine (the except below) fails the job.
-                    from ..tune import run_tune
+                self._complete(
+                    execution, state, payload=payload, error=error,
+                )
 
-                    tune_report = run_tune(
-                        execution.payload, engine=self._pipeline_engine,
-                    )
-                    outcome = _PipelineOutcome(
-                        "ok", tune_report.to_dict(),
-                    )
-                else:
-                    report = run_pipeline(
-                        execution.payload, engine=self._pipeline_engine,
-                    )
-                    if not report.ok:
-                        bad = [
-                            o for o in report.sweep.outcomes if not o.ok
-                        ]
-                        outcome = _PipelineOutcome(
-                            "failed", None,
-                            error="; ".join(
-                                f"{o.name} {o.status}"
-                                + (
-                                    ": " + str(o.error)
-                                    .strip().splitlines()[-1]
-                                    if o.error else ""
-                                )
-                                for o in bad
-                            ) or "pipeline failed",
-                        )
-                    else:
-                        outcome = _PipelineOutcome(
-                            "ok", _pipeline_result(report),
-                        )
-            except Exception as exc:   # engine invariants violated
-                outcome = _PipelineOutcome("failed", None, error=str(exc))
-            with self._lock:
-                if outcome.status == "ok":
-                    self._memo(execution.fingerprint, outcome.payload)
-                self._executions_completed += 1
-                self._inflight.pop(execution.fingerprint, None)
-                for job_id in execution.job_ids:
-                    job = self.store.get(job_id)
-                    if job is None or job.terminal:
-                        continue
-                    job.state = (
-                        "done" if outcome.status == "ok" else "failed"
-                    )
-                    job.finished_at = time.time()
-                    if outcome.error is not None:
-                        job.error = outcome.error
-                    self.store.record(job)
-                    self._count(job.tenant, job.state)
-                    if self.telemetry is not None:
-                        self.telemetry.emit(
-                            "serve_done", job=job.id, tenant=job.tenant,
-                            state=job.state, run=job.fingerprint,
-                        )
-                    self._publish(
-                        {"event": job.state, "job": job.view()}
-                    )
+    def _execute(self, execution):
+        """Run one pipeline or tune: ``(state, payload, error)``."""
+        try:
+            if execution.kind == "tune":
+                # Candidate failures are part of the tune report, not a
+                # job failure; only a broken declaration or engine (the
+                # except below) fails the job.
+                from ..tune import run_tune
 
-
-class _PipelineOutcome:
-    __slots__ = ("status", "payload", "error")
-
-    def __init__(self, status, payload, error=None):
-        self.status = status
-        self.payload = payload
-        self.error = error
+                report = run_tune(
+                    execution.payload, engine=self._pipeline_engine,
+                )
+                return "done", report.to_dict(), None
+            report = run_pipeline(
+                execution.payload, engine=self._pipeline_engine,
+            )
+        except Exception as exc:   # engine invariants violated
+            return "failed", None, str(exc)
+        if report.ok:
+            return "done", _pipeline_result(report), None
+        error = "; ".join(
+            f"{o.name} {o.status}"
+            + (": " + str(o.error).strip().splitlines()[-1]
+               if o.error else "")
+            for o in report.sweep.outcomes if not o.ok
+        )
+        return "failed", None, error or "pipeline failed"
 
 
 def _pipeline_result(report) -> dict:

@@ -165,20 +165,25 @@ def parse_submit(body):
             "invalid_request", "priority must be a number",
         )
     try:
-        if kind == "run":
-            payload = RunSpec.from_dict(spec_dict)
-        elif kind == "tune":
-            from ..tune import TuneSpec
-
-            payload = TuneSpec.from_dict(spec_dict)
-        else:
-            payload = PipelineSpec.from_dict(spec_dict)
+        payload = decode_spec(kind, spec_dict)
     except (ValueError, KeyError, TypeError) as exc:
         message = exc.args[0] if exc.args else exc
         raise ProtocolError(
             "invalid_spec", f"invalid {kind} spec: {message}",
         ) from None
     return kind, payload, tenant, float(priority)
+
+
+def decode_spec(kind, spec_dict):
+    """The :class:`RunSpec`/:class:`TuneSpec`/:class:`PipelineSpec` of
+    one submit ``kind`` (construction *is* the validation)."""
+    if kind == "run":
+        return RunSpec.from_dict(spec_dict)
+    if kind == "tune":
+        from ..tune import TuneSpec
+
+        return TuneSpec.from_dict(spec_dict)
+    return PipelineSpec.from_dict(spec_dict)
 
 
 def submit_fingerprint(kind, payload) -> str:

@@ -5,7 +5,7 @@ execution metadata (wall-clock, host, worker assignment, cache hits):
 two runs of the same :class:`~repro.tune.TuneSpec` — cold or warm
 cache, serial or parallel engine — must serialize byte-identically,
 which is what lets CI diff the JSON across runs and lets
-:mod:`repro.serve` memoize tunes by fingerprint.
+:mod:`repro.serve` cache tune reports by fingerprint.
 
 Every entry carries the *evidence* behind its rank: the objective
 value, the robustness re-score (when enabled), and the attribution

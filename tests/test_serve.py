@@ -45,9 +45,19 @@ def small_spec(variant="mpi_only", **overrides):
     )
 
 
-def submit_body(spec, *, tenant="anon", priority=0.0):
-    return {"v": 1, "kind": "run", "spec": spec.to_dict(),
+def submit_body(spec, *, tenant="anon", priority=0.0, kind="run"):
+    return {"v": 1, "kind": kind, "spec": spec.to_dict(),
             "tenant": tenant, "priority": priority}
+
+
+def small_pipeline():
+    from repro.pipeline import PipelineNode, PipelineSpec
+
+    return PipelineSpec(name="serve-pipeline", nodes=(
+        PipelineNode("root", run=small_spec()),
+        PipelineNode("fork", run=small_spec(variant="fork_join"),
+                     after=("root",)),
+    ))
 
 
 # ----------------------------------------------------------------------
@@ -70,6 +80,12 @@ def _holding_runner(spec_dict):
     return _marking_runner(spec_dict)
 
 
+def _sleeping_runner(spec_dict):
+    """Outlives any test timeout; the engine must kill it."""
+    time.sleep(60)
+    return run_spec_dict(spec_dict)
+
+
 def executions(marker_dir, fingerprint=None) -> int:
     pattern = f"exec-{fingerprint}-*" if fingerprint else "exec-*"
     return len(list(Path(marker_dir).glob(pattern)))
@@ -83,10 +99,11 @@ def marker_dir(tmp_path, monkeypatch):
     return d
 
 
-def make_broker(tmp_path, *, runner=_marking_runner, jobs=2, **kwargs):
+def make_broker(tmp_path, *, runner=_marking_runner, jobs=2, timeout=None,
+                **kwargs):
     engine = SweepEngine(
         jobs=jobs, cache=ResultCache(tmp_path / "cache"),
-        runner=runner, drain_timeout=5.0,
+        runner=runner, drain_timeout=5.0, timeout=timeout,
     )
     kwargs.setdefault("quota_rate", 1000.0)
     kwargs.setdefault("quota_burst", 1000)
@@ -461,13 +478,22 @@ def test_journal_replay_recovers_after_simulated_crash(
         broker2.shutdown(drain_timeout=5.0)
 
 
-def test_restart_reattaches_done_results_from_cache(tmp_path, marker_dir):
+@pytest.mark.parametrize("kind", ["run", "pipeline", "tune"])
+def test_restart_reattaches_done_results_from_cache(
+    tmp_path, marker_dir, kind,
+):
     broker = make_broker(tmp_path)
     broker.start()
-    spec = small_spec()
-    job_id = broker.submit(submit_body(spec))["job"]["id"]
-    wait_terminal(broker, [job_id])
+    spec = {"run": small_spec, "pipeline": small_pipeline,
+            "tune": small_tune}[kind]()
+    job_id = broker.submit(submit_body(spec, kind=kind))["job"]["id"]
+    (job,) = wait_terminal(broker, [job_id])
+    assert job.state == "done", job.error
+    assert job.attempts >= 1
+    before = broker.result(job_id)["result"]
     broker.shutdown(drain_timeout=5.0)
+    ran = executions(marker_dir)
+    assert ran >= 1
 
     engine = SweepEngine(
         jobs=2, cache=ResultCache(tmp_path / "cache"),
@@ -477,12 +503,35 @@ def test_restart_reattaches_done_results_from_cache(tmp_path, marker_dir):
         engine=engine, store=JobStore(tmp_path / "serve"),
         quota_rate=1000.0, quota_burst=1000,
     )
-    # Without ever starting the scheduler: the result comes straight
-    # from the content-addressed cache the previous life wrote.
-    payload = broker2.result(job_id)["result"]
-    assert payload["total_time"] > 0
-    assert executions(marker_dir, spec.fingerprint()) == 1
+    # Without ever starting the scheduler: the result of every job kind
+    # comes straight from the content-addressed cache the previous life
+    # wrote.
+    after = broker2.result(job_id)["result"]
+    assert json.dumps(after, sort_keys=True) == json.dumps(
+        before, sort_keys=True
+    )
+    assert broker2._threads == []
+    assert executions(marker_dir) == ran
     broker2.shutdown(drain_timeout=0.0)
+
+
+@pytest.mark.parametrize("kind", ["run", "pipeline"])
+def test_engine_timeout_fails_every_kind_alike(tmp_path, marker_dir, kind):
+    broker = make_broker(
+        tmp_path, runner=_sleeping_runner, jobs=1, timeout=0.3,
+    )
+    broker.start()
+    try:
+        spec = small_pipeline() if kind == "pipeline" else small_spec()
+        job_id = broker.submit(submit_body(spec, kind=kind))["job"]["id"]
+        (job,) = wait_terminal(broker, [job_id])
+        assert job.state == "failed"
+        assert "timed out after 0.3s" in job.error
+        with pytest.raises(ProtocolError) as err:
+            broker.result(job_id)
+        assert err.value.code == "job_failed"
+    finally:
+        broker.shutdown(drain_timeout=5.0)
 
 
 def test_metrics_and_queue_snapshot_shape(tmp_path, marker_dir):
@@ -554,11 +603,12 @@ def test_tune_submit_executes_and_memoizes(tmp_path, marker_dir):
         wait_terminal(broker, [first["job"]["id"]])
         job = broker.store.get(first["job"]["id"])
         assert job.state == "done", job.error
+        assert job.attempts >= 1
         report = broker.result(first["job"]["id"])["result"]
         assert report["name"] == "serve-tune"
         assert [e["rank"] for e in report["entries"]] == [1, 2]
         assert report["baseline"] is not None
-        # An identical re-submit is served from the memo, no new work.
+        # An identical re-submit is served from the cache, no new work.
         again = broker.submit(tune_body(tune, tenant="other"))
         assert again["mode"] == "cached"
         assert again["job"]["state"] == "done"

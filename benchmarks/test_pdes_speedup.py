@@ -13,18 +13,15 @@ workers real cores.  The report therefore records the host's available
 core count; the ``>= 2x at >= 64 nodes`` acceptance gate is enforced
 with ``REPRO_PERF_ENFORCE=1`` on hosts with at least ``ENFORCE_WORKERS``
 cores (the CI ``perf`` job), and is recorded-but-not-asserted on
-narrower hosts, mirroring how ``test_kernel_throughput`` treats its
-reference-host constants.
+narrower hosts.
 
 The report is written to ``benchmarks/results/BENCH_pdes_speedup.json``.
 """
 
 import json
-import os
 import time
-from dataclasses import replace
 
-from conftest import QUICK, bench_once
+from conftest import ENFORCE, QUICK, bench_once, metric, write_bench
 
 from repro.bench.experiments import _scaling_spec
 from repro.bench.inputs import weak_root_dims
@@ -46,8 +43,6 @@ EQUIVALENCE_SCALES = (16, 64)
 MIN_SPEEDUP = 2.0
 GATE_NODES = 64
 ENFORCE_WORKERS = 4
-
-ENFORCE = os.environ.get("REPRO_PERF_ENFORCE", "0") == "1"
 
 
 def _spec(nodes, workers=1):
@@ -91,74 +86,73 @@ def _measure_scale(nodes):
 
 
 def _measure_all():
-    report = {
-        "host_cores": _available_cores(),
-        "variant": "mpi_only",
-        "machine": "marenostrum4_scaled",
-        "quick": QUICK,
-        "gate": {
-            "min_speedup": MIN_SPEEDUP,
-            "at_nodes": GATE_NODES,
-            "requires_cores": ENFORCE_WORKERS,
-        },
-        "scales": {},
-    }
-    for nodes in SCALES:
-        report["scales"][str(nodes)] = _measure_scale(nodes)
-    gate_scales = [n for n in SCALES if n >= GATE_NODES]
+    scales = {nodes: _measure_scale(nodes) for nodes in SCALES}
     best = max(
         (
-            report["scales"][str(n)]["workers"][str(w)]["speedup"]
-            for n in gate_scales
-            for w in WORKER_COUNTS
-            if w > 1
+            scales[n]["workers"][str(w)]["speedup"]
+            for n in SCALES if n >= GATE_NODES
+            for w in WORKER_COUNTS if w > 1
         ),
         default=0.0,
     )
-    report["gate"]["best_speedup_at_gate"] = best
-    report["gate"]["met"] = best >= MIN_SPEEDUP
-    return report
+    return scales, best
 
 
-def test_pdes_speedup(benchmark, results_dir, save_result):
-    report = bench_once(benchmark, _measure_all)
-    path = results_dir / "BENCH_pdes_speedup.json"
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+def test_pdes_speedup(benchmark, save_result):
+    scales, best = bench_once(benchmark, _measure_all)
+    gate = {
+        "min_speedup": MIN_SPEEDUP,
+        "at_nodes": GATE_NODES,
+        "requires_cores": ENFORCE_WORKERS,
+        "met": best >= MIN_SPEEDUP,
+    }
+    metrics = {"best_speedup_at_gate": metric(best, "x", "higher")}
+    for nodes, s in scales.items():
+        metrics[f"scales.{nodes}.serial_wall_seconds"] = metric(
+            s["serial_wall_seconds"], "s")
+        for w, r in s["workers"].items():
+            prefix = f"scales.{nodes}.workers.{w}."
+            metrics[prefix + "wall_seconds"] = metric(r["wall_seconds"], "s")
+            metrics[prefix + "speedup"] = metric(r["speedup"], "x", "higher")
+    write_bench("pdes_speedup", metrics, {
+        "variant": "mpi_only",
+        "machine": "marenostrum4_scaled",
+        "quick": QUICK,
+        "gate": gate,
+        "ranks": {str(nodes): s["ranks"] for nodes, s in scales.items()},
+    })
+    host_cores = _available_cores()
 
     lines = [
         f"partitioned kernel speedup (wall clock, "
-        f"{report['host_cores']} host cores)"
+        f"{host_cores} host cores)"
     ]
-    for nodes in SCALES:
-        s = report["scales"][str(nodes)]
+    for nodes, s in scales.items():
         per_w = "  ".join(
-            f"w{w}: {s['workers'][str(w)]['wall_seconds']:.2f}s "
-            f"({s['workers'][str(w)]['speedup']:.2f}x)"
-            for w in WORKER_COUNTS if w > 1
+            f"w{w}: {r['wall_seconds']:.2f}s ({r['speedup']:.2f}x)"
+            for w, r in s["workers"].items()
         )
         lines.append(
             f"  {nodes:>5}n ({s['ranks']:>5} ranks)  "
             f"serial {s['serial_wall_seconds']:.2f}s  {per_w}"
         )
-    gate = report["gate"]
     lines.append(
-        f"  gate: >= {gate['min_speedup']:.1f}x at >= {gate['at_nodes']}n"
-        f" -> best {gate['best_speedup_at_gate']:.2f}x"
+        f"  gate: >= {MIN_SPEEDUP:.1f}x at >= {GATE_NODES}n"
+        f" -> best {best:.2f}x"
         f" ({'met' if gate['met'] else 'not met'})"
     )
     save_result("\n".join(lines), "pdes_speedup")
 
     # Timings only mean something if the partitioned runs were real:
     # every measured scale ran every worker count.
-    for nodes in SCALES:
-        assert set(report["scales"][str(nodes)]["workers"]) == {
+    for s in scales.values():
+        assert set(s["workers"]) == {
             str(w) for w in WORKER_COUNTS if w > 1
         }
 
-    if ENFORCE and report["host_cores"] >= ENFORCE_WORKERS:
+    if ENFORCE and host_cores >= ENFORCE_WORKERS:
         assert gate["met"], (
-            f"partitioned kernel reached only "
-            f"{gate['best_speedup_at_gate']:.2f}x at >= {GATE_NODES} "
-            f"scaled nodes (target {MIN_SPEEDUP:.1f}x) on a "
-            f"{report['host_cores']}-core host"
+            f"partitioned kernel reached only {best:.2f}x at >= "
+            f"{GATE_NODES} scaled nodes (target {MIN_SPEEDUP:.1f}x) on a "
+            f"{host_cores}-core host"
         )

@@ -1,46 +1,26 @@
 """Benchmark: runtime overhead of ``RunSpec(profile=True)``.
 
 Profiling must be cheap enough to leave on for real experiments: the
-acceptance bar is **< 10% of run time** on the small config.  The
-measurement uses the golden small geometries at a representative block
-size (32^3 cells — the paper's miniAMR runs use blocks at least this
-large).  Profiling cost is essentially fixed per task/event (record a
-task, classify a gap), while the baseline scales with block volume, so
-the miniature 4^3 golden blocks — where a simulated task is a few
-microseconds of numpy — would measure a worst case no real experiment
-sees.
+acceptance bar is **< 10% of run time** on the small config, always
+enforced.  The measurement uses the golden small geometries at a
+representative block size (32^3 cells — the paper's miniAMR runs use
+blocks at least this large).  Profiling cost is essentially fixed per
+task/event (record a task, classify a gap), while the baseline scales
+with block volume, so the miniature 4^3 golden blocks — where a
+simulated task is a few microseconds of numpy — would measure a worst
+case no real experiment sees.  Runs are 8 timesteps instead of the
+goldens' 2: the overhead ratio is timestep-invariant, while noise
+bursts are fixed-size.
 
-Methodology — built for noisy single-core CI boxes:
-
-* ``time.process_time`` (CPU seconds), not wall clock: on a shared or
-  virtualized machine, wall time measures the neighbors.
-* The cyclic GC is collected then paused around each timed run, so
-  whole-heap collection pauses don't land on arbitrary runs.
-* Longer runs (8 timesteps instead of the goldens' 2): the overhead
-  ratio is timestep-invariant, while noise bursts are fixed-size, so
-  multi-second runs shrink their relative weight.
-* Interleaved runs (off, on, off, on, ...) and the ratio of the
-  *minimum* of each group: remaining noise is one-sided (preemption
-  and frequency drift only ever add time), so best-of-N estimates the
-  intrinsic cost far more stably than means or medians.
-* Up to three measurement attempts, keeping the smallest estimate:
-  noise bursts cluster for tens of seconds, so a whole attempt can be
-  inflated; the smallest observed ratio across attempts is the closest
-  look at a quiet window.  A genuinely over-budget implementation
-  still fails every attempt.
-
-The per-pair median is archived alongside for context, and the result
-is written to ``benchmarks/results/BENCH_profile_overhead.json`` — the
-seed of the profiling-overhead perf trajectory.
+The methodology is :func:`conftest.paired_overhead`; the result is
+written to ``benchmarks/results/BENCH_profile_overhead.json``.
 """
 
 import dataclasses
-import gc
-import json
-import statistics
-import time
 
-from conftest import QUICK, bench_once
+from conftest import (
+    QUICK, bench_once, overhead_metrics, paired_overhead, write_bench,
+)
 
 from repro.core.driver import execute
 from repro.verify import default_golden_specs
@@ -51,6 +31,8 @@ from repro.verify import default_golden_specs
 PAIRS = 3 if QUICK else 5
 BLOCK = 32
 TSTEPS = 4 if QUICK else 8
+TARGET = 0.08  # stop retrying once comfortably under the 10% gate
+WORLDS = ("mpi_only_small", "tampi_dataflow_small")
 
 
 def _specs(name):
@@ -64,70 +46,37 @@ def _specs(name):
     return base, dataclasses.replace(base, profile=True)
 
 
-def _timed(spec):
-    gc.collect()
-    gc.disable()
-    try:
-        t0 = time.process_time()
-        result = execute(spec)
-        dt = time.process_time() - t0
-    finally:
-        gc.enable()
-    return dt, result
-
-
 def measure_overhead(name):
     off, on = _specs(name)
-    execute(off)
-    execute(on)  # warm both paths (imports, allocator, caches)
-    t_off, t_on = [], []
-    for _ in range(PAIRS):
-        dt, _ = _timed(off)
-        t_off.append(dt)
-        dt, res = _timed(on)
-        t_on.append(dt)
-    assert res.profile is not None
-    ratios = [b / a for a, b in zip(t_off, t_on)]
-    return {
-        "pairs": PAIRS,
-        "block": BLOCK,
-        "tsteps": TSTEPS,
-        "overhead": min(t_on) / min(t_off) - 1.0,
-        "median_pair_overhead": statistics.median(ratios) - 1.0,
-        "baseline_cpu_seconds": min(t_off),
-    }
 
+    def profiled():
+        assert execute(on).profile is not None
 
-ATTEMPTS = 3
-TARGET = 0.08  # stop retrying once comfortably under the 10% gate
+    return paired_overhead(
+        lambda: execute(off), profiled, pairs=PAIRS, target=TARGET,
+    )
 
 
 def _measure_all():
-    report = {}
-    for name in ("mpi_only_small", "tampi_dataflow_small"):
-        best = None
-        for attempt in range(ATTEMPTS):
-            r = measure_overhead(name)
-            if best is None or r["overhead"] < best["overhead"]:
-                best = r
-            if best["overhead"] < TARGET:
-                break
-        best["attempts"] = attempt + 1
-        report[name] = best
-    return report
+    return {name: measure_overhead(name) for name in WORLDS}
 
 
-def test_profile_overhead(benchmark, results_dir, save_result):
+def test_profile_overhead(benchmark, save_result):
     report = bench_once(benchmark, _measure_all)
-    path = results_dir / "BENCH_profile_overhead.json"
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    metrics = {}
+    for name, r in report.items():
+        metrics.update(overhead_metrics(r, f"{name}."))
+    write_bench("profile_overhead", metrics, {
+        "pairs": PAIRS, "block": BLOCK, "tsteps": TSTEPS,
+        "attempts": {name: r["attempts"] for name, r in report.items()},
+    })
 
     lines = ["profiling overhead (best-of-N CPU time, on vs off)"]
     for name, r in report.items():
         lines.append(
             f"  {name:<24} {r['overhead']:+7.1%}  "
             f"(pair median {r['median_pair_overhead']:+.1%}, "
-            f"{r['pairs']} pairs, {r['block']}^3 blocks, "
+            f"{PAIRS} pairs, {BLOCK}^3 blocks, "
             f"baseline {r['baseline_cpu_seconds']:.2f}s)"
         )
     save_result("\n".join(lines), "profile_overhead")

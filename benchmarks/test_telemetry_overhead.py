@@ -11,27 +11,14 @@ guard on the same ``bus is None`` test and write through the same
 ``O_APPEND`` descriptor, so their per-record cost is the one measured
 here.)
 
-Methodology — identical to ``test_profile_overhead.py``, built for
-noisy single-core CI boxes:
-
-* CPU seconds of the engine process plus its reaped workers
-  (:func:`conftest.cpu_seconds`), not wall clock;
-* cyclic GC collected then paused around each timed run;
-* interleaved runs (off, on, off, on, ...) and the ratio of the
-  *minimum* of each group — remaining noise is one-sided;
-* up to three measurement attempts, keeping the smallest estimate.
-
-The result is written to
-``benchmarks/results/BENCH_telemetry_overhead.json`` — the seed of the
-telemetry-overhead perf trajectory tracked by ``miniamr-sim trend``.
+The methodology is :func:`conftest.paired_overhead`; the result is
+written to ``benchmarks/results/BENCH_telemetry_overhead.json``.
 """
 
-import gc
-import json
-import os
-import statistics
-
-from conftest import QUICK, bench_once, cpu_seconds
+from conftest import (
+    ENFORCE, QUICK, bench_once, metric, overhead_metrics, paired_overhead,
+    write_bench,
+)
 
 from repro import AmrConfig, RunSpec, sphere
 from repro.exec import RunStatsStore, Sweep, SweepEngine
@@ -39,8 +26,8 @@ from repro.obs import TelemetryBus
 
 PAIRS = 3 if QUICK else 5
 TSTEPS = 2 if QUICK else 4
-ENFORCE = os.environ.get("REPRO_PERF_ENFORCE", "0") == "1"
 BUDGET = 0.05
+TARGET = 0.03  # stop retrying once comfortably under the 5% gate
 
 
 def _specs():
@@ -59,84 +46,54 @@ def _specs():
     ]
 
 
-def _timed_sweep(specs, tmp, *, telemetry):
+def _sweep(specs, tmp, *, telemetry):
     stats_path = tmp / f"stats-{'on' if telemetry else 'off'}.json"
-    if stats_path.exists():
-        stats_path.unlink()
+    stats_path.unlink(missing_ok=True)
     bus = None
+    if telemetry:
+        stream = tmp / "telemetry.jsonl"
+        stream.unlink(missing_ok=True)
+        bus = TelemetryBus(stream)
     try:
-        if telemetry:
-            stream = tmp / "telemetry.jsonl"
-            if stream.exists():
-                stream.unlink()
-            bus = TelemetryBus(stream)
         engine = SweepEngine(
             jobs=1, stats=RunStatsStore(stats_path), telemetry=bus,
         )
-        gc.collect()
-        gc.disable()
-        try:
-            t0 = cpu_seconds()
-            report = engine.run(Sweep(specs, name="telemetry-overhead"))
-            dt = cpu_seconds() - t0
-        finally:
-            gc.enable()
+        report = engine.run(Sweep(specs, name="telemetry-overhead"))
         assert report.failed == 0
     finally:
         if bus is not None:
             bus.close()
-    return dt
-
-
-def measure_overhead(tmp):
-    specs = _specs()
-    _timed_sweep(specs, tmp, telemetry=False)   # warm both paths
-    _timed_sweep(specs, tmp, telemetry=True)
-    t_off, t_on = [], []
-    for _ in range(PAIRS):
-        t_off.append(_timed_sweep(specs, tmp, telemetry=False))
-        t_on.append(_timed_sweep(specs, tmp, telemetry=True))
-    ratios = [b / a for a, b in zip(t_off, t_on)]
-    records = sum(1 for _ in open(tmp / "telemetry.jsonl"))
-    return {
-        "pairs": PAIRS,
-        "runs_per_sweep": len(specs),
-        "tsteps": TSTEPS,
-        "records_per_sweep": records,
-        "overhead": min(t_on) / min(t_off) - 1.0,
-        "median_pair_overhead": statistics.median(ratios) - 1.0,
-        "baseline_cpu_seconds": min(t_off),
-    }
-
-
-ATTEMPTS = 3
-TARGET = 0.03  # stop retrying once comfortably under the 5% gate
 
 
 def _measure(tmp):
-    best = None
-    for attempt in range(ATTEMPTS):
-        r = measure_overhead(tmp)
-        if best is None or r["overhead"] < best["overhead"]:
-            best = r
-        if best["overhead"] < TARGET:
-            break
-    best["attempts"] = attempt + 1
-    best["enforced"] = ENFORCE
-    return best
+    specs = _specs()
+    r = paired_overhead(
+        lambda: _sweep(specs, tmp, telemetry=False),
+        lambda: _sweep(specs, tmp, telemetry=True),
+        pairs=PAIRS, target=TARGET,
+    )
+    with open(tmp / "telemetry.jsonl") as fh:
+        r["records_per_sweep"] = sum(1 for _ in fh)
+    r["runs_per_sweep"] = len(specs)
+    return r
 
 
-def test_telemetry_overhead(benchmark, results_dir, save_result,
-                            tmp_path):
+def test_telemetry_overhead(benchmark, save_result, tmp_path):
     report = bench_once(benchmark, _measure, tmp_path)
-    path = results_dir / "BENCH_telemetry_overhead.json"
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_bench("telemetry_overhead", {
+        **overhead_metrics(report),
+        "records_per_sweep": metric(report["records_per_sweep"], "count"),
+    }, {
+        "pairs": PAIRS, "tsteps": TSTEPS,
+        "runs_per_sweep": report["runs_per_sweep"],
+        "attempts": report["attempts"], "enforced": ENFORCE,
+    })
 
     save_result(
         "telemetry overhead (best-of-N CPU time, bus on vs off)\n"
         f"  jobs=1 sweep            {report['overhead']:+7.1%}  "
         f"(pair median {report['median_pair_overhead']:+.1%}, "
-        f"{report['pairs']} pairs, "
+        f"{PAIRS} pairs, "
         f"{report['records_per_sweep']} records/sweep, "
         f"baseline {report['baseline_cpu_seconds']:.2f}s)",
         "telemetry_overhead",

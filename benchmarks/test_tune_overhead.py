@@ -9,28 +9,16 @@ baseline + candidate RunSpecs the tuner materializes, submitted as one
 delta is purely the tuner's own work: space enumeration, strategy
 bookkeeping, attribution reads, and report assembly.
 
-Methodology — identical to ``test_telemetry_overhead.py``, built for
-noisy single-core CI boxes:
-
-* CPU seconds of the engine process plus its reaped workers
-  (:func:`conftest.cpu_seconds`), not wall clock;
-* cyclic GC collected then paused around each timed run;
-* interleaved runs (sweep, tune, sweep, tune, ...) and the ratio of
-  the *minimum* of each group — remaining noise is one-sided;
-* up to three measurement attempts, keeping the smallest estimate.
-
-The result is written to ``benchmarks/results/BENCH_tune_overhead.json``
-— the seed of the tune-overhead perf trajectory tracked by
-``miniamr-sim trend``.
+The methodology is :func:`conftest.paired_overhead`; the result is
+written to ``benchmarks/results/BENCH_tune_overhead.json``.
 """
 
-import gc
-import json
-import os
-import statistics
 from dataclasses import replace
 
-from conftest import QUICK, bench_once, cpu_seconds
+from conftest import (
+    ENFORCE, QUICK, bench_once, overhead_metrics, paired_overhead,
+    write_bench,
+)
 
 from repro import AmrConfig, RunSpec, sphere
 from repro.exec import Sweep, SweepEngine
@@ -38,8 +26,8 @@ from repro.tune import TuneSpec, enumerate_space, materialize, run_tune
 
 PAIRS = 3 if QUICK else 5
 TSTEPS = 2 if QUICK else 4
-ENFORCE = os.environ.get("REPRO_PERF_ENFORCE", "0") == "1"
 BUDGET = 0.10
+TARGET = 0.06  # stop retrying once comfortably under the 10% gate
 
 
 def _tune():
@@ -74,18 +62,7 @@ def _comparator_specs(tune):
     return specs
 
 
-def _timed(fn):
-    gc.collect()
-    gc.disable()
-    try:
-        t0 = cpu_seconds()
-        fn()
-        return cpu_seconds() - t0
-    finally:
-        gc.enable()
-
-
-def measure_overhead():
+def _measure():
     tune = _tune()
     specs = _comparator_specs(tune)
 
@@ -100,51 +77,25 @@ def measure_overhead():
         assert not report.failed
         assert report.evaluations == len(specs) - 1
 
-    raw_sweep()   # warm both paths
-    tuned()
-    t_raw, t_tune = [], []
-    for _ in range(PAIRS):
-        t_raw.append(_timed(raw_sweep))
-        t_tune.append(_timed(tuned))
-    ratios = [b / a for a, b in zip(t_raw, t_tune)]
-    return {
-        "pairs": PAIRS,
-        "candidates": len(specs) - 1,
-        "tsteps": TSTEPS,
-        "overhead": min(t_tune) / min(t_raw) - 1.0,
-        "median_pair_overhead": statistics.median(ratios) - 1.0,
-        "baseline_cpu_seconds": min(t_raw),
-    }
+    r = paired_overhead(raw_sweep, tuned, pairs=PAIRS, target=TARGET)
+    r["candidates"] = len(specs) - 1
+    return r
 
 
-ATTEMPTS = 3
-TARGET = 0.06  # stop retrying once comfortably under the 10% gate
-
-
-def _measure():
-    best = None
-    for attempt in range(ATTEMPTS):
-        r = measure_overhead()
-        if best is None or r["overhead"] < best["overhead"]:
-            best = r
-        if best["overhead"] < TARGET:
-            break
-    best["attempts"] = attempt + 1
-    best["enforced"] = ENFORCE
-    return best
-
-
-def test_tune_overhead(benchmark, results_dir, save_result):
+def test_tune_overhead(benchmark, save_result):
     report = bench_once(benchmark, _measure)
-    path = results_dir / "BENCH_tune_overhead.json"
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_bench("tune_overhead", overhead_metrics(report), {
+        "pairs": PAIRS, "tsteps": TSTEPS,
+        "candidates": report["candidates"],
+        "attempts": report["attempts"], "enforced": ENFORCE,
+    })
 
     save_result(
         "tune orchestration overhead (best-of-N CPU time, "
         "run_tune vs raw sweep of identical specs)\n"
         f"  grid tune               {report['overhead']:+7.1%}  "
         f"(pair median {report['median_pair_overhead']:+.1%}, "
-        f"{report['pairs']} pairs, "
+        f"{PAIRS} pairs, "
         f"{report['candidates']} candidates, "
         f"baseline {report['baseline_cpu_seconds']:.2f}s)",
         "tune_overhead",

@@ -1,17 +1,19 @@
 """Perf-trend analytics over the committed ``BENCH_*.json`` history.
 
-``benchmarks/`` records one JSON document per benchmark in
+``benchmarks/`` records one JSON document per host benchmark in
 ``benchmarks/results/BENCH_<name>.json`` and commits it, so git holds
-the metric history.  This module diffs the working-tree documents
-against a baseline — the committed ``HEAD`` version by default, or any
-directory of the same files — into a per-metric delta table and flags
-regressions.
+the metric history.  Every document has one layout::
 
-Metric direction is inferred from the flattened key path (the same
-heuristic a human applies reading the file): names containing
-``seconds``/``overhead``/``wall``/``stall`` are *lower-is-better*;
-``per_sec``/``speedup``/``gflops``/``throughput`` are
-*higher-is-better*; anything else is reported but never flagged.
+    {"host_cores": N, "config": {...},
+     "metrics": {"<name>": {"value": x, "unit": "...",
+                            "better": "lower" | "higher"}}}
+
+This module diffs the ``metrics`` maps of the working-tree documents by
+name against a baseline — the committed ``HEAD`` version by default, or
+any directory of the same files — and flags a change beyond the
+threshold as a regression or improvement in the metric's declared
+``better`` direction.  ``config`` holds settings and is never compared.
+A document that does not follow the layout raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -20,54 +22,27 @@ import json
 import subprocess
 from pathlib import Path
 
-#: Key-path substrings marking a metric where smaller is better.
-LOWER_BETTER = (
-    "seconds", "overhead", "wall", "stall", "time", "imbalance",
-)
-
-#: Key-path substrings marking a metric where larger is better.
-HIGHER_BETTER = (
-    "per_sec", "speedup", "gflops", "throughput", "efficiency",
-    "events_per", "hit_rate",
-)
-
-#: Key-path substrings that are configuration, not measurements.
-IGNORED = (
-    "quick", "host_cores", "attempts", "pairs", "block", "tsteps",
-    "ranks", "met", "requires", "min_speedup", "at_nodes", "budget",
-    "version", "nodes",
-)
-
 #: Relative change below which a delta is noise, not a trend.
 DEFAULT_THRESHOLD = 0.10
 
 
-def metric_direction(path: str):
-    """``"lower"``, ``"higher"``, or ``None`` (don't flag) for a key path."""
-    lowered = path.lower()
-    for frag in IGNORED:
-        if frag in lowered:
-            return None
-    for frag in HIGHER_BETTER:   # checked first: "events_per_sec" etc.
-        if frag in lowered:
-            return "higher"
-    for frag in LOWER_BETTER:
-        if frag in lowered:
-            return "lower"
-    return None
-
-
-def flatten_metrics(doc, prefix="") -> dict:
-    """Numeric leaves of a benchmark document as ``{dotted.path: value}``."""
-    flat = {}
-    if isinstance(doc, dict):
-        for key in sorted(doc):
-            flat.update(flatten_metrics(doc[key], f"{prefix}{key}."))
-    elif isinstance(doc, bool):
-        pass  # bool is an int subclass; never a metric
-    elif isinstance(doc, (int, float)):
-        flat[prefix[:-1]] = float(doc)
-    return flat
+def bench_metrics(doc, source) -> dict:
+    """The validated ``metrics`` map of a benchmark document."""
+    metrics = doc.get("metrics") if isinstance(doc, dict) else None
+    if not isinstance(metrics, dict):
+        raise ValueError(f"{source}: no 'metrics' map")
+    for name, m in metrics.items():
+        if not (
+            isinstance(m, dict) and "unit" in m
+            and m.get("better") in ("lower", "higher")
+            and isinstance(m.get("value"), (int, float))
+            and not isinstance(m["value"], bool)
+        ):
+            raise ValueError(
+                f"{source}: metric {name!r} needs a numeric 'value', a "
+                "'unit' and 'better': 'lower' | 'higher'"
+            )
+    return metrics
 
 
 def load_committed(path, rev="HEAD"):
@@ -96,34 +71,32 @@ def bench_files(results_dir) -> list:
 
 def diff_metrics(baseline: dict, current: dict,
                  threshold=DEFAULT_THRESHOLD) -> list:
-    """Per-metric deltas between two flattened metric maps.
+    """Per-metric deltas between two ``metrics`` maps.
 
-    Returns rows ``(path, base, cur, rel_delta, verdict)`` over the key
-    union; a missing side reads as ``None`` with verdict ``new``/
-    ``gone``.  ``verdict`` is ``regression`` / ``improvement`` when the
-    relative change exceeds ``threshold`` in a direction the key's name
-    makes meaningful, else ``ok``.
+    Returns rows ``(name, unit, base, cur, rel_delta, verdict)`` over
+    the name union; a missing side reads as ``None`` with verdict
+    ``new``/``gone``.  ``verdict`` is ``regression`` / ``improvement``
+    when the relative change exceeds ``threshold`` against the metric's
+    declared ``better`` direction, else ``ok``.
     """
     rows = []
-    for path in sorted(set(baseline) | set(current)):
-        base = baseline.get(path)
-        cur = current.get(path)
-        if base is None:
-            rows.append((path, None, cur, None, "new"))
-            continue
-        if cur is None:
-            rows.append((path, base, None, None, "gone"))
+    for name in sorted(set(baseline) | set(current)):
+        old, m = baseline.get(name), current.get(name)
+        base = old["value"] if old else None
+        cur = m["value"] if m else None
+        if old is None or m is None:
+            verdict = "new" if old is None else "gone"
+            rows.append((name, (m or old)["unit"], base, cur, None, verdict))
             continue
         if base == 0:
             rel = 0.0 if cur == 0 else float("inf")
         else:
             rel = (cur - base) / abs(base)
-        direction = metric_direction(path)
         verdict = "ok"
-        if direction is not None and abs(rel) > threshold:
-            worse = rel > 0 if direction == "lower" else rel < 0
+        if abs(rel) > threshold:
+            worse = rel > 0 if m["better"] == "lower" else rel < 0
             verdict = "regression" if worse else "improvement"
-        rows.append((path, base, cur, rel, verdict))
+        rows.append((name, m["unit"], base, cur, rel, verdict))
     return rows
 
 
@@ -164,25 +137,23 @@ def trend_table(results_dir, *, baseline_dir=None, rev="HEAD",
     if not files:
         return f"no BENCH_*.json files under {results_dir}\n", 0
     for path in files:
-        with open(path, "r", encoding="utf-8") as fh:
-            current_doc = json.load(fh)
+        current_doc = json.loads(path.read_text(encoding="utf-8"))
         if baseline_dir is not None:
-            base_path = Path(baseline_dir) / path.name
-            if base_path.is_file():
-                with open(base_path, "r", encoding="utf-8") as fh:
-                    baseline_doc = json.load(fh)
-            else:
-                baseline_doc = None
+            base_path = baseline_dir / path.name
+            baseline_doc = (
+                json.loads(base_path.read_text(encoding="utf-8"))
+                if base_path.is_file() else None
+            )
         else:
             baseline_doc = load_committed(path, rev=rev)
-        current = flatten_metrics(current_doc)
+        current = bench_metrics(current_doc, path)
         baseline = (
-            flatten_metrics(baseline_doc) if baseline_doc is not None
-            else {}
+            bench_metrics(baseline_doc, f"baseline {path.name}")
+            if baseline_doc is not None else {}
         )
         rows = diff_metrics(baseline, current, threshold=threshold)
-        flagged = [r for r in rows if r[4] in ("regression", "improvement")]
-        regressions += sum(1 for r in rows if r[4] == "regression")
+        flagged = [r for r in rows if r[5] in ("regression", "improvement")]
+        regressions += sum(1 for r in rows if r[5] == "regression")
         lines.append(f"== {path.name} ==")
         if baseline_doc is None:
             lines.append("  (no baseline: all metrics new)")
@@ -193,14 +164,14 @@ def trend_table(results_dir, *, baseline_dir=None, rev="HEAD",
                 f"  {len(rows)} metric(s), no change beyond "
                 f"{threshold:.0%}"
             )
-        for mpath, base, cur, rel, verdict in shown:
+        for name, unit, base, cur, rel, verdict in shown:
             delta = "n/a" if rel is None else f"{rel:+.1%}"
             mark = {"regression": "!!", "improvement": "++"}.get(
                 verdict, "  "
             )
             lines.append(
-                f"  {mark} {mpath:<58} {fmt(base):>12} -> "
-                f"{fmt(cur):>12}  {delta:>8}  {verdict}"
+                f"  {mark} {name:<44} {fmt(base):>12} -> "
+                f"{fmt(cur):>12} {unit:<8}  {delta:>8}  {verdict}"
             )
     lines.append(
         f"-- {regressions} regression(s) beyond {threshold:.0%} --"

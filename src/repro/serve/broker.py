@@ -50,6 +50,7 @@ import time
 import uuid
 from collections import deque
 
+from ..exec.engine import SweepEngine
 from ..pipeline import run_pipeline
 from .protocol import (
     ProtocolError,
@@ -114,6 +115,32 @@ class _Execution:
         self.tenant = tenant
 
 
+class _PipelineEngine(SweepEngine):
+    """The pipeline/tune lane's engine: a shutdown request sticks.
+
+    ``SweepEngine.run`` clears a pending request on entry so a drained
+    engine can run again, but a tune runs one sweep per round, so a
+    request landing between two rounds would be lost.  Once the broker
+    stops this engine, every later ``run`` starts already shut down.
+    """
+
+    stopped = False
+
+    @property
+    def _shutdown(self):
+        return self.stopped or self._requested
+
+    @_shutdown.setter
+    def _shutdown(self, value):
+        self._requested = value
+
+    def request_shutdown(self):
+        # The broker calls this once its own drain deadline has passed:
+        # terminate in-flight runs at once instead of draining again.
+        self.drain_timeout = 0.0
+        self.stopped = True
+
+
 class Broker:
     """See the module docstring; one broker per server process."""
 
@@ -156,9 +183,7 @@ class Broker:
         # Pipelines and tunes run on their own single-worker engine
         # (shared cache, shared telemetry stream, no stats store to
         # avoid cross-thread writes).
-        from ..exec.engine import SweepEngine
-
-        self._pipeline_engine = SweepEngine(
+        self._pipeline_engine = _PipelineEngine(
             jobs=1, cache=self.cache, timeout=engine.timeout,
             retries=engine.retries, backoff=engine.backoff,
             runner=engine.runner, telemetry=engine.telemetry,
@@ -187,11 +212,12 @@ class Broker:
         """Stop accepting, drain in-flight work, journal the rest.
 
         Executions that finish within ``drain_timeout`` (default: the
-        engine's ``drain_timeout``) complete normally.  Whatever is
-        still queued or running afterwards is journaled back as
-        ``queued`` — a restarted server picks those jobs up and
-        finishes them, which is the recovery contract the journal
-        exists for.  Idempotent.
+        engine's ``drain_timeout``) complete normally.  Then the
+        pipeline/tune engine is stopped, which terminates its in-flight
+        runs.  Whatever is still queued or running afterwards is
+        journaled back as ``queued`` — a restarted server picks those
+        jobs up and finishes them, which is the recovery contract the
+        journal exists for.  Idempotent.
         """
         with self._lock:
             if self._closing:
@@ -205,6 +231,7 @@ class Broker:
                 if not self._inflight:
                     break
             time.sleep(self.poll_interval)
+        self._pipeline_engine.request_shutdown()
         self._stop.set()
         for thread in self._threads:
             thread.join(timeout=5.0)
@@ -683,6 +710,11 @@ class Broker:
                     continue
                 self._start(execution)
             state, payload, error = self._execute(execution)
+            if self._pipeline_engine.stopped:
+                # Shutdown cut the execution short: it stays in
+                # _inflight, so it is journaled queued and a restarted
+                # broker finishes it.
+                return
             with self._lock:
                 self._complete(
                     execution, state, payload=payload, error=error,

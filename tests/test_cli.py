@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -337,34 +339,83 @@ def test_telemetry_top_and_engine_report_commands(capsys, tmp_path):
     assert "finished 2/2" in out
 
 
+def _bench(directory, metrics, config=None):
+    """Write ``BENCH_x.json`` in the benchmark schema under ``directory``."""
+    directory.mkdir(exist_ok=True)
+    doc = {"host_cores": 1, "config": config or {}, "metrics": {
+        name: {"value": value, "unit": "s", "better": better}
+        for name, (value, better) in metrics.items()
+    }}
+    (directory / "BENCH_x.json").write_text(json.dumps(doc))
+
+
+def _trend(base, cur, *extra):
+    return main(["trend", "--results-dir", str(cur),
+                 "--baseline-dir", str(base), *extra])
+
+
 def test_trend_command_with_baseline_dir(capsys, tmp_path):
-    base = tmp_path / "base"
-    cur = tmp_path / "cur"
-    base.mkdir()
-    cur.mkdir()
-    (base / "BENCH_x.json").write_text('{"throughput": 100.0, "t": 1.0}')
-    (cur / "BENCH_x.json").write_text('{"throughput": 50.0, "t": 1.0}')
-    assert main(["trend", "--results-dir", str(cur),
-                 "--baseline-dir", str(base)]) == 0
+    base, cur = tmp_path / "base", tmp_path / "cur"
+    _bench(base, {"throughput": (100.0, "higher"), "t": (1.0, "lower")})
+    _bench(cur, {"throughput": (50.0, "higher"), "t": (1.0, "lower")})
+    assert _trend(base, cur) == 0
     assert "regression" in capsys.readouterr().out
     # --strict turns flagged regressions into a nonzero exit.
-    assert main(["trend", "--results-dir", str(cur),
-                 "--baseline-dir", str(base), "--strict"]) == 1
+    assert _trend(base, cur, "--strict") == 1
+
+
+def test_trend_flags_lower_better_rise_whatever_its_name(capsys, tmp_path):
+    # The name carries "block"; direction comes only from "better".
+    base, cur = tmp_path / "base", tmp_path / "cur"
+    _bench(base, {"comm_blocked_fraction": (0.10, "lower")},
+           config={"block": 32, "pairs": 5})
+    _bench(cur, {"comm_blocked_fraction": (0.12, "lower")},
+           config={"block": 64, "pairs": 9})
+    assert _trend(base, cur, "--all", "--strict") == 1
+    out = capsys.readouterr().out
+    assert "comm_blocked_fraction" in out and "regression" in out
+    # config is settings, never compared.
+    assert "block" not in out.replace("comm_blocked", "")
+    assert "pairs" not in out
+
+
+def test_trend_flags_higher_better_drop(capsys, tmp_path):
+    base, cur = tmp_path / "base", tmp_path / "cur"
+    _bench(base, {"gflops": (50.0, "higher"), "wall": (2.0, "lower")})
+    _bench(cur, {"gflops": (40.0, "higher"), "wall": (1.0, "lower")})
+    assert _trend(base, cur, "--strict") == 1
+    out = capsys.readouterr().out
+    assert "gflops" in out and "regression" in out
+    assert "improvement" in out   # the lower-better wall time halved
+    assert "-- 1 regression(s)" in out
+
+
+@pytest.mark.parametrize("doc", [
+    {"host_cores": 1, "config": {}, "throughput": 50.0},
+    {"host_cores": 1, "config": {},
+     "metrics": {"throughput": {"value": 50.0, "unit": "1/s"}}},
+    {"host_cores": 1, "config": {},
+     "metrics": {"throughput": {"value": 50.0, "better": "higher"}}},
+], ids=["no-metrics-map", "no-better", "no-unit"])
+def test_trend_malformed_document_exits_2(capsys, tmp_path, doc):
+    base, cur = tmp_path / "base", tmp_path / "cur"
+    _bench(base, {"throughput": (50.0, "higher")})
+    cur.mkdir()
+    (cur / "BENCH_x.json").write_text(json.dumps(doc))
+    assert _trend(base, cur) == 2
+    assert "BENCH_x.json" in capsys.readouterr().err
 
 
 def test_trend_bad_baseline_dir_exits_2(capsys, tmp_path):
     cur = tmp_path / "cur"
-    cur.mkdir()
-    (cur / "BENCH_x.json").write_text('{"throughput": 50.0, "t": 1.0}')
+    _bench(cur, {"throughput": (50.0, "higher")})
     # Nonexistent baseline dir: usage error, not a traceback.
-    assert main(["trend", "--results-dir", str(cur),
-                 "--baseline-dir", str(tmp_path / "missing")]) == 2
+    assert _trend(tmp_path / "missing", cur) == 2
     assert "not a directory" in capsys.readouterr().err
     # Existing but empty baseline dir (no BENCH_*.json): same treatment.
     empty = tmp_path / "empty"
     empty.mkdir()
-    assert main(["trend", "--results-dir", str(cur),
-                 "--baseline-dir", str(empty)]) == 2
+    assert _trend(empty, cur) == 2
     assert "no BENCH_" in capsys.readouterr().err
 
 

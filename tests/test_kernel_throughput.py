@@ -5,8 +5,8 @@ event and task counts — any hot-path change that alters scheduling
 shows up here before it reaches the golden gate — and enforces a very
 loose events/sec floor so a catastrophic kernel slowdown (e.g. an
 accidental re-enable of per-event allocation or cyclic GC churn) fails
-fast even on slow CI boxes.  Real throughput numbers live in
-``benchmarks/test_kernel_throughput.py``.
+fast even on slow CI boxes.  Real host-cost numbers come from the
+performance ledger, ``benchmarks/ledger/``.
 """
 
 import dataclasses

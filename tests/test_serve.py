@@ -534,6 +534,35 @@ def test_engine_timeout_fails_every_kind_alike(tmp_path, marker_dir, kind):
         broker.shutdown(drain_timeout=5.0)
 
 
+@pytest.mark.parametrize("kind", ["pipeline", "tune"])
+def test_shutdown_stops_inflight_pipeline_lane_and_restart_finishes_it(
+    tmp_path, marker_dir, kind,
+):
+    broker = make_broker(tmp_path, runner=_sleeping_runner, jobs=1)
+    broker.start()
+    spec = small_pipeline() if kind == "pipeline" else small_tune()
+    job_id = broker.submit(submit_body(spec, kind=kind))["job"]["id"]
+    deadline = time.monotonic() + 10
+    while broker.store.get(job_id).state != "running":
+        assert time.monotonic() < deadline, "job never started"
+        time.sleep(0.02)
+    t0 = time.monotonic()
+    broker.shutdown(drain_timeout=0.2)
+    assert time.monotonic() - t0 < 3.0
+    (lane,) = [t for t in broker._threads if t.name == "serve-pipelines"]
+    assert not lane.is_alive()
+
+    # Same journal and cache, a runner that finishes.
+    broker2 = make_broker(tmp_path)
+    assert broker2.store.get(job_id).state == "queued"
+    broker2.start()
+    try:
+        (job,) = wait_terminal(broker2, [job_id])
+        assert job.state == "done", job.error
+    finally:
+        broker2.shutdown(drain_timeout=5.0)
+
+
 def test_metrics_and_queue_snapshot_shape(tmp_path, marker_dir):
     broker = make_broker(tmp_path)
     broker.start()

@@ -765,53 +765,24 @@ def fig4_tune(quick=True, budget=9, seed=2020, robustness=0.0,
     )
 
 
-@register_generator("bench.tune_report")
-def tune_report(params, deps):
-    """Run a declared tune as one pipeline DAG node.
-
-    An *analysis* node: it returns the tune's report as plain JSON,
-    cached under the builder + params + dependency fingerprints, so a
-    pipeline re-run with the same declaration replays it from cache.
-    ``params["tune"]`` may carry a full :class:`TuneSpec` dict;
-    otherwise the committed :func:`fig4_tune` problem is used with
-    ``params``' ``quick``/``budget``/``seed`` knobs.  Upstream
-    dependencies order the tune behind its calibration runs.
-    """
-    from ..tune import TuneSpec, run_tune
-
-    if "tune" in params:
-        tune = TuneSpec.from_dict(params["tune"])
-    else:
-        kwargs = {"quick": bool(params.get("quick", True))}
-        if "budget" in params:
-            kwargs["budget"] = int(params["budget"])
-        if "seed" in params:
-            kwargs["seed"] = int(params["seed"])
-        tune = fig4_tune(**kwargs)
-    return run_tune(tune).to_dict()
-
-
 def tune_pipeline(quick=True) -> PipelineSpec:
-    """Calibrate → tune: the Fig 4 baseline run, then the tuner.
+    """Calibrate → tune: the 1-node Fig 4 baseline run, then the nodes
+    of the committed :func:`fig4_tune` (its roots after ``calibrate``,
+    its report node named ``tune``), all on one shared pool."""
+    from ..tune import tune_pipeline as lower_tune
 
-    The 1-node baseline orders (and warms the duration history for)
-    the design-space exploration node that follows;
-    ``miniamr-sim pipeline tune`` runs it end-to-end.
-    """
     tsteps = 1 if quick else 3
     stages = 4 if quick else 10
     calibrate = _scaling_spec(
         "tampi_dataflow", 1, (2, 2, 2), tsteps, stages, "synthetic"
     )
+    *search, report = lower_tune(fig4_tune(quick=quick)).nodes
     return PipelineSpec(
         name="fig4-tune-flow" + ("-quick" if quick else ""),
         nodes=(
             PipelineNode("calibrate", run=calibrate),
-            PipelineNode(
-                "tune", generator="bench.tune_report",
-                params={"quick": quick},
-                after=("calibrate",),
-            ),
+            *(replace(n, after=n.after or ("calibrate",)) for n in search),
+            replace(report, name="tune"),
         ),
     )
 

@@ -14,11 +14,11 @@ so served-from-cache runs still contribute duration history ("updated
 from every completed run, including cached ones").  Entries written
 before the field existed simply read back as ``wall_time=None``.
 
-Pipeline *analysis* nodes (builders that reduce predecessor results to a
-plain JSON value instead of launching a run) store under the same layout
-with ``"kind": "analysis"`` and a ``value`` payload instead of
-``spec``/``result``; their fingerprint is derived from the builder, its
-parameters, and the predecessors' fingerprints.
+*Analysis* entries (``"kind": "analysis"``, a JSON ``value`` instead of
+``spec``/``result``) hold pipeline analysis-node values, keyed by the
+builder, its parameters and the predecessors' fingerprints, and the
+serve broker's finished pipeline and tune payloads, keyed by submit
+fingerprint.
 
 Invalidation is automatic by construction: any change to any spec field,
 to the machine description, or to the package version changes the
@@ -44,7 +44,7 @@ logger = logging.getLogger(__name__)
 class CacheEntry:
     """One decoded cache envelope: the payload plus its metadata."""
 
-    #: ``"result"`` (a run) or ``"analysis"`` (a pipeline reduce node).
+    #: ``"result"`` (a run) or ``"analysis"`` (any JSON value).
     kind: str
     #: :class:`RunResult` for runs, the stored JSON value for analyses.
     value: object
@@ -154,11 +154,11 @@ class ResultCache:
 
     def put_value(self, fingerprint: str, meta: dict, value, *,
                   wall_time=None):
-        """Atomically store one pipeline-analysis value.
+        """Atomically store one analysis value (any JSON value).
 
         ``meta`` describes how the value was produced (builder name,
-        parameters, predecessor fingerprints) — the same role the spec
-        plays in a result envelope.
+        parameters and predecessor fingerprints, or a served job's kind
+        and spec) — the same role the spec plays in a result envelope.
         """
         envelope = {
             "kind": "analysis",

@@ -28,10 +28,10 @@ the general one.  Both flow through one scheduler with one contract:
   per run) is reported through a callback.
 
 One scheduler core does the executing: :class:`EngineSession` launches,
-reaps, times out, retries, cancels and finalizes every run, for the
-serve broker's incremental submissions and for :meth:`SweepEngine.run`
-alike — ``run()`` is DAG admission on top of a session.  Timeout, retry
-and cancel therefore behave the same at every ``jobs`` count.
+reaps, times out, retries, cancels and finalizes every run, and
+:class:`GraphRun` is the one path that admits a job graph into it — for
+:meth:`SweepEngine.run` and the serve broker alike.  Timeout, retry and
+cancel therefore behave the same at every ``jobs`` count.
 
 Trace runs (``spec.trace=True``) are the one exception: the tracer
 cannot cross a process boundary or live in the JSON cache, so they
@@ -458,14 +458,49 @@ class SweepEngine:
                 pass
 
     def run(self, sweep) -> SweepReport:
-        """Execute a sweep or pipeline; outcomes come back in node order."""
+        """Execute a sweep or pipeline; outcomes come back in node order.
+
+        Drives one :class:`GraphRun` over a private session: polls it,
+        routes every finished ticket back into the graph, and — on
+        :meth:`request_shutdown` — drains in-flight runs and blocks the
+        rest.
+        """
         graph = self._as_graph(sweep)
         self._shutdown = False
+        t0 = time.monotonic()
+        session = EngineSession(self)
+        session._graph = graph.name
         previous = self._install_signal_handlers()
         try:
-            return self._run_graph(graph)
+            run = GraphRun(session, graph)
+            if self.telemetry is not None:
+                try:
+                    session._predicted = graph.simulate_makespan(
+                        run.costs, workers=self.jobs
+                    )
+                except ValueError:
+                    pass  # degenerate graph: telemetry never fails a run
+            run.start()
+            while not run.done:
+                if self._shutdown:
+                    run.drain(self.drain_timeout)
+                    break
+                finished = session.poll().finished
+                for ticket, outcome in finished:
+                    run.route(ticket, outcome)
+                if not session.active and not run.done:
+                    raise RuntimeError(
+                        f"job graph {graph.name!r}: no runnable work but "
+                        f"{run.unsettled} node(s) unfinished"
+                    )
+                if not finished:
+                    time.sleep(0.005)
         finally:
+            session.close()
             self._restore_signal_handlers(previous)
+        return SweepReport(
+            outcomes=run.outcomes(), wall_time=time.monotonic() - t0,
+        )
 
     def session(self, *, aging_rate=0.0) -> "EngineSession":
         """Open an :class:`EngineSession` for incremental job admission."""
@@ -522,227 +557,287 @@ class SweepEngine:
         default = max(known) if known else 1.0
         return [default if c is None else c for c in costs]
 
-    @staticmethod
-    def _node_fingerprint(node, dep_fingerprints) -> str:
-        """Content address of a generator node's *analysis* value.
 
-        Mixes the builder identity, its parameters, the predecessors'
-        result fingerprints, and the package version — so an analysis
-        entry is reused exactly when everything it was derived from is.
-        """
-        from .. import __version__
+# ----------------------------------------------------------------------
+# Job-graph admission: GraphRun
+# ----------------------------------------------------------------------
+class GraphRun:
+    """One job graph admitted into an :class:`EngineSession`.
 
-        blob = json.dumps(
-            {
-                "analysis": node.generator,
-                "params": node.params or {},
-                "deps": list(dep_fingerprints),
-                "version": __version__,
-            },
-            sort_keys=True, separators=(",", ":"), allow_nan=False,
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    Decides *when* a node enters the session (the moment its own
+    predecessors finish) and with which priority (critical-path-first),
+    and settles the nodes that never need a worker: cache hits, analysis
+    values, builder failures, blocked dependents and trace runs.  The
+    caller polls the session and hands each finished ticket in
+    :attr:`live` to :meth:`route`.  One ticket per node is reserved up
+    front, so on a private session a node's ticket is its index.
+
+    A generator returning a list of specs is a *fan-out*: its children
+    take later tickets and run like run nodes, and the node settles with
+    their outcomes (``cached`` if every child was a cache hit, else
+    ``ok``) — a failed child is data for the successors, not a blocker.
+    """
+
+    def __init__(self, session, graph, *, priority=0.0, tenant=None):
+        self.session, self.engine = session, session.engine
+        self.graph, self.tenant = graph, tenant
+        self.costs = self.engine.predict_costs(graph)
+        self.priority = [
+            priority + p for p in graph.critical_path_priorities(self.costs)
+        ]
+        self.first = session.reserve(len(graph))
+        self.unsettled = len(graph)
+        #: Tickets queued or running in the session for this graph.
+        self.live = set()
+        #: Canceled or draining: nothing new is admitted.
+        self.stopped = False
+        self._remaining = [len(p) for p in graph.preds]
+        self._results = {}       # node index -> payload for dependents
+        self._fingerprints = {}  # node index -> fingerprint for hashing
+        self._fans = {}          # fan-out index -> (ready_at, children)
+        self._parent = {}        # queued child ticket -> (index, position)
+
+    @property
+    def done(self) -> bool:
+        """Every node settled — or, once stopped, nothing left live."""
+        return self.unsettled == 0 or (self.stopped and not self.live)
+
+    def outcomes(self) -> list:
+        """Node outcomes in node order (``None`` while unsettled)."""
+        return [self.session.outcome(self.first + i)
+                for i in range(len(self.graph))]
+
+    def start(self):
+        """Admit every root in node order; admission cascades through
+        cached and analytic chains synchronously."""
+        for index, preds in enumerate(self.graph.preds):
+            if not preds:
+                self._admit(index)
+
+    def route(self, ticket, outcome):
+        """A ticket this graph queued reached a terminal outcome."""
+        self.live.discard(ticket)
+        if ticket in self._parent:
+            index, position = self._parent.pop(ticket)
+            self._fans[index][1][position] = outcome
+            self._settle_fan_out(index)
+        else:
+            self._finish(ticket - self.first, outcome)
+
+    def cancel(self):
+        """Admit nothing more and withdraw every live ticket (running
+        ones terminate at the next poll and still route here)."""
+        self.stopped = True
+        for ticket in list(self.live):
+            self.session.cancel(ticket)
+        self.live = {t for t in self.live if not self.session.outcome(t)}
+
+    def drain(self, timeout):
+        """Graceful shutdown of a graph that owns its session: in-flight
+        attempts get ``timeout`` seconds (their results still count),
+        survivors are failed, and every node that never launched ends
+        ``blocked`` with the reason ``"engine shutdown"``."""
+        self.stopped = True
+        session = self.session
+        deadline = time.monotonic() + max(0.0, timeout or 0.0)
+        while True:
+            for task in list(session._launchable):
+                session._withdraw(
+                    task, "blocked", "blocked: engine shutdown",
+                    blocker="<shutdown>",
+                )
+            if not session._running:
+                break
+            if time.monotonic() > deadline:
+                for task in list(session._running):
+                    session._withdraw(
+                        task, "failed", "terminated: engine shutdown "
+                        f"after {timeout}s drain",
+                    )
+                break
+            for ticket, outcome in session.poll().finished:
+                self.route(ticket, outcome)
+            time.sleep(0.01)
+        for index in range(len(self.graph)):
+            if session.outcome(self.first + index) is None:
+                self._settle(self._outcome(
+                    index, "blocked", error="blocked: engine shutdown",
+                ), blocker="<shutdown>")
 
     # ------------------------------------------------------------------
-    def _run_graph(self, graph) -> SweepReport:
-        """DAG admission over an :class:`EngineSession`.
+    def _outcome(self, index, status, **fields) -> RunOutcome:
+        node = self.graph.nodes[index]
+        return RunOutcome(
+            index=self.first + index, spec=node.spec,
+            fingerprint=self._fingerprints.get(index), label=node.label,
+            name=node.name, status=status, **fields,
+        )
 
-        The session launches, reaps, times out, retries and finalizes
-        every run; this loop only decides *when* a node enters it (the
-        moment its own predecessors finish), with which priority
-        (critical-path-first, node index breaking ties), and settles the
-        nodes that never need a worker: cache hits, analysis values,
-        builder failures, blocked dependents and trace runs.
-        """
-        t0 = time.monotonic()
-        total = len(graph)
-        costs = self.predict_costs(graph)
-        priority = graph.critical_path_priorities(costs)
-        remaining = [len(p) for p in graph.preds]
-        results = {}        # index -> result payload for dependents
-        fingerprints = {}   # index -> fingerprint for analysis hashing
-        session = EngineSession(self)
-        session._graph, session._total = graph.name, total
-        if self.telemetry is not None:
-            try:
-                session._predicted = graph.simulate_makespan(
-                    costs, workers=self.jobs
-                )
-            except ValueError:
-                pass  # degenerate graph: telemetry must never fail a run
+    def _settle(self, outcome, **fields):
+        return self.session._settle(outcome, tenant=self.tenant, **fields)
 
-        def node_outcome(index, status, spec=None, **fields):
-            node = graph.nodes[index]
-            return RunOutcome(
-                index=index, spec=spec, fingerprint=fingerprints.get(index),
-                label=node.label, name=node.name, status=status, **fields,
-            )
-
-        def finish(outcome):
-            """A node is terminal: wake its dependents or block them."""
-            index = outcome.index
-            results[index] = outcome.result
-            if not outcome.ok:
-                block_dependents(index)
-                return
-            if self._shutdown:
-                return  # nothing new is admitted while draining
-            for s in graph.succs[index]:
-                remaining[s] -= 1
-                if remaining[s] == 0 and session.outcome(s) is None:
-                    admit(s)
-
-        def block_dependents(index):
-            """Terminally block every unfinished transitive dependent."""
+    def _finish(self, index, outcome):
+        """A node is terminal: wake its dependents or block them."""
+        self.unsettled -= 1
+        self._results[index] = outcome.result
+        graph = self.graph
+        if not outcome.ok:
             blocker = graph.nodes[index].name
-            error = (
-                f"blocked: predecessor {blocker!r} "
-                f"{session.outcome(index).status}"
-            )
+            error = f"blocked: predecessor {blocker!r} {outcome.status}"
             stack = list(graph.succs[index])
             while stack:
                 s = stack.pop()
-                if session.outcome(s) is None:
-                    session._settle(
-                        node_outcome(s, "blocked", graph.nodes[s].spec,
-                                     error=error),
-                        blocker=blocker,
-                    )
+                if self.session.outcome(self.first + s) is None:
+                    self.unsettled -= 1
+                    self._settle(self._outcome(s, "blocked", error=error),
+                                 blocker=blocker)
                     stack.extend(graph.succs[s])
+        elif not (self.stopped or self.engine._shutdown):
+            for s in graph.succs[index]:
+                self._remaining[s] -= 1
+                if self._remaining[s] == 0 and (
+                    self.session.outcome(self.first + s) is None
+                ):
+                    self._admit(s)
 
-        def admit(index):
-            """A node's predecessors are all done: resolve and enqueue it.
+    def _admit(self, index):
+        """A node's predecessors are all done: resolve and enqueue it.
 
-            Cache lookups, generator builds, analysis reductions, and
-            live-only trace runs all happen here, synchronously — a
-            cached or analytic node unblocks its dependents without ever
-            occupying a worker slot.
-            """
-            node = graph.nodes[index]
-            ready_at = time.monotonic()
-            spec = node.spec
-            if node.builder is not None:
-                preds = graph.preds[index]
-                deps = [fingerprints[p] for p in preds]
-                nfp = fingerprints[index] = self._node_fingerprint(node, deps)
-                if self.cache is not None:
-                    entry = self.cache.get_entry(nfp)
-                    if entry is not None and entry.kind == "analysis":
-                        return finish(session._settle(node_outcome(
-                            index, "cached", result=entry.value,
-                        )))
-                try:
-                    spec = node.builder(
-                        dict(node.params or {}),
-                        {graph.nodes[p].name: results[p] for p in preds},
-                    )
-                except Exception:
-                    return finish(session._settle(node_outcome(
-                        index, "failed", error=traceback.format_exc(),
-                        attempts=1, wall_time=time.monotonic() - ready_at,
+        Cache lookups, generator builds, analysis reductions and trace
+        runs all happen here, synchronously — a cached or analytic node
+        unblocks its dependents without ever occupying a worker slot.
+        """
+        node = self.graph.nodes[index]
+        ready_at = time.monotonic()
+        spec, cache = node.spec, self.engine.cache
+        if node.builder is not None:
+            preds = self.graph.preds[index]
+            deps = [self._fingerprints[p] for p in preds]
+            nfp = self._fingerprints[index] = _node_fingerprint(node, deps)
+            if cache is not None:
+                entry = cache.get_entry(nfp)
+                if entry is not None and entry.kind == "analysis":
+                    return self._finish(index, self._settle(self._outcome(
+                        index, "cached", result=entry.value,
                     )))
-                if not isinstance(spec, RunSpec):
-                    # Analysis node: the value *is* the result.
-                    wall = time.monotonic() - ready_at
-                    if self.cache is not None:
-                        self.cache.put_value(
-                            nfp,
-                            {"generator": node.generator,
-                             "params": node.params or {}, "deps": deps},
-                            spec, wall_time=wall,
-                        )
-                    return finish(session._settle(node_outcome(
-                        index, "ok", result=spec, attempts=1,
-                        wall_time=wall,
-                    )))
-            fingerprints[index] = spec.fingerprint()
-            task = _Pending(
-                index, spec, fingerprints[index], node.label, node.name,
-                priority[index], ready_at, predicted=costs[index],
-            )
-            if spec.trace:
-                return finish(session._run_inline(task))
-            if self.cache is not None:
-                entry = self.cache.get_entry(task.fingerprint)
-                if entry is not None and entry.kind == "result":
-                    outcome = session._settle(node_outcome(
-                        index, "cached", spec, result=entry.value,
-                    ))
-                    if self.stats is not None:
-                        self.stats.record(
-                            spec_signature(spec), entry.wall_time,
-                            cached=True,
-                        )
-                    return finish(outcome)
-            session._enqueue(task)
-
-        def drain_and_block():
-            """Graceful shutdown: drain in-flight runs, block the rest.
-
-            In-flight attempts get up to ``drain_timeout`` seconds to
-            finish (their results still count and cache); whatever
-            survives the deadline is terminated and failed.  Every node
-            that never launched — queued, backing off, or not yet
-            admitted — terminates as ``blocked`` with the distinct
-            reason ``"engine shutdown"``.
-            """
-            deadline = time.monotonic() + max(0.0, self.drain_timeout or 0.0)
-            while True:
-                for task in list(session._launchable):
-                    session._withdraw(
-                        task, "blocked", "blocked: engine shutdown",
-                        blocker="<shutdown>",
+            try:
+                spec = node.builder(
+                    dict(node.params or {}),
+                    {self.graph.nodes[p].name: self._results[p]
+                     for p in preds},
+                )
+                fan_out = isinstance(spec, list) and all(
+                    isinstance(s, RunSpec) for s in spec
+                )
+                if not (fan_out or isinstance(spec, RunSpec)):
+                    # An analysis value must survive the JSON cache at
+                    # every cache setting, or warm and cold runs differ.
+                    json.dumps(spec)
+            except Exception:
+                return self._finish(index, self._settle(self._outcome(
+                    index, "failed", error=traceback.format_exc(),
+                    attempts=1, wall_time=time.monotonic() - ready_at,
+                )))
+            if fan_out:
+                return self._fan_out(index, spec, ready_at)
+            if not isinstance(spec, RunSpec):
+                # Analysis node: the value *is* the result.
+                wall = time.monotonic() - ready_at
+                if cache is not None:
+                    cache.put_value(
+                        nfp,
+                        {"generator": node.generator,
+                         "params": node.params or {}, "deps": deps},
+                        spec, wall_time=wall,
                     )
-                if not session._running:
-                    break
-                if time.monotonic() > deadline:
-                    for task in list(session._running):
-                        session._withdraw(
-                            task, "failed",
-                            "terminated: engine shutdown after "
-                            f"{self.drain_timeout}s drain",
-                        )
-                    break
-                for _, outcome in session.poll().finished:
-                    finish(outcome)
-                time.sleep(0.01)
-            for index in range(total):
-                if session.outcome(index) is None:
-                    session._settle(
-                        node_outcome(index, "blocked",
-                                     graph.nodes[index].spec,
-                                     error="blocked: engine shutdown"),
-                        blocker="<shutdown>",
-                    )
+                return self._finish(index, self._settle(self._outcome(
+                    index, "ok", result=spec, attempts=1, wall_time=wall,
+                )))
+        fingerprint = self._fingerprints[index] = spec.fingerprint()
+        outcome = self._run(_Pending(
+            self.first + index, spec, fingerprint, node.label, node.name,
+            self.priority[index], ready_at, tenant=self.tenant,
+            predicted=self.costs[index],
+        ))
+        if outcome is not None:
+            self._finish(index, outcome)
 
-        try:
-            # Admit every root in node order, so flat-sweep cache hits
-            # keep their historical event ordering; admission cascades
-            # through cached/analytic chains synchronously.
-            for index in range(total):
-                if not graph.preds[index]:
-                    admit(index)
-            while len(session._outcomes) < total:
-                if self._shutdown:
-                    drain_and_block()
-                    break
-                finished = session.poll().finished
-                for _, outcome in finished:
-                    finish(outcome)
-                if not session.active and len(session._outcomes) < total:
-                    raise RuntimeError(
-                        f"job graph {graph.name!r}: no runnable work but "
-                        f"{total - len(session._outcomes)} node(s) "
-                        "unfinished"
-                    )
-                if not finished:
-                    time.sleep(0.005)
-        finally:
-            session.close()
-        return SweepReport(
-            outcomes=[session.outcome(i) for i in range(total)],
-            wall_time=time.monotonic() - t0,
-        )
+    def _run(self, task):
+        """Serve a run from the cache, run it inline (trace), or queue it;
+        the outcome when settled now, else ``None`` (it routes later)."""
+        if task.spec.trace:
+            return self.session._run_inline(task)
+        cache, stats = self.engine.cache, self.engine.stats
+        if cache is not None:
+            entry = cache.get_entry(task.fingerprint)
+            if entry is not None and entry.kind == "result":
+                outcome = self._settle(self.session._outcome(
+                    task, "cached", result=entry.value,
+                ))
+                if stats is not None:
+                    stats.record(spec_signature(task.spec),
+                                 entry.wall_time, cached=True)
+                return outcome
+        self.live.add(task.index)
+        self.session._enqueue(task)
+        return None
+
+    def _fan_out(self, index, specs, ready_at):
+        """Admit a fan-out node's children under tickets of their own."""
+        node = self.graph.nodes[index]
+        first = self.session.reserve(len(specs))
+        children = [None] * len(specs)
+        self._fans[index] = (ready_at, children)
+        for k, spec in enumerate(specs):
+            children[k] = self._run(_Pending(
+                first + k, spec, spec.fingerprint(), f"{node.label}[{k}]",
+                f"{node.name}[{k}]", self.priority[index], ready_at,
+                tenant=self.tenant,
+            ))
+            if children[k] is None:
+                self._parent[first + k] = (index, k)
+        self._settle_fan_out(index)
+
+    def _settle_fan_out(self, index):
+        """Once every child is terminal, settle the node with their
+        outcomes.  Its fingerprint hashes the children's fingerprints and
+        whether each succeeded, so a dependent analysis is reused exactly
+        when the same runs succeeded."""
+        ready_at, children = self._fans[index]
+        if None in children:
+            return
+        del self._fans[index]
+        blob = json.dumps([[c.fingerprint, c.ok] for c in children])
+        self._fingerprints[index] = hashlib.sha256(
+            blob.encode("utf-8")
+        ).hexdigest()
+        cached = children and all(c.status == "cached" for c in children)
+        self._finish(index, self._settle(self._outcome(
+            index, "cached" if cached else "ok", result=children,
+            attempts=sum(c.attempts for c in children),
+            wall_time=time.monotonic() - ready_at,
+        )))
+
+
+def _node_fingerprint(node, dep_fingerprints) -> str:
+    """Content address of a generator node's *analysis* value.
+
+    Mixes the builder identity, its parameters, the predecessors'
+    result fingerprints, and the package version — so an analysis
+    entry is reused exactly when everything it was derived from is.
+    """
+    from .. import __version__
+
+    blob = json.dumps(
+        {
+            "analysis": node.generator,
+            "params": node.params or {},
+            "deps": list(dep_fingerprints),
+            "version": __version__,
+        },
+        sort_keys=True, separators=(",", ":"), allow_nan=False,
+    )
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -764,9 +859,10 @@ class EngineSession:
     Callers :meth:`submit` independent specs at any time, :meth:`poll`
     advances launching and reaping without ever blocking on a run,
     :meth:`cancel` withdraws queued work (and terminates running work),
-    and :meth:`drain`/:meth:`close` wind the session down.  The serving
-    layer (:mod:`repro.serve`) runs its broker on one of these, and
-    :meth:`SweepEngine.run` admits a job graph's nodes into one.
+    and :meth:`close` winds the session down.  The serving
+    layer (:mod:`repro.serve`) runs its broker on one of these, and a
+    :class:`GraphRun` admits a job graph's nodes into one (under
+    tickets it :meth:`reserve`\\ s).
 
     This is the engine's only code that launches, reaps, times out,
     retries, cancels and finalizes a run.  Every run executes in a
@@ -831,14 +927,21 @@ class EngineSession:
         with self._lock:
             if self._closed:
                 raise RuntimeError("session is closed")
-            ticket = self._next_ticket
-            self._next_ticket += 1
+            ticket = self.reserve(1)
             name = name or f"job-{ticket}"
             self._enqueue(_Pending(
                 ticket, spec, fingerprint, name, name, priority,
                 time.monotonic(), tenant=tenant,
             ))
             return ticket
+
+    def reserve(self, count) -> int:
+        """Reserve ``count`` consecutive tickets; returns the first."""
+        with self._lock:
+            first = self._next_ticket
+            self._next_ticket += count
+            self._total = max(self._total, self._next_ticket)
+            return first
 
     def outcome(self, ticket):
         """The terminal :class:`RunOutcome`, or ``None`` while live."""
@@ -914,22 +1017,6 @@ class EngineSession:
                     step.finished.append((task.index, outcome))
         return step
 
-    def drain(self, timeout=None) -> bool:
-        """Poll until every submitted job is terminal (or ``timeout``).
-
-        Returns ``True`` when fully drained.  Jobs still alive at the
-        deadline are left running — call :meth:`close` to terminate.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while self.active:
-            self.poll()
-            if not self.active:
-                break
-            if deadline is not None and time.monotonic() > deadline:
-                return False
-            time.sleep(0.01)
-        return True
-
     def close(self):
         """Terminate everything still live; the session ends canceled.
 
@@ -972,19 +1059,12 @@ class EngineSession:
             if self.engine.stats is not None:
                 self.engine.stats.flush()
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-
     # ------------------------------------------------------------------
     def _enqueue(self, task):
         """Queue a task for a worker slot (``submit`` and graph admission)."""
         task.slots = max(1, min(task.spec.pdes_workers or 1,
                                 self.engine.jobs))
         self._tickets[task.index] = task
-        self._total = max(self._total, task.index + 1)
         self._launchable.append(task)
         self._record(
             "job_queued", node=task.name, run=task.fingerprint,

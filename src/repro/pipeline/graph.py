@@ -37,8 +37,8 @@ class JobNode:
     label: str
     #: Concrete spec, or ``None`` until the builder runs.
     spec: object = None
-    #: Lazy builder ``(deps: dict) -> RunSpec | JSON value`` (generator
-    #: nodes only).
+    #: Lazy builder ``(params, deps) -> RunSpec | [RunSpec] | JSON value``
+    #: (generator nodes only).
     builder: object = None
     #: Registry name of the builder (serializable identity for analysis
     #: fingerprints).

@@ -5,7 +5,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core import RunResult
+from ..exec.engine import RunOutcome, SweepEngine
 from .spec import PipelineSpec
+
+
+def _payload(result):
+    """A node result as timing-free JSON."""
+    if isinstance(result, RunResult):
+        return result.to_dict()
+    if isinstance(result, list) and all(
+        isinstance(c, RunOutcome) for c in result
+    ):
+        return [_payload(c.result) if c.ok else None for c in result]
+    return result
 
 
 @dataclass
@@ -38,25 +50,18 @@ class PipelineReport:
     def raise_failures(self):
         self.sweep.raise_failures()
 
-    def summary(self) -> str:
-        return f"pipeline '{self.pipeline.name}': {self.sweep.summary()}"
-
     # ------------------------------------------------------------------
     def results_dict(self) -> dict:
         """Node name → serialized result, **timing-free**.
 
         Deterministic for deterministic runs: two executions of the same
         pipeline (cached or not) produce byte-identical JSON here, which
-        is exactly what the CI cache-integrity check diffs.  Timing and
-        status live in :meth:`to_dict` instead.
+        is exactly what the CI cache-integrity check diffs.  A fan-out
+        node serializes as its children's results in order (``None``
+        for a child that failed).  Timing and status live in
+        :meth:`to_dict` instead.
         """
-        out = {}
-        for o in self.sweep.outcomes:
-            if isinstance(o.result, RunResult):
-                out[o.name] = o.result.to_dict()
-            else:
-                out[o.name] = o.result
-        return out
+        return {o.name: _payload(o.result) for o in self.sweep.outcomes}
 
     def to_dict(self) -> dict:
         nodes = []
@@ -91,11 +96,6 @@ def run_pipeline(pipeline: PipelineSpec, engine=None,
     node failed (blocked nodes are reported, not raised — see
     ``SweepReport.raise_failures``).
     """
-    # Imported here, not at module top: repro.exec must stay importable
-    # without repro.pipeline being fully initialized (the engine lowers
-    # PipelineSpecs lazily for the same reason).
-    from ..exec.engine import SweepEngine
-
     engine = engine or SweepEngine()
     report = PipelineReport(pipeline=pipeline, sweep=engine.run(pipeline))
     if strict:

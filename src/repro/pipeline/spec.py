@@ -14,15 +14,20 @@ registry *name* plus JSON parameters, never a callable.  A builder is::
     @register_generator("bench.fig4_point")
     def fig4_point(params: dict, deps: dict):
         ...
-        return RunSpec(...)      # a run node, or
-        return {"speedup": ...}  # a plain JSON value -> analysis node
+        return RunSpec(...)         # a run node, or
+        return [RunSpec(...), ...]  # a fan-out node, or
+        return {"speedup": ...}     # a plain JSON value -> analysis node
 
 ``deps`` maps predecessor node name → that node's result
-(:class:`~repro.core.RunResult` for run nodes, the stored value for
-analysis nodes).  Returning a non-``RunSpec`` JSON value makes the node
-an *analysis* node: it completes immediately with that value as its
-result and is cached under a fingerprint derived from the builder name,
-its parameters, and the predecessors' fingerprints.
+(:class:`~repro.core.RunResult` for run nodes, the children's
+:class:`~repro.exec.RunOutcome` list for fan-out nodes, the stored value
+for analysis nodes).  A *fan-out*'s children are cached and scheduled
+like run nodes; the node completes with their outcomes once all are
+terminal, so a failed child is data for successors, never a blocker.
+An *analysis* node completes immediately with its value, which must
+serialize to JSON (else the node fails), and is cached under a
+fingerprint of the builder name, its parameters, and the predecessors'
+fingerprints.
 """
 
 from __future__ import annotations
@@ -189,17 +194,6 @@ class PipelineSpec:
 
     def __iter__(self):
         return iter(self.nodes)
-
-    def node(self, name: str) -> PipelineNode:
-        for n in self.nodes:
-            if n.name == name:
-                return n
-        raise KeyError(name)
-
-    @property
-    def edges(self) -> list:
-        """All (predecessor, successor) name pairs."""
-        return [(dep, n.name) for n in self.nodes for dep in n.after]
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:

@@ -20,15 +20,15 @@ The broker sits between the HTTP handlers and a resident
   priority; the session grows effective priority linearly with queue
   age, so no queued execution starves indefinitely.
 
-Run jobs flow through the shared session (subprocess pool, cancelable);
-pipeline and tune jobs execute on a dedicated single-worker engine
-thread with the session engine's timeout, retry and runner settings —
-they are DAGs/sweeps of runs whose inner nodes already cache and
-parallelize, so serving them serially keeps the broker simple without
-losing work.  Both lanes start and finish an execution through the same
-:meth:`Broker._start`/:meth:`Broker._complete`, and admission treats
-every kind alike: tune and pipeline jobs draw quota tokens, count
-against ``queue_cap``, and coalesce by fingerprint.
+Every kind runs on the one session, driven by the one scheduler
+thread: a run job is one submitted spec, and a pipeline or tune job is
+one job graph (a tune lowered by :func:`~repro.tune.tune_pipeline`)
+admitted through a :class:`~repro.exec.engine.GraphRun`, so its nodes
+share the worker pool, the timeout/retry settings, ``busy_slots``, and
+cancel with every other job.  Each execution starts and finishes
+through the same :meth:`Broker._start`/:meth:`Broker._complete`, and
+admission treats every kind alike: tune and pipeline jobs draw quota
+tokens, count against ``queue_cap``, and coalesce by fingerprint.
 
 The :class:`~repro.exec.cache.ResultCache` is the broker's only result
 store: the session writes run results, and ``_complete`` writes a
@@ -50,8 +50,10 @@ import time
 import uuid
 from collections import deque
 
-from ..exec.engine import SweepEngine
-from ..pipeline import run_pipeline
+from ..exec.engine import GraphRun, SweepReport
+from ..pipeline import JobGraph, PipelineReport
+from ..tune import tune_pipeline
+from ..tune.engine import finish_tune
 from .protocol import (
     ProtocolError,
     decode_spec,
@@ -99,7 +101,8 @@ class _Execution:
     """One unique fingerprint's run: the unit coalescing attaches to."""
 
     __slots__ = ("fingerprint", "kind", "payload", "primary", "job_ids",
-                 "ticket", "state", "priority", "canceled", "tenant")
+                 "ticket", "graph", "state", "priority", "canceled",
+                 "tenant")
 
     def __init__(self, fingerprint, kind, payload, primary, priority,
                  tenant):
@@ -108,37 +111,12 @@ class _Execution:
         self.payload = payload            # RunSpec | PipelineSpec | TuneSpec
         self.primary = primary            # primary job id (names the run)
         self.job_ids = [primary]
-        self.ticket = None                # session ticket once submitted
+        self.ticket = None                # run: session ticket
+        self.graph = None                 # pipeline/tune: its GraphRun
         self.state = "queued"
         self.priority = priority
         self.canceled = False
         self.tenant = tenant
-
-
-class _PipelineEngine(SweepEngine):
-    """The pipeline/tune lane's engine: a shutdown request sticks.
-
-    ``SweepEngine.run`` clears a pending request on entry so a drained
-    engine can run again, but a tune runs one sweep per round, so a
-    request landing between two rounds would be lost.  Once the broker
-    stops this engine, every later ``run`` starts already shut down.
-    """
-
-    stopped = False
-
-    @property
-    def _shutdown(self):
-        return self.stopped or self._requested
-
-    @_shutdown.setter
-    def _shutdown(self, value):
-        self._requested = value
-
-    def request_shutdown(self):
-        # The broker calls this once its own drain deadline has passed:
-        # terminate in-flight runs at once instead of draining again.
-        self.drain_timeout = 0.0
-        self.stopped = True
 
 
 class Broker:
@@ -167,8 +145,7 @@ class Broker:
         self._buckets = {}               # tenant -> TokenBucket
         self._inflight = {}              # fingerprint -> _Execution
         self._by_ticket = {}             # session ticket -> _Execution
-        self._pending = deque()          # run executions awaiting session
-        self._pipeline_q = queue.Queue()
+        self._pending = deque()          # executions awaiting admission
         self._subscribers = []
         self._tenant_counts = {}         # tenant -> {counter: n}
         self._wait_hist = {}             # "2^k ms" bucket -> count
@@ -180,44 +157,32 @@ class Broker:
         self._stop = threading.Event()
         self._started_wall = time.time()
         self._threads = []
-        # Pipelines and tunes run on their own single-worker engine
-        # (shared cache, shared telemetry stream, no stats store to
-        # avoid cross-thread writes).
-        self._pipeline_engine = _PipelineEngine(
-            jobs=1, cache=self.cache, timeout=engine.timeout,
-            retries=engine.retries, backoff=engine.backoff,
-            runner=engine.runner, telemetry=engine.telemetry,
-            drain_timeout=engine.drain_timeout,
-        )
         self._recover()
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self):
-        """Spawn the scheduler and pipeline threads (idempotent)."""
+        """Spawn the scheduler thread (idempotent)."""
         if self._threads:
             return
-        for name, target in (
-            ("serve-scheduler", self._scheduler_loop),
-            ("serve-pipelines", self._pipeline_loop),
-        ):
-            thread = threading.Thread(
-                target=target, name=name, daemon=True,
-            )
-            thread.start()
-            self._threads.append(thread)
+        thread = threading.Thread(
+            target=self._scheduler_loop, name="serve-scheduler",
+            daemon=True,
+        )
+        thread.start()
+        self._threads.append(thread)
 
     def shutdown(self, *, drain_timeout=None, reason="shutdown"):
         """Stop accepting, drain in-flight work, journal the rest.
 
         Executions that finish within ``drain_timeout`` (default: the
-        engine's ``drain_timeout``) complete normally.  Then the
-        pipeline/tune engine is stopped, which terminates its in-flight
-        runs.  Whatever is still queued or running afterwards is
-        journaled back as ``queued`` — a restarted server picks those
-        jobs up and finishes them, which is the recovery contract the
-        journal exists for.  Idempotent.
+        engine's ``drain_timeout``) complete normally.  Then the session
+        is closed, which terminates every in-flight run.  Whatever is
+        still queued or running afterwards is journaled back as
+        ``queued`` — a restarted server picks those jobs up and finishes
+        them, which is the recovery contract the journal exists for.
+        Idempotent.
         """
         with self._lock:
             if self._closing:
@@ -231,7 +196,6 @@ class Broker:
                 if not self._inflight:
                     break
             time.sleep(self.poll_interval)
-        self._pipeline_engine.request_shutdown()
         self._stop.set()
         for thread in self._threads:
             thread.join(timeout=5.0)
@@ -331,17 +295,17 @@ class Broker:
                     f"({self.quota_rate}/s, burst {self.quota_burst})",
                     retry_after=math.ceil(retry_after),
                 )
-            job_id = f"j{uuid.uuid4().hex[:12]}"
+            job = JobRecord(
+                id=f"j{uuid.uuid4().hex[:12]}", tenant=tenant, kind=kind,
+                fingerprint=fingerprint, spec=payload.to_dict(),
+                priority=priority,
+            )
             self._count(tenant, "submitted")
 
             # Fast path 1: the content-addressed cache already holds it.
             if self._lookup_result(fingerprint) is not None:
-                job = JobRecord(
-                    id=job_id, tenant=tenant, kind=kind,
-                    fingerprint=fingerprint, spec=payload.to_dict(),
-                    state="done", cached=True, priority=priority,
-                    finished_at=time.time(),
-                )
+                job.state, job.cached = "done", True
+                job.finished_at = time.time()
                 self.store.record(job)
                 self._cache_fast_hits += 1
                 self._count(tenant, "done")
@@ -351,16 +315,11 @@ class Broker:
             # Fast path 2: coalesce onto an identical in-flight run.
             execution = self._inflight.get(fingerprint)
             if execution is not None and not execution.canceled:
-                job = JobRecord(
-                    id=job_id, tenant=tenant, kind=kind,
-                    fingerprint=fingerprint, spec=payload.to_dict(),
-                    state=execution.state,
-                    coalesced_with=execution.primary,
-                    priority=priority,
-                )
+                job.state = execution.state
+                job.coalesced_with = execution.primary
                 if execution.state == "running":
                     job.started_at = time.time()
-                execution.job_ids.append(job_id)
+                execution.job_ids.append(job.id)
                 self.store.record(job)
                 self._coalesced_attaches += 1
                 self._emit_submit(job, "coalesced")
@@ -382,13 +341,8 @@ class Broker:
                                      * self.poll_interval * 10)
                     ),
                 )
-            job = JobRecord(
-                id=job_id, tenant=tenant, kind=kind,
-                fingerprint=fingerprint, spec=payload.to_dict(),
-                priority=priority,
-            )
             execution = _Execution(
-                fingerprint, kind, payload, job_id, priority, tenant,
+                fingerprint, kind, payload, job.id, priority, tenant,
             )
             self.store.record(job)
             self._enqueue(execution)
@@ -453,7 +407,9 @@ class Broker:
                 if not execution.job_ids:
                     # Nobody is waiting on this fingerprint any more.
                     execution.canceled = True
-                    if execution.ticket is not None:
+                    if execution.graph is not None:
+                        execution.graph.cancel()
+                    elif execution.ticket is not None:
                         self.session.cancel(execution.ticket)
                     elif execution in self._pending:
                         self._pending.remove(execution)
@@ -585,12 +541,9 @@ class Broker:
         return entry.value
 
     def _enqueue(self, execution):
-        """Hand a new execution to its lane: the session or pipelines."""
+        """Queue a new execution for admission into the session."""
         self._inflight[execution.fingerprint] = execution
-        if execution.kind == "run":
-            self._pending.append(execution)
-        else:
-            self._pipeline_q.put(execution)
+        self._pending.append(execution)
 
     def _emit_submit(self, job, mode):
         if self.telemetry is not None:
@@ -618,30 +571,64 @@ class Broker:
     def _scheduler_step(self):
         with self._lock:
             while self._pending:
-                execution = self._pending.popleft()
-                if execution.canceled:
-                    self._inflight.pop(execution.fingerprint, None)
-                    continue
-                execution.ticket = self.session.submit(
-                    execution.payload, name=execution.primary,
-                    priority=execution.priority,
-                    tenant=execution.tenant,
-                )
-                self._by_ticket[execution.ticket] = execution
+                self._admit(self._pending.popleft())
         step = self.session.poll()
         with self._lock:
             for ticket in step.started:
-                execution = self._by_ticket.get(ticket)
-                if execution is not None:
+                execution = self._owner(ticket)
+                if execution is not None and execution.state != "running":
                     self._start(execution)
             for ticket, outcome in step.finished:
-                execution = self._by_ticket.pop(ticket, None)
-                if execution is not None:
-                    self._complete(
-                        execution,
-                        _JOB_STATES.get(outcome.status, "failed"),
-                        error=outcome.error, attempts=outcome.attempts,
-                    )
+                execution = self._owner(ticket)
+                if execution is None:
+                    continue
+                if execution.graph is not None:
+                    execution.graph.route(ticket, outcome)
+                    continue
+                del self._by_ticket[ticket]
+                self._complete(
+                    execution, _JOB_STATES.get(outcome.status, "failed"),
+                    error=outcome.error, attempts=outcome.attempts,
+                )
+            for execution in list(self._inflight.values()):
+                if execution.graph is not None and execution.graph.done:
+                    self._finish_graph(execution)
+
+    def _admit(self, execution):
+        """Enter one execution into the session: a run as one ticket, a
+        pipeline or tune as a :class:`GraphRun`."""
+        if execution.kind == "run":
+            execution.ticket = self.session.submit(
+                execution.payload, name=execution.primary,
+                priority=execution.priority, tenant=execution.tenant,
+            )
+            self._by_ticket[execution.ticket] = execution
+            return
+        try:
+            pipeline = execution.payload
+            if execution.kind == "tune":
+                pipeline = tune_pipeline(pipeline)
+            execution.graph = GraphRun(
+                self.session, JobGraph.from_pipeline(pipeline),
+                priority=execution.priority, tenant=execution.tenant,
+            )
+            execution.graph.start()
+        except Exception as exc:   # a declaration the engine rejects
+            if execution.graph is not None:
+                execution.graph.cancel()
+            self._start(execution)
+            self._complete(execution, "failed", error=str(exc))
+
+    def _owner(self, ticket):
+        """The execution a session ticket belongs to (``None`` if gone)."""
+        execution = self._by_ticket.get(ticket)
+        if execution is not None:
+            return execution
+        return next(
+            (e for e in self._inflight.values()
+             if e.graph is not None and ticket in e.graph.live),
+            None,
+        )
 
     def _live_jobs(self, execution):
         """The attached jobs of an execution that are not yet terminal."""
@@ -679,7 +666,8 @@ class Broker:
                 payload,
             )
         self._executions_completed += 1
-        self._inflight.pop(execution.fingerprint, None)
+        if self._inflight.get(execution.fingerprint) is execution:
+            del self._inflight[execution.fingerprint]
         for job in self._live_jobs(execution):
             job.state = state
             job.finished_at = time.time()
@@ -695,66 +683,42 @@ class Broker:
                 )
             self._publish({"event": state, "job": job.view()})
 
-    # ------------------------------------------------------------------
-    # Pipeline thread
-    # ------------------------------------------------------------------
-    def _pipeline_loop(self):
-        while not self._stop.is_set():
+    def _finish_graph(self, execution):
+        """A pipeline or tune graph is done: complete its execution.
+
+        A tune's candidate failures are part of its report, not a job
+        failure; a pipeline fails listing ``"<node> <status>: <last
+        error line>"`` for every node that did not complete.
+        """
+        if execution.canceled:
+            self._complete(execution, "canceled")
+            return
+        if execution.state != "running":
+            self._start(execution)   # settled without launching a run
+        outcomes = execution.graph.outcomes()
+        state, payload, error = "done", None, None
+        if execution.kind == "tune":
             try:
-                execution = self._pipeline_q.get(timeout=0.1)
-            except queue.Empty:
-                continue
-            with self._lock:
-                if execution.canceled:
-                    self._inflight.pop(execution.fingerprint, None)
-                    continue
-                self._start(execution)
-            state, payload, error = self._execute(execution)
-            if self._pipeline_engine.stopped:
-                # Shutdown cut the execution short: it stays in
-                # _inflight, so it is journaled queued and a restarted
-                # broker finishes it.
-                return
-            with self._lock:
-                self._complete(
-                    execution, state, payload=payload, error=error,
+                payload = finish_tune(
+                    execution.payload, outcomes, self.telemetry,
                 )
-
-    def _execute(self, execution):
-        """Run one pipeline or tune: ``(state, payload, error)``."""
-        try:
-            if execution.kind == "tune":
-                # Candidate failures are part of the tune report, not a
-                # job failure; only a broken declaration or engine (the
-                # except below) fails the job.
-                from ..tune import run_tune
-
-                report = run_tune(
-                    execution.payload, engine=self._pipeline_engine,
-                )
-                return "done", report.to_dict(), None
-            report = run_pipeline(
-                execution.payload, engine=self._pipeline_engine,
+            except RuntimeError as exc:
+                state, error = "failed", str(exc)
+        else:
+            report = PipelineReport(
+                pipeline=execution.payload, sweep=SweepReport(outcomes),
             )
-        except Exception as exc:   # engine invariants violated
-            return "failed", None, str(exc)
-        if report.ok:
-            return "done", _pipeline_result(report), None
-        error = "; ".join(
-            f"{o.name} {o.status}"
-            + (": " + str(o.error).strip().splitlines()[-1]
-               if o.error else "")
-            for o in report.sweep.outcomes if not o.ok
-        )
-        return "failed", None, error or "pipeline failed"
-
-
-def _pipeline_result(report) -> dict:
-    """API result payload of a pipeline job: statuses + node results."""
-    return {
-        "pipeline": report.pipeline.name,
-        "nodes": {
-            o.name: o.status for o in report.sweep.outcomes
-        },
-        "results": report.results_dict(),
-    }
+            if report.ok:
+                payload = {
+                    "pipeline": report.pipeline.name,
+                    "nodes": {o.name: o.status for o in outcomes},
+                    "results": report.results_dict(),
+                }
+            else:
+                state, error = "failed", "; ".join(
+                    f"{o.name} {o.status}"
+                    + (": " + str(o.error).strip().splitlines()[-1]
+                       if o.error else "")
+                    for o in outcomes if not o.ok
+                )
+        self._complete(execution, state, payload=payload, error=error)

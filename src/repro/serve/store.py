@@ -40,9 +40,9 @@ class JobRecord:
 
     id: str
     tenant: str
-    kind: str                       # "run" | "pipeline"
+    kind: str                       # "run" | "pipeline" | "tune"
     fingerprint: str
-    #: Serialized RunSpec/PipelineSpec dict (replayable after restart).
+    #: Serialized RunSpec/PipelineSpec/TuneSpec dict (replayable).
     spec: dict
     state: str = "queued"
     #: Wall-clock epoch seconds (human-facing; never fingerprinted).
@@ -168,13 +168,6 @@ class JobStore:
         with self._lock:
             return list(self.jobs.values())
 
-    def by_fingerprint(self, fingerprint: str) -> list:
-        with self._lock:
-            return [
-                job for job in self.jobs.values()
-                if job.fingerprint == fingerprint
-            ]
-
     def __len__(self):
         with self._lock:
             return len(self.jobs)
@@ -208,9 +201,3 @@ class JobStore:
             if self._fd is not None:
                 os.close(self._fd)
                 self._fd = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()

@@ -6,13 +6,13 @@ budget), hand it to :func:`run_tune`, and get back a ranked
 :class:`TuneReport` whose JSON is byte-identical across worker counts
 and cache states.  Strategies (grid, seeded random, successive
 halving) live in :mod:`repro.tune.strategies` as pure, engine-free
-objects; the loop in :mod:`repro.tune.engine` batches candidates
-through the shared :class:`~repro.exec.SweepEngine`, prunes dominated
-regions from the profiler's idle-gap attribution, and optionally
-re-scores finalists under injected noise for robustness-aware ranking.
+objects; :func:`tune_pipeline` lowers a tune to one job graph (rounds
+of candidates, pruned by the profiler's idle-gap attribution, and an
+optional noisy re-score of the finalists) that :func:`run_tune` runs on
+the shared :class:`~repro.exec.SweepEngine`.
 
 CLI: ``miniamr-sim tune``.  Serve: submit kind ``tune``.  Pipeline:
-the ``bench.tune_report`` generator runs a tune as a DAG node.
+append :func:`tune_pipeline`'s nodes (``miniamr-sim pipeline tune``).
 """
 
 from .engine import (
@@ -20,6 +20,7 @@ from .engine import (
     dependency_bound_fraction,
     materialize,
     run_tune,
+    tune_pipeline,
     with_tier,
 )
 from .report import TuneReport
@@ -49,5 +50,6 @@ __all__ = [
     "make_strategy",
     "materialize",
     "run_tune",
+    "tune_pipeline",
     "with_tier",
 ]

@@ -1,14 +1,16 @@
-"""The tune engine: drive a :class:`TuneSpec` through the sweep engine.
+"""The tune engine: a :class:`TuneSpec` as one job graph.
 
-:func:`run_tune` is the only entry point.  It enumerates the feasible
-candidates, lets the strategy pick what to evaluate (and at which
-fidelity tier), submits each round as one batched
-:class:`~repro.exec.Sweep` — so candidates share the engine's worker
-pool, result cache, and duration-history store — and folds the scored
-outcomes into a ranked, deterministic
-:class:`~repro.tune.TuneReport`.
-
-Three refinements ride on the basic evaluate-and-rank loop:
+:func:`tune_pipeline` lowers a tune to generator nodes — ``baseline``
+(a one-spec fan-out), ``round0`` … ``round{R-1}`` (one fan-out per
+pruning level or halving rung, ``R`` fixed by the spec, each after every
+earlier round), an optional ``robustness`` fan-out and the ``report``
+analysis node — and :func:`run_tune` runs it in one
+:meth:`~repro.exec.SweepEngine.run` call, so candidates share the
+engine's worker pool, result cache, and duration history.  Each
+generator is a pure function of the tune dict in its params and its
+predecessors' outcomes: one fold (:class:`_Search`) replays the strategy
+from the earlier rounds.  Three refinements ride on the basic
+evaluate-and-rank loop:
 
 * **Attribution pruning** (grid/random): a candidate family whose
   lower-``ranks_per_node`` member is already *dependency-bound* — most
@@ -23,10 +25,10 @@ Three refinements ride on the basic evaluate-and-rank loop:
   by the noisy score, so a config that wins by a hair on a quiet
   machine cannot outrank one that degrades gracefully.
 
-Determinism: rounds are submitted in canonical order, scores come from
-the bit-deterministic simulator, and every tie breaks on the
-candidate's canonical key — the report is byte-identical across worker
-counts and cache states (enforced by CI's double-run diff).
+Determinism: batches replay in canonical order, scores come from the
+bit-deterministic simulator, and every tie breaks on the candidate's
+canonical key — the report is byte-identical across worker counts and
+cache states (enforced by CI's double-run diff).
 """
 
 from __future__ import annotations
@@ -34,10 +36,13 @@ from __future__ import annotations
 from dataclasses import replace
 
 from ..core.spec import RunSpec
-from ..exec import Sweep, SweepEngine
+from ..exec import SweepEngine
+from ..pipeline.spec import PipelineNode, PipelineSpec, register_generator
 from .report import TuneReport
 from .spec import OBJECTIVES, TuneSpec
-from .strategies import canonical_key, enumerate_space, make_strategy
+from .strategies import (
+    canonical_key, enumerate_space, make_strategy, sort_scored,
+)
 
 #: A candidate counts as dependency-bound when at least this share of
 #: its idle time is attributed to ``dependency`` + ``no_ready_work``
@@ -165,171 +170,128 @@ def _family_key(assignment) -> str:
 
 
 # ----------------------------------------------------------------------
-# The tune loop
+# The search: one pure fold over the finished rounds
 # ----------------------------------------------------------------------
 class _Evaluation:
-    """One (assignment, tier) evaluation's outcome."""
+    """One (assignment, tier) evaluation: its spec, score and result."""
 
     __slots__ = ("assignment", "tier", "spec", "score", "result", "error")
 
-    def __init__(self, assignment, tier, spec, score, result, error):
-        self.assignment = assignment
-        self.tier = tier
-        self.spec = spec
-        self.score = score
-        self.result = result
-        self.error = error
+    def __init__(self, tune, assignment, tier, outcome):
+        self.assignment, self.tier, self.spec = assignment, tier, outcome.spec
+        self.result = outcome.result if outcome.ok else None
+        self.score = _score(tune, self.result) if outcome.ok else None
+        self.error = None if outcome.ok else outcome.error or outcome.status
 
 
-def run_tune(tune: TuneSpec, engine: SweepEngine = None) -> TuneReport:
-    """Explore ``tune``'s space and return the ranked report.
+def _best_first(tune, evaluations, score=lambda ev: ev.score):
+    """Best objective first, unscored last, canonical key breaking ties."""
+    ranked = sort_scored(
+        [(ev.assignment, score(ev), ev) for ev in evaluations],
+        tune.minimize,
+    )
+    return [ev for _, _, ev in ranked]
 
-    ``engine=None`` uses a fresh serial, uncached engine; passing a
-    shared engine reuses its cache (warm tunes re-evaluate nothing),
-    duration history, worker pool, and telemetry bus.  The budget
-    bounds *search* evaluations; the baseline run and the finalists'
-    robustness re-scores ride on top of it.
+
+class _Search:
+    """A tune's search replayed from the outcomes of its finished rounds.
+
+    The one fold every generator of the tune graph shares: round ``r``
+    replays rounds ``0..r-1`` to learn its batch (pruning evidence,
+    halving promotions), the robustness pass and the report replay them
+    all.  A pure function of the tune and the rounds' outcomes.
     """
-    engine = engine or SweepEngine(jobs=1)
-    telemetry = getattr(engine, "telemetry", None)
-    minimize = tune.minimize
 
-    candidates, infeasible = [], []
-    for assignment in enumerate_space(tune.space):
-        try:
-            materialize(tune, assignment)
-        except (ValueError, TypeError) as exc:
-            infeasible.append(
-                {"assignment": assignment, "error": str(exc)}
-            )
-        else:
-            candidates.append(assignment)
-    strategy = make_strategy(tune, candidates)
-    if telemetry is not None:
-        telemetry.emit(
-            "tune_start", tune=tune.name, strategy=tune.strategy,
-            objective=tune.objective, budget=tune.budget,
-            space=tune.space_size(), feasible=len(candidates),
-        )
-
-    evaluations = 0
-    failed = []
-    round_no = 0
-
-    def evaluate(batch, tier):
-        """One batched sweep; per-assignment :class:`_Evaluation`s."""
-        nonlocal evaluations, round_no
-        if not batch:
-            return []
-        specs = [
-            replace(with_tier(materialize(tune, a), tier), profile=True)
-            for a in batch
-        ]
-        labels = [
-            f"{tune.name}:{canonical_key(a)}@t{tier:g}" for a in batch
-        ]
-        report = engine.run(
-            Sweep(specs, name=f"{tune.name}:round{round_no}",
-                  labels=labels)
-        )
-        out = []
-        for assignment, spec, outcome in zip(
-            batch, specs, report.outcomes
-        ):
-            if outcome.ok:
-                out.append(_Evaluation(
-                    assignment, tier, spec,
-                    _score(tune, outcome.result), outcome.result, None,
-                ))
+    def __init__(self, tune: TuneSpec, rounds=()):
+        self.tune = tune
+        candidates, self.infeasible = [], []
+        for assignment in enumerate_space(tune.space):
+            try:
+                materialize(tune, assignment)
+            except (ValueError, TypeError) as exc:
+                self.infeasible.append(
+                    {"assignment": assignment, "error": str(exc)}
+                )
             else:
-                out.append(_Evaluation(
-                    assignment, tier, spec, None, None,
-                    outcome.error or outcome.status,
-                ))
-        evaluations += len(batch)
-        if telemetry is not None:
-            telemetry.emit(
-                "tune_round", tune=tune.name, round=round_no,
-                tier=tier, evaluated=len(batch),
-            )
-        round_no += 1
-        return out
+                candidates.append(assignment)
+        self.feasible = len(candidates)
+        strategy = make_strategy(tune, candidates)
+        self.truncated = strategy.truncated
+        #: ``(assignments, tier)`` of every replayed round plus the next.
+        self.batches = []
+        self.pruned, self.failed = [], []
+        #: Full-fidelity evaluations, in evaluation order (rankable).
+        self.finished = []
+        if tune.strategy == "halving":
+            self._halving(strategy, rounds)
+        else:
+            self._grid(strategy.plan, rounds)
 
-    # Baseline: the base spec as declared, full fidelity (outside the
-    # budget — it is the yardstick, not a candidate).
-    baseline_spec = replace(tune.base, profile=True)
-    baseline_outcome = engine.run(
-        Sweep([baseline_spec], name=f"{tune.name}:baseline",
-              labels=[f"{tune.name}:baseline"])
-    ).outcomes[0]
-    baseline = None
-    if baseline_outcome.ok:
-        baseline = {
-            "assignment": {},
-            "fingerprint": baseline_spec.fingerprint(),
-            "score": _score(tune, baseline_outcome.result),
-            "metrics": _metrics(baseline_outcome.result),
-        }
-    else:
-        failed.append({
-            "assignment": {}, "tier": 1.0,
-            "error": baseline_outcome.error or baseline_outcome.status,
-        })
+    def _evaluate(self, batch, tier, outcomes) -> list:
+        evals = [
+            _Evaluation(self.tune, assignment, tier, outcome)
+            for assignment, outcome in zip(batch, outcomes)
+        ]
+        if tier >= 1.0:
+            self.finished.extend(evals)
+        self.failed.extend(
+            {"assignment": ev.assignment, "tier": tier, "error": ev.error}
+            for ev in evals if ev.error is not None
+        )
+        return evals
 
-    pruned = []
-    finished = []  # full-fidelity _Evaluations, rankable
-    if tune.strategy in ("grid", "random"):
-        plan = strategy.plan
+    def _halving(self, strategy, rounds):
+        self.num_rounds = len(self.tune.tiers)
+        batch = strategy.initial()
+        for rung, tier in enumerate(self.tune.tiers[:len(rounds) + 1]):
+            self.batches.append((batch, tier))
+            if rung < len(rounds):
+                evals = self._evaluate(batch, tier, rounds[rung])
+                batch = strategy.promote(
+                    [(ev.assignment, ev.score) for ev in evals], rung
+                )
+
+    def _grid(self, plan, rounds):
         # Ascending-rpn batches give the pruner its bite: a family's
         # cheapest member runs first, and its attribution can veto the
         # rest.  Without the axis (or pruning) the plan is one batch.
+        tune = self.tune
         rpn_axis = (
-            tune.prune
-            and len(tune.space.get("ranks_per_node", ())) > 1
+            tune.prune and len(tune.space.get("ranks_per_node", ())) > 1
         )
-        if rpn_axis:
-            levels = sorted({a["ranks_per_node"] for a in plan})
-            batches = [
-                [a for a in plan if a["ranks_per_node"] == level]
-                for level in levels
-            ]
-        else:
-            batches = [plan]
+        levels = [
+            [a for a in plan if a["ranks_per_node"] == level]
+            for level in sorted({a["ranks_per_node"] for a in plan})
+        ] if rpn_axis else [plan]
+        self.num_rounds = len(levels)
         blocked = {}  # family key -> (rpn, dep_fraction) evidence
-        for batch in batches:
+        for number, level in enumerate(levels[:len(rounds) + 1]):
             survivors = []
-            for assignment in batch:
-                family = _family_key(assignment)
-                evidence = blocked.get(family)
-                if (
-                    evidence is not None
-                    and assignment.get("ranks_per_node", 0) > evidence[0]
+            for assignment in level:
+                evidence = blocked.get(_family_key(assignment))
+                if evidence is None or (
+                    assignment.get("ranks_per_node", 0) <= evidence[0]
                 ):
-                    reason = (
+                    survivors.append(assignment)
+                    continue
+                self.pruned.append({
+                    "assignment": assignment,
+                    "reason": (
                         f"dominated: {evidence[1]:.0%} of idle at "
                         f"ranks_per_node={evidence[0]} is "
                         f"dependency-bound; more ranks cannot help"
-                    )
-                    pruned.append({
-                        "assignment": assignment,
-                        "reason": reason,
-                        "evidence": {
-                            "ranks_per_node": evidence[0],
-                            "dependency_bound_fraction": evidence[1],
-                            "threshold": PRUNE_THRESHOLD,
-                        },
-                    })
-                    if telemetry is not None:
-                        telemetry.emit(
-                            "tune_prune", tune=tune.name,
-                            candidate=canonical_key(assignment),
-                            reason=reason,
-                        )
-                else:
-                    survivors.append(assignment)
-            for ev in evaluate(survivors, 1.0):
-                finished.append(ev)
-                if ev.error is not None or not rpn_axis:
+                    ),
+                    "evidence": {
+                        "ranks_per_node": evidence[0],
+                        "dependency_bound_fraction": evidence[1],
+                        "threshold": PRUNE_THRESHOLD,
+                    },
+                })
+            self.batches.append((survivors, 1.0))
+            if number == len(rounds):
+                break
+            for ev in self._evaluate(survivors, 1.0, rounds[number]):
+                if not rpn_axis or ev.error is not None:
                     continue
                 fraction = dependency_bound_fraction(ev.result.profile)
                 if fraction is None or fraction < PRUNE_THRESHOLD:
@@ -338,117 +300,193 @@ def run_tune(tune: TuneSpec, engine: SweepEngine = None) -> TuneReport:
                 rpn = ev.assignment["ranks_per_node"]
                 if family not in blocked or rpn < blocked[family][0]:
                     blocked[family] = (rpn, fraction)
-    else:  # successive halving
-        rung_batch = strategy.initial()
-        for rung, tier in enumerate(tune.tiers):
-            evals = evaluate(rung_batch, tier)
-            if tier >= 1.0:
-                finished.extend(evals)
-            scored = [(ev.assignment, ev.score) for ev in evals]
-            for ev in evals:
-                if ev.error is not None:
-                    failed.append({
-                        "assignment": ev.assignment, "tier": tier,
-                        "error": ev.error,
-                    })
-            rung_batch = strategy.promote(scored, rung)
 
-    # Rank the full-fidelity evaluations (failures to the ledger).
-    ranked = []
-    for ev in finished:
-        if ev.error is not None:
-            if tune.strategy in ("grid", "random"):
-                failed.append({
-                    "assignment": ev.assignment, "tier": ev.tier,
-                    "error": ev.error,
-                })
-            continue
-        ranked.append(ev)
-
-    def clean_order(ev):
-        return (
-            ev.score if minimize else -ev.score,
-            canonical_key(ev.assignment),
+    # ------------------------------------------------------------------
+    def ranked(self) -> list:
+        """Successful full-fidelity evaluations, best first."""
+        return _best_first(
+            self.tune, [ev for ev in self.finished if ev.error is None]
         )
 
-    ranked.sort(key=clean_order)
+    def finalists(self) -> list:
+        """The evaluations the robustness pass re-scores under noise."""
+        if self.tune.robustness <= 0:
+            return []
+        return self.ranked()[:self.tune.top_k]
 
-    # Robustness pass: re-score the finalists under injected noise and
-    # let the noisy ordering decide among them.
-    robust_scores = {}
-    if tune.robustness > 0 and ranked:
-        from ..faults import noise_plan
-
-        finalists = ranked[:tune.top_k]
-        plan = noise_plan(tune.robustness, seed=tune.fault_seed)
-        specs = [replace(ev.spec, faults=plan) for ev in finalists]
-        report = engine.run(Sweep(
-            specs, name=f"{tune.name}:robustness",
-            labels=[
-                f"{tune.name}:robust:{canonical_key(ev.assignment)}"
-                for ev in finalists
-            ],
-        ))
-        evaluations += len(specs)
-        for ev, outcome in zip(finalists, report.outcomes):
-            if outcome.ok:
-                robust_scores[canonical_key(ev.assignment)] = _score(
-                    tune, outcome.result
-                )
-
-        def robust_order(ev):
-            key = canonical_key(ev.assignment)
-            score = robust_scores.get(key)
-            if score is None:
-                return (1, 0.0, key)
-            return (0, score if minimize else -score, key)
-
-        ranked = (
-            sorted(finalists, key=robust_order)
-            + ranked[tune.top_k:]
-        )
-
-    entries = []
-    for rank, ev in enumerate(ranked, start=1):
-        key = canonical_key(ev.assignment)
-        robust = robust_scores.get(key)
-        delta = None
-        if robust is not None and ev.score:
-            delta = robust / ev.score - 1.0
-        entries.append({
-            "rank": rank,
-            "assignment": ev.assignment,
-            "fingerprint": ev.spec.fingerprint(),
-            "tier": ev.tier,
-            "score": ev.score,
-            "metrics": _metrics(ev.result),
-            "robust_score": robust,
-            "robustness_delta": delta,
-        })
-
-    report = TuneReport(
-        name=tune.name,
-        objective=tune.objective,
-        strategy=tune.strategy,
-        budget=tune.budget,
-        seed=tune.seed,
-        space=tune.space,
-        fingerprint=tune.fingerprint(),
-        baseline=baseline,
-        entries=entries,
-        pruned=pruned,
-        infeasible=infeasible,
-        failed=failed,
-        evaluations=evaluations,
-        truncated=strategy.truncated,
-    )
-    if telemetry is not None:
-        telemetry.emit(
-            "tune_stop", tune=tune.name, evaluations=evaluations,
-            pruned=len(pruned),
-            best=(
-                canonical_key(entries[0]["assignment"])
-                if entries else None
+    def report(self, baseline_outcome, robust_outcomes) -> TuneReport:
+        """Fold the replayed rounds, the baseline and the re-scores into
+        the ranked :class:`TuneReport`."""
+        tune, base = self.tune, baseline_outcome
+        baseline, failed = None, []
+        if base.ok:
+            baseline = {
+                "assignment": {}, "fingerprint": base.fingerprint,
+                "score": _score(tune, base.result),
+                "metrics": _metrics(base.result),
+            }
+        else:
+            failed.append({"assignment": {}, "tier": 1.0,
+                           "error": base.error or base.status})
+        ranked = self.ranked()
+        robust = {
+            canonical_key(ev.assignment): _score(tune, outcome.result)
+            for ev, outcome in zip(ranked, robust_outcomes) if outcome.ok
+        }
+        if tune.robustness > 0:
+            # The noisy ordering decides among the finalists.
+            ranked = _best_first(
+                tune, ranked[:tune.top_k],
+                lambda ev: robust.get(canonical_key(ev.assignment)),
+            ) + ranked[tune.top_k:]
+        entries = []
+        for rank, ev in enumerate(ranked, start=1):
+            noisy = robust.get(canonical_key(ev.assignment))
+            entries.append({
+                "rank": rank,
+                "assignment": ev.assignment,
+                "fingerprint": ev.spec.fingerprint(),
+                "tier": ev.tier,
+                "score": ev.score,
+                "metrics": _metrics(ev.result),
+                "robust_score": noisy,
+                "robustness_delta": (
+                    noisy / ev.score - 1.0
+                    if noisy is not None and ev.score else None
+                ),
+            })
+        return TuneReport(
+            name=tune.name, objective=tune.objective,
+            strategy=tune.strategy, budget=tune.budget, seed=tune.seed,
+            space=tune.space, fingerprint=tune.fingerprint(),
+            baseline=baseline, entries=entries, pruned=self.pruned,
+            infeasible=self.infeasible, failed=failed + self.failed,
+            evaluations=(
+                sum(len(batch) for batch, _ in self.batches)
+                + len(robust_outcomes)
             ),
+            truncated=self.truncated,
         )
-    return report
+
+
+# ----------------------------------------------------------------------
+# The tune graph: generators and lowering
+# ----------------------------------------------------------------------
+def _rounds(deps) -> list:
+    """The finished rounds' child outcomes, in round order."""
+    return [deps[f"round{r}"] for r in range(len(deps))
+            if f"round{r}" in deps]
+
+
+@register_generator("tune.baseline")
+def _baseline_node(params, deps):
+    """The base spec as declared, full fidelity (outside the budget —
+    it is the yardstick, not a candidate)."""
+    return [replace(TuneSpec.from_dict(params["tune"]).base, profile=True)]
+
+
+@register_generator("tune.round")
+def _round_node(params, deps):
+    """One pruning level or halving rung: a fan-out of its candidates."""
+    tune = TuneSpec.from_dict(params["tune"])
+    batch, tier = _Search(tune, _rounds(deps)).batches[params["round"]]
+    return [
+        replace(with_tier(materialize(tune, a), tier), profile=True)
+        for a in batch
+    ]
+
+
+@register_generator("tune.robustness")
+def _robustness_node(params, deps):
+    """The finalists re-run under the spec's noise plan."""
+    from ..faults import noise_plan
+
+    tune = TuneSpec.from_dict(params["tune"])
+    plan = noise_plan(tune.robustness, seed=tune.fault_seed)
+    return [replace(ev.spec, faults=plan)
+            for ev in _Search(tune, _rounds(deps)).finalists()]
+
+
+@register_generator("tune.report")
+def _report_node(params, deps):
+    """Analysis node: the ranked report as plain JSON."""
+    search = _Search(TuneSpec.from_dict(params["tune"]), _rounds(deps))
+    return search.report(
+        deps["baseline"][0], deps.get("robustness", [])
+    ).to_dict()
+
+
+def tune_pipeline(tune: TuneSpec) -> PipelineSpec:
+    """Lower ``tune`` to one job graph (see the module docstring)."""
+    params = {"tune": tune.to_dict()}
+    rounds = tuple(f"round{r}" for r in range(_Search(tune).num_rounds))
+    nodes = [PipelineNode("baseline", generator="tune.baseline",
+                          params=params)]
+    nodes += [
+        PipelineNode(name, generator="tune.round",
+                     params=dict(params, round=r), after=rounds[:r])
+        for r, name in enumerate(rounds)
+    ]
+    if tune.robustness > 0:
+        nodes.append(PipelineNode("robustness", generator="tune.robustness",
+                                  params=params, after=rounds))
+        rounds += ("robustness",)
+    nodes.append(PipelineNode("report", generator="tune.report",
+                              params=params, after=("baseline",) + rounds))
+    return PipelineSpec(name=tune.name, nodes=tuple(nodes))
+
+
+def finish_tune(tune: TuneSpec, outcomes, telemetry=None) -> dict:
+    """The report dict of a finished tune graph; emits its telemetry.
+
+    ``outcomes`` are the graph's node outcomes, report node last.
+    ``tune_start``, one ``tune_round`` per non-empty round, one
+    ``tune_prune`` per pruned candidate and ``tune_stop`` are read off
+    the finished graph.  Raises :class:`RuntimeError` when the report
+    node did not complete (a shutdown or a broken declaration).
+    """
+    report = outcomes[-1]
+    if not report.ok:
+        last = (report.error or "").strip().splitlines()[-1:]
+        raise RuntimeError(": ".join(
+            [f"tune {tune.name!r}: report {report.status}", *last]
+        ))
+    value = report.result
+    if telemetry is None:
+        return value
+    emit = telemetry.emit
+    emit("tune_start", tune=tune.name, strategy=tune.strategy,
+         objective=tune.objective, budget=tune.budget,
+         space=tune.space_size(), feasible=_Search(tune).feasible)
+    rounds = _rounds({o.name: o.result for o in outcomes})
+    for r, children in enumerate(rounds):
+        if children:  # a level the pruner emptied evaluates nothing
+            emit("tune_round", tune=tune.name, round=r,
+                 tier=tune.tiers[r] if tune.strategy == "halving" else 1.0,
+                 evaluated=len(children))
+    for row in value["pruned"]:
+        emit("tune_prune", tune=tune.name,
+             candidate=canonical_key(row["assignment"]),
+             reason=row["reason"])
+    best = value["entries"][0]["assignment"] if value["entries"] else None
+    emit("tune_stop", tune=tune.name, evaluations=value["evaluations"],
+         pruned=len(value["pruned"]),
+         best=None if best is None else canonical_key(best))
+    return value
+
+
+def run_tune(tune: TuneSpec, engine: SweepEngine = None) -> TuneReport:
+    """Explore ``tune``'s space and return the ranked report.
+
+    Runs :func:`tune_pipeline` in one ``engine.run`` call.
+    ``engine=None`` uses a fresh serial, uncached engine; passing a
+    shared engine reuses its cache (warm tunes re-evaluate nothing),
+    duration history, worker pool, and telemetry bus.  The budget
+    bounds *search* evaluations; the baseline run and the finalists'
+    robustness re-scores ride on top of it.
+    """
+    engine = engine or SweepEngine(jobs=1)
+    outcomes = engine.run(tune_pipeline(tune)).outcomes
+    return TuneReport.from_dict(finish_tune(
+        tune, outcomes, getattr(engine, "telemetry", None),
+    ))

@@ -18,7 +18,7 @@ narrows its own space.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 
 def _fmt_assignment(assignment) -> str:
@@ -91,30 +91,14 @@ class TuneReport:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "objective": self.objective,
-            "strategy": self.strategy,
-            "budget": self.budget,
-            "seed": self.seed,
-            "space": {a: list(v) for a, v in self.space.items()},
-            "fingerprint": self.fingerprint,
-            "baseline": self.baseline,
-            "entries": self.entries,
-            "pruned": self.pruned,
-            "infeasible": self.infeasible,
-            "failed": self.failed,
-            "evaluations": self.evaluations,
-            "truncated": self.truncated,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["space"] = {a: list(v) for a, v in self.space.items()}
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "TuneReport":
-        kwargs = dict(data)
-        kwargs["space"] = {
-            a: tuple(v) for a, v in dict(kwargs.get("space", {})).items()
-        }
-        return cls(**kwargs)
+        space = {a: tuple(v) for a, v in data.get("space", {}).items()}
+        return cls(**dict(data, space=space))
 
     def to_json(self) -> str:
         """Canonical JSON — byte-identical across equivalent runs."""
@@ -153,18 +137,9 @@ class TuneReport:
                 _fmt_score(metrics.get("dependency_bound_fraction")),
             ))
         if rows:
-            widths = [
-                max(len(h), *(len(r[i]) for r in rows))
-                for i, h in enumerate(headers)
-            ]
-            lines.append("  ".join(
-                h.rjust(w) for h, w in zip(headers, widths)
-            ))
-            lines.append("  ".join("-" * w for w in widths))
-            for r in rows:
-                lines.append("  ".join(
-                    c.rjust(w) for c, w in zip(r, widths)
-                ))
+            from ..bench import format_table
+
+            lines.append(format_table(headers, rows))
         for row in self.pruned:
             lines.append(
                 f"pruned    {_fmt_assignment(row['assignment'])}: "

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..core.spec import RunSpec
 
@@ -194,44 +194,25 @@ class TuneSpec:
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
         """JSON-compatible canonical form (inverse of :meth:`from_dict`)."""
-        return {
-            "base": self.base.to_dict(),
-            "space": {a: list(v) for a, v in self.space.items()},
-            "objective": self.objective,
-            "strategy": self.strategy,
-            "budget": self.budget,
-            "seed": self.seed,
-            "tiers": list(self.tiers),
-            "eta": self.eta,
-            "robustness": self.robustness,
-            "fault_seed": self.fault_seed,
-            "top_k": self.top_k,
-            "prune": self.prune,
-            "name": self.name,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data.update(
+            base=self.base.to_dict(),
+            space={a: list(v) for a, v in self.space.items()},
+            tiers=list(self.tiers),
+        )
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "TuneSpec":
         if not isinstance(data, dict):
             raise ValueError("tune spec must be a JSON object")
-        known = {
-            "base", "space", "objective", "strategy", "budget", "seed",
-            "tiers", "eta", "robustness", "fault_seed", "top_k",
-            "prune", "name",
-        }
-        bad = set(data) - known
+        bad = set(data) - {f.name for f in fields(cls)}
         if bad:
             raise ValueError(f"unknown TuneSpec fields: {sorted(bad)}")
         if "base" not in data or "space" not in data:
             raise ValueError("tune spec needs 'base' and 'space'")
-        kwargs = dict(data)
-        kwargs["base"] = RunSpec.from_dict(kwargs["base"])
-        kwargs["space"] = {
-            a: tuple(v) for a, v in dict(kwargs["space"]).items()
-        }
-        if "tiers" in kwargs:
-            kwargs["tiers"] = tuple(kwargs["tiers"])
-        return cls(**kwargs)
+        # ``__post_init__`` normalizes the space and tiers to tuples.
+        return cls(**dict(data, base=RunSpec.from_dict(data["base"])))
 
     def fingerprint(self) -> str:
         """Content hash of the tune declaration (cache/coalescing key).

@@ -41,10 +41,11 @@ def enumerate_space(space) -> list:
     return out
 
 
-def _sort_scored(scored, minimize):
-    """Scored pairs best-first; unscored (failed) candidates last."""
+def sort_scored(scored, minimize):
+    """``(assignment, score, ...)`` tuples best-first; unscored (failed)
+    candidates last."""
     def key(pair):
-        assignment, score = pair
+        assignment, score = pair[:2]
         if score is None:
             return (1, 0.0, canonical_key(assignment))
         return (
@@ -129,7 +130,7 @@ class SuccessiveHalving:
         if rung + 1 >= len(self.tiers):
             return []
         keep = self.rung_sizes[rung + 1]
-        ranked = _sort_scored(scored, self.minimize)
+        ranked = sort_scored(scored, self.minimize)
         return [assignment for assignment, _score in ranked[:keep]]
 
 

@@ -113,22 +113,27 @@ def test_fig4_tune_keeps_the_paper_default_in_the_space():
 
 
 def test_tune_pipeline_orders_tune_behind_calibration():
-    from repro.bench import PIPELINES, get_pipeline, tune_pipeline
+    from repro.bench import PIPELINES, fig4_tune, get_pipeline, tune_pipeline
+    from repro.tune import tune_pipeline as lower_tune
 
     flow = tune_pipeline(quick=True)
     names = [node.name for node in flow.nodes]
-    assert names == ["calibrate", "tune"]
-    tune_node = flow.nodes[1]
-    assert tune_node.generator == "bench.tune_report"
-    assert tune_node.after == ("calibrate",)
+    lowered = [n.name for n in lower_tune(fig4_tune(quick=True)).nodes]
+    assert names == ["calibrate"] + lowered[:-1] + ["tune"]
+    assert lowered[-1] == "report"
+    tune_node = flow.nodes[-1]
+    assert tune_node.generator == "tune.report"
+    # The tune's roots wait on the calibration run; nothing else does.
+    roots = [n.name for n in flow.nodes[1:] if n.after == ("calibrate",)]
+    assert roots == ["baseline", "round0"]
     assert PIPELINES["tune"] is tune_pipeline
     assert get_pipeline("tune", quick=True).name == flow.name
 
 
-def test_tune_report_generator_runs_a_declared_tune():
+def test_tune_nodes_in_a_pipeline_report_like_run_tune():
     from repro import AmrConfig, RunSpec, sphere
-    from repro.pipeline.spec import get_generator
-    from repro.tune import TuneSpec
+    from repro.pipeline import PipelineNode, PipelineSpec, run_pipeline
+    from repro.tune import TuneSpec, run_tune, tune_pipeline
 
     base = RunSpec(
         config=AmrConfig(
@@ -144,8 +149,12 @@ def test_tune_report_generator_runs_a_declared_tune():
         base=base, space={"variant": ("mpi_only", "tampi_dataflow")},
         name="node-tune",
     )
-    generator = get_generator("bench.tune_report")
-    report = generator({"tune": tune.to_dict()}, {})
+    flow = PipelineSpec(name="flow", nodes=(
+        PipelineNode("calibrate", run=base),
+        *tune_pipeline(tune).nodes,
+    ))
+    report = run_pipeline(flow, strict=True).result("report")
+    assert report == run_tune(tune).to_dict()
     assert report["name"] == "node-tune"
     assert [e["rank"] for e in report["entries"]] == [1, 2]
     assert report["fingerprint"] == tune.fingerprint()

@@ -74,6 +74,33 @@ def _boom(params, deps):
     raise RuntimeError("builder exploded")
 
 
+@register_generator("test.set_value")
+def _set_value(params, deps):
+    """Analysis value that is not JSON: the node must fail on its own."""
+    return {"x": {1, 2}}
+
+
+@register_generator("test.fan_out")
+def _fan_out(params, deps):
+    """Fan-out: one child per listed ``sched_seed``; ``bad`` children
+    declare a rank grid that cannot run."""
+    bad = small_spec(config=small_config(num_ranks=2), ranks_per_node=4)
+    return [
+        bad if seed == "bad" else small_spec(sched_seed=seed)
+        for seed in params.get("seeds", [])
+    ]
+
+
+@register_generator("test.children")
+def _children(params, deps):
+    """Reduce a fan-out's child outcomes to plain JSON."""
+    return [
+        {"status": "ok" if o.ok else o.status,
+         "blocks": o.result.num_blocks if o.ok else None}
+        for o in deps["fan"]
+    ]
+
+
 # ----------------------------------------------------------------------
 # PipelineSpec validation and round trips
 # ----------------------------------------------------------------------
@@ -372,3 +399,107 @@ def test_node_starts_as_soon_as_its_own_predecessors_finish():
     child_start = order.index(("start", "child"))
     slow_done = order.index(("ok", "slow"))
     assert child_start < slow_done, order
+
+
+# ----------------------------------------------------------------------
+# Analysis values and fan-out nodes
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("cached", [False, True])
+def test_non_json_analysis_value_fails_only_its_node(tmp_path, cached):
+    cache = ResultCache(tmp_path / "cache") if cached else None
+    pipe = PipelineSpec(name="p", nodes=(
+        PipelineNode("root", run=small_spec()),
+        PipelineNode("bad", generator="test.set_value", after=("root",)),
+        PipelineNode("after", generator="test.join_stats",
+                     after=("bad",)),
+        PipelineNode("other", generator="test.join_stats",
+                     after=("root",)),
+    ))
+    report = run_pipeline(pipe, engine=SweepEngine(jobs=1, cache=cache))
+    bad = report.outcome("bad")
+    assert bad.status == "failed"
+    assert "TypeError" in bad.error and "Traceback" in bad.error
+    assert report.outcome("after").status == "blocked"
+    assert report.outcome("other").status == "ok"
+
+
+def fan_pipeline(seeds):
+    return PipelineSpec(name="fan", nodes=(
+        PipelineNode("fan", generator="test.fan_out",
+                     params={"seeds": seeds}),
+        PipelineNode("sum", generator="test.children", after=("fan",)),
+    ))
+
+
+def test_empty_fan_out_settles_at_once():
+    events = []
+    report = run_pipeline(
+        fan_pipeline([]), engine=SweepEngine(progress=events.append),
+    )
+    assert report.outcome("fan").status == "ok"
+    assert report.result("fan") == []
+    assert report.result("sum") == []
+    assert not [e for e in events if e["event"] == "start"]
+
+
+def test_failed_child_is_data_for_the_successor():
+    report = run_pipeline(fan_pipeline([1, "bad", 2]))
+    children = report.result("fan")
+    assert [c.status for c in children] == ["ok", "failed", "ok"]
+    assert "bad" not in children[1].name
+    assert children[1].name == "fan[1]"
+    assert report.outcome("fan").status == "ok"
+    assert report.outcome("sum").status == "ok"
+    summary = report.result("sum")
+    assert [c["status"] for c in summary] == ["ok", "failed", "ok"]
+    assert summary[0]["blocks"] == children[0].result.num_blocks
+    assert report.sweep.failed == 0 and report.sweep.blocked == 0
+
+
+def test_fan_out_children_hit_the_cache_one_by_one(tmp_path):
+    cache = ResultCache(tmp_path / "cache")
+    run_pipeline(fan_pipeline([1]),
+                 engine=SweepEngine(jobs=1, cache=cache))
+    events = []
+    # The wider fan-out shares child 0 with the first run.
+    wider = run_pipeline(fan_pipeline([1, 2]), engine=SweepEngine(
+        jobs=1, cache=cache, progress=events.append,
+    ))
+    assert [c.status for c in wider.result("fan")] == ["cached", "ok"]
+    assert wider.outcome("fan").status == "ok"
+    assert [e["name"] for e in events if e["event"] == "start"] == [
+        "fan[1]",
+    ]
+    events.clear()
+    warm = run_pipeline(fan_pipeline([1, 2]), engine=SweepEngine(
+        jobs=1, cache=cache, progress=events.append,
+    ))
+    assert warm.sweep.executed == 0
+    assert not [e for e in events if e["event"] == "start"]
+    assert [c.status for c in warm.result("fan")] == ["cached", "cached"]
+    assert warm.outcome("fan").status == "cached"
+    assert warm.results_dict() == wider.results_dict()
+
+
+def test_fan_out_results_dict_is_identical_across_jobs():
+    pipe = fan_pipeline([1, "bad", 2, 3])
+    serial = run_pipeline(pipe, engine=SweepEngine(jobs=1))
+    parallel = run_pipeline(pipe, engine=SweepEngine(jobs=2))
+    blob1 = json.dumps(serial.results_dict(), sort_keys=True)
+    blob2 = json.dumps(parallel.results_dict(), sort_keys=True)
+    assert blob1 == blob2
+    fan = serial.results_dict()["fan"]
+    assert fan[1] is None
+    assert fan[0] == serial.result("fan")[0].result.to_dict()
+
+
+def test_show_dag_renders_a_fan_out_node(tmp_path, capsys):
+    from repro.cli import main
+
+    path = tmp_path / "fan.json"
+    path.write_text(fan_pipeline([1, 2]).to_json())
+    assert main(["pipeline", "--file", str(path), "--show-dag",
+                 "--no-cache", "--no-stats"]) == 0
+    out = capsys.readouterr().out
+    assert "[0] fan  [generator test.fan_out]" in out
+    assert "sum <- fan" in out

@@ -11,6 +11,7 @@ tests) deliberately does not count.
 
 import json
 import os
+import sys
 import threading
 import time
 from pathlib import Path
@@ -549,8 +550,7 @@ def test_shutdown_stops_inflight_pipeline_lane_and_restart_finishes_it(
     t0 = time.monotonic()
     broker.shutdown(drain_timeout=0.2)
     assert time.monotonic() - t0 < 3.0
-    (lane,) = [t for t in broker._threads if t.name == "serve-pipelines"]
-    assert not lane.is_alive()
+    assert not any(t.is_alive() for t in broker._threads)
 
     # Same journal and cache, a runner that finishes.
     broker2 = make_broker(tmp_path)
@@ -561,6 +561,87 @@ def test_shutdown_stops_inflight_pipeline_lane_and_restart_finishes_it(
         assert job.state == "done", job.error
     finally:
         broker2.shutdown(drain_timeout=5.0)
+
+
+def test_cancel_withdraws_a_running_pipeline_from_the_pool(
+    tmp_path, marker_dir,
+):
+    broker = make_broker(tmp_path, runner=_sleeping_runner, jobs=1)
+    broker.start()
+    try:
+        job_id = broker.submit(
+            submit_body(small_pipeline(), kind="pipeline")
+        )["job"]["id"]
+        deadline = time.monotonic() + 10
+        while broker.store.get(job_id).state != "running":
+            assert time.monotonic() < deadline, "job never started"
+            time.sleep(0.02)
+        # The pipeline's node occupies the one shared worker slot.
+        assert broker.metrics()["engine"]["busy_slots"] >= 1
+        broker.cancel(job_id)
+        deadline = time.monotonic() + 2.0
+        while broker.metrics()["engine"]["busy_slots"]:
+            assert time.monotonic() < deadline, "canceled work kept running"
+            time.sleep(0.02)
+        assert broker.store.get(job_id).state == "canceled"
+    finally:
+        broker.shutdown(drain_timeout=0.0)
+
+
+def test_concurrent_graph_submits_and_cancels_all_settle(
+    tmp_path, marker_dir,
+):
+    """Client threads submit and cancel pipeline jobs while the one
+    scheduler thread admits and routes their graphs: every job ends
+    terminal, kept jobs finish ``done``, and no graph keeps a slot."""
+    from repro.pipeline import PipelineSpec
+
+    broker = make_broker(tmp_path, jobs=2)
+    broker.start()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        pipes = [PipelineSpec(name=f"p{i}", nodes=small_pipeline().nodes)
+                 for i in range(3)]
+        kept, dropped, errors = [], [], []
+
+        def client(i):
+            try:
+                body = submit_body(pipes[i % 3], kind="pipeline")
+                job_id = broker.submit(body)["job"]["id"]
+                if i % 2:
+                    try:
+                        broker.cancel(job_id)
+                    except ProtocolError as exc:  # finished first
+                        assert exc.code == "conflict"
+                    dropped.append(job_id)
+                else:
+                    kept.append(job_id)
+            except Exception as exc:  # pragma: no cover - debug aid
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=client, args=(i,)) for i in range(12)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        assert not errors
+        assert all(j.state == "done" for j in wait_terminal(broker, kept))
+        assert {j.state for j in wait_terminal(broker, dropped)} <= {
+            "canceled", "done",
+        }
+        deadline = time.monotonic() + 10
+        while broker.queue_snapshot()["depth"] or (
+            broker.metrics()["engine"]["busy_slots"]
+        ):
+            assert time.monotonic() < deadline, broker.queue_snapshot()
+            time.sleep(0.02)
+    finally:
+        sys.setswitchinterval(interval)
+        broker.shutdown(drain_timeout=5.0)
 
 
 def test_metrics_and_queue_snapshot_shape(tmp_path, marker_dir):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
 
 from ..amr.balance import max_imbalance
@@ -53,28 +54,27 @@ def run_simulation(spec, *extra, **kwargs) -> RunResult:
 
 def execute(run_spec: RunSpec) -> RunResult:
     """Execute a (possibly unresolved) :class:`RunSpec`."""
-    # The simulation allocates events/tasks at a rate that makes Python's
-    # cyclic collector scan the (large, mostly immortal) object graph over
-    # and over — at paper-scale world sizes GC is ~40% of wall-clock.
-    # Refcounting still reclaims nearly everything promptly (kernel and
-    # runtime avoid cycles on the hot path), so collection is suspended
-    # for the run and cyclic garbage is swept once afterwards.  The sweep
-    # sits *outside* the worker frame: only once that frame is gone is
-    # the simulation graph (generators, events, world) actually dead, so
-    # a single collect here reclaims it all and the caller inherits no
-    # deferred GC debt.  Generation 1 suffices: every object the run
-    # allocated sits in generation 0 (no collections ran while disabled),
-    # so the young-generation sweep frees the whole graph without also
-    # scanning the embedding process's long-lived heap on every run.
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
+    with gc_suspended():
         return _execute(run_spec)
+
+
+@contextlib.contextmanager
+def gc_suspended():
+    """Keep the cyclic collector off for the block, then restore it.
+
+    A run allocates events and tasks fast enough to make the collector
+    rescan the live world over and over, so it is suspended for the run.
+    Nothing is collected afterwards: a finished run leaves no cyclic
+    garbage (completed tasks drop their bodies and :meth:`_Sim.close`
+    breaks what still points back), so refcounting frees it all.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
     finally:
-        if gc_was_enabled:
+        if was_enabled:
             gc.enable()
-            gc.collect(1)
 
 
 class _Sim:
@@ -84,6 +84,13 @@ class _Sim:
         "machine", "env", "world", "shared", "programs", "procs",
         "profiler", "witness", "injector", "cores_per_rank",
     )
+
+    def close(self):
+        """Break the references a finished run still cycles through."""
+        for program in self.programs:
+            program.rt.close()
+        self.world.close()
+        self.env.close()
 
 
 def _build_simulation(rs, machine, local_ranks=None, partition=None):
@@ -209,7 +216,7 @@ def _execute(run_spec: RunSpec) -> RunResult:
         else None
     )
 
-    return RunResult(
+    result = RunResult(
         variant=rs.variant,
         num_nodes=num_nodes,
         ranks_per_node=ranks_per_node,
@@ -233,3 +240,5 @@ def _execute(run_spec: RunSpec) -> RunResult:
         tracer=Tracer.from_profiler(profiler) if rs.trace else None,
         profiler=profiler,
     )
+    sim.close()
+    return result

@@ -157,6 +157,10 @@ class World:
         self.stats = WorldStats()
         self.comms = [RankComm(self, rank, 0) for rank in range(self.size)]
 
+    def close(self):
+        """Drop the COMM_WORLD facades: each one points back at this world."""
+        self.comms = []
+
     # ------------------------------------------------------------------
     def comm(self, rank: int) -> "RankComm":
         """The COMM_WORLD facade of ``rank``."""

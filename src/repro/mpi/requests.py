@@ -31,7 +31,7 @@ class Request:
 
     def _complete(self, data=None):
         self.data = data
-        self.event.succeed(self)
+        self.event.succeed(None)
 
     def __repr__(self):
         state = "done" if self.completed else "pending"

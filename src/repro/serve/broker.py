@@ -411,6 +411,11 @@ class Broker:
                         execution.graph.cancel()
                     elif execution.ticket is not None:
                         self.session.cancel(execution.ticket)
+                        if self.session.outcome(execution.ticket) is not None:
+                            # Withdrawn while queued: poll() will never
+                            # report it, so it completes here.
+                            del self._by_ticket[execution.ticket]
+                            self._complete(execution, "canceled")
                     elif execution in self._pending:
                         self._pending.remove(execution)
                         del self._inflight[execution.fingerprint]

@@ -123,6 +123,14 @@ class Environment:
         """Event that triggers when any of ``events`` has succeeded."""
         return AnyOf(self, events)
 
+    def close(self):
+        """Drop the Timeout free list.
+
+        Each pooled Timeout references this environment back; without
+        them a finished run's environment is freed by refcounting alone.
+        """
+        self._timeout_pool.clear()
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------

@@ -27,7 +27,6 @@ byte-identical to the serial one on all serializable fields.
 
 from __future__ import annotations
 
-import gc
 import multiprocessing
 import os
 import queue as queue_mod
@@ -157,19 +156,13 @@ def _worker_main(wid, rs, barrier_slots, queues, sent, mins, result_queue,
             from ...obs.telemetry import TelemetryBus
 
             bus = TelemetryBus.from_env(wid=wid, run=fp)
+        from ...core.driver import gc_suspended
+
         t_start = time.perf_counter()
-        # Same GC regime as the serial driver: refcounting reclaims the
-        # hot path; the cyclic collector would only rescan the world.
-        gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
-        try:
+        with gc_suspended():
             payload = _run_worker(
                 wid, rs, barrier, queues, sent, mins, bus=bus
             )
-        finally:
-            if gc_was_enabled:
-                gc.enable()
         payload["elapsed"] = time.perf_counter() - t_start
         result_queue.put(("ok", wid, payload))
     except BaseException:

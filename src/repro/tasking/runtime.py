@@ -168,6 +168,17 @@ class RankRuntime:
         """Number of spawned-but-not-completed (non-sync) tasks."""
         return self._outstanding
 
+    def close(self):
+        """Release the idle workers still parked when the run ended.
+
+        A parked worker's wakeup event calls back into its process, whose
+        frame holds this runtime: dropping the callbacks lets refcounting
+        free the worker instead of leaving a cycle behind.
+        """
+        for event in self._waiters.values():
+            event.callbacks = None
+        self._waiters.clear()
+
     # ------------------------------------------------------------------
     # Task creation (generator: ``task = yield from rt.spawn(...)``)
     # ------------------------------------------------------------------
@@ -494,6 +505,10 @@ class RankRuntime:
             finally:
                 if record:
                     witness.task_end(task)
+            # The body's closure reaches back to this runtime, and through
+            # the dependency tracker to the task itself: dropping it keeps
+            # the finished run reclaimable by refcounting alone.
+            task.body = None
 
         self._last_affinity[core] = task.affinity
         stats.tasks_executed += 1
@@ -561,7 +576,7 @@ class RankRuntime:
 
         done = task._done_event
         if done is not None:
-            done.succeed(task)
+            done.succeed(None)
 
         if self._outstanding == 0 and self._drain_events:
             events, self._drain_events = self._drain_events, []

@@ -47,6 +47,7 @@ class Task:
         Optional functional payload.  Either a plain callable (runs
         atomically) or a generator *factory* ``body(ctx)`` that may yield
         simulation events (used by communication tasks calling TAMPI).
+        Released (set to ``None``) once it has run.
     accesses:
         Sequence of ``(AccessMode, handle)`` pairs declaring the data the
         task touches.  Handles are arbitrary hashables or
@@ -147,7 +148,7 @@ class Task:
 
     @property
     def done_event(self) -> Event:
-        """Event triggered at completion (lazily created).
+        """Event triggered at completion (lazily created), value ``None``.
 
         Accessing it on an already-completed task returns an event in the
         processed-success state — exactly what an eagerly-created event
@@ -159,7 +160,7 @@ class Task:
             ev = self._done_event = Event(self.env)
             if self.state is TaskState.COMPLETED:
                 ev._ok = True
-                ev._value = self
+                ev._value = None
                 ev.callbacks = None
         return ev
 

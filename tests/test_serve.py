@@ -398,6 +398,36 @@ def test_cancel_queued_job(tmp_path, marker_dir):
     broker.shutdown(drain_timeout=0.0)
 
 
+def test_cancel_of_a_run_queued_in_the_session_frees_its_queue_slot(
+    tmp_path, marker_dir,
+):
+    """A run the session holds queued behind a busy slot settles at once
+    on cancel, so it no longer counts against ``queue_cap``."""
+    broker = make_broker(tmp_path, runner=_sleeping_runner, jobs=1,
+                         queue_cap=2)
+    broker.start()
+    try:
+        holder = broker.submit(submit_body(small_spec()))["job"]["id"]
+        deadline = time.monotonic() + 10
+        while broker.store.get(holder).state != "running":
+            assert time.monotonic() < deadline, "holder never started"
+            time.sleep(0.02)
+        for freq in (3, 4):
+            job_id = broker.submit(
+                submit_body(small_spec(checksum_freq=freq))
+            )["job"]["id"]
+            # Wait until the scheduler has admitted it into the session.
+            while broker.session.active < 2:
+                assert time.monotonic() < deadline, "run never admitted"
+                time.sleep(0.02)
+            broker.cancel(job_id)
+        assert broker.metrics()["queue"]["depth"] == 1
+        accepted = broker.submit(submit_body(small_spec(checksum_freq=5)))
+        assert accepted["mode"] == "new"
+    finally:
+        broker.shutdown(drain_timeout=0.0)
+
+
 def test_coalesced_job_survives_primary_cancel(tmp_path, marker_dir):
     (marker_dir / "HOLD").touch()
     broker = make_broker(tmp_path, runner=_holding_runner)

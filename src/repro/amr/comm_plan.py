@@ -11,6 +11,7 @@ identical message groupings and tags independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ids import HI, LO, face_quadrant
 from .mesh import MeshStructure
@@ -23,8 +24,7 @@ DIRECTION_TAG_STRIDE = 1 << 18
 EXCHANGE_TAG_BASE = 3 << 18
 
 
-@dataclass(frozen=True)
-class FaceTransfer:
+class FaceTransfer(NamedTuple):
     """One ghost-fill: data flows ``src`` → ``dst`` across ``axis``.
 
     ``side`` is the face side on the *destination* block.  ``rel`` is the
@@ -32,6 +32,9 @@ class FaceTransfer:
     restricts, quarter-size message), or "coarser" (source sends its
     quadrant, destination prolongs).  ``quadrant`` locates the quarter
     within the coarse face for cross-level transfers.
+
+    A named tuple, like :class:`~repro.amr.ids.BlockId`: every epoch
+    builds one per face, and its hash is its field tuple's hash.
     """
 
     src: object  # BlockId
@@ -63,6 +66,11 @@ def _transfer_sort_key(t: FaceTransfer):
 def build_global_transfers(structure: MeshStructure, config, nvars: int):
     """Every face transfer of the current mesh, grouped per (axis)."""
     per_axis = {0: [], 1: [], 2: []}
+    nbytes = {
+        (axis, cross): config.face_bytes(axis, nvars, cross)
+        for axis in (0, 1, 2)
+        for cross in (False, True)
+    }
     for dst in sorted(structure.active):
         for axis in (0, 1, 2):
             for side in (LO, HI):
@@ -82,15 +90,8 @@ def build_global_transfers(structure: MeshStructure, config, nvars: int):
                         quadrant = face_quadrant(dst, axis)
                         cross = True
                     per_axis[axis].append(
-                        FaceTransfer(
-                            src=src,
-                            dst=dst,
-                            axis=axis,
-                            side=side,
-                            rel=rel,
-                            quadrant=quadrant,
-                            nbytes=config.face_bytes(axis, nvars, cross),
-                        )
+                        FaceTransfer(src, dst, axis, side, rel, quadrant,
+                                     nbytes[axis, cross])
                     )
     for axis in per_axis:
         per_axis[axis].sort(key=_transfer_sort_key)

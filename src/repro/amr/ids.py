@@ -19,6 +19,8 @@ LO, HI = 0, 1
 #: The six faces as (axis, side) pairs, in miniAMR's direction order
 #: (X first, then Y, then Z; low before high).
 FACES = tuple((axis, side) for axis in (X, Y, Z) for side in (LO, HI))
+#: The two in-plane axes of each face normal, in increasing order.
+_PLANE_AXES = ((Y, Z), (X, Z), (X, Y))
 
 
 class BlockId(NamedTuple):
@@ -96,12 +98,15 @@ class Grid:
     def face_coord(self, bid: BlockId, axis: int, side: int):
         """Same-level neighbor coordinates across a face, or None at the
         domain boundary."""
-        dims = self.dims_at(bid.level)
-        coords = list(bid.coords)
-        coords[axis] += 1 if side == HI else -1
-        if not 0 <= coords[axis] < dims[axis]:
+        level = bid.level
+        c = bid[axis + 1] + (1 if side == HI else -1)
+        if not 0 <= c < self.root_dims[axis] << level:
             return None
-        return BlockId(bid.level, *coords)
+        if axis == X:
+            return BlockId(level, c, bid.j, bid.k)
+        if axis == Y:
+            return BlockId(level, bid.i, c, bid.k)
+        return BlockId(level, bid.i, bid.j, c)
 
     def finer_face_neighbors(self, neighbor_slot: BlockId, axis: int,
                              side: int):
@@ -151,5 +156,5 @@ def face_quadrant(child: BlockId, axis: int) -> tuple:
     Returns (q_a, q_b) in {0,1}² for the two in-plane axes (the axes other
     than ``axis``, in increasing order).
     """
-    plane_axes = [a for a in (X, Y, Z) if a != axis]
-    return tuple(child.coords[a] & 1 for a in plane_axes)
+    a, b = _PLANE_AXES[axis]
+    return (child[a + 1] & 1, child[b + 1] & 1)

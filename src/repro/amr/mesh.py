@@ -212,13 +212,21 @@ def _enforce_group_coarsening(structure, delta):
 
 
 def _enforce_two_to_one(structure, delta):
-    """Fixpoint: upgrade neighbors until no final-level gap exceeds one."""
+    """Fixpoint: upgrade neighbors until no final-level gap exceeds one.
+
+    The structure does not change while planning, so each block's
+    neighbors are looked up once, in the active set's iteration order.
+    """
+    neighbors = {
+        bid: [nbid for _a, _s, nbid, _r in structure.all_neighbors(bid)]
+        for bid in structure.active
+    }
     changed = True
     while changed:
         changed = False
-        for bid in structure.active:
+        for bid, nbids in neighbors.items():
             fb = bid.level + delta[bid]
-            for _axis, _side, nbid, _rel in structure.all_neighbors(bid):
+            for nbid in nbids:
                 fn = nbid.level + delta[nbid]
                 if fb - fn > 1:
                     if delta[nbid] == -1:

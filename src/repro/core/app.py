@@ -33,6 +33,18 @@ _DATA_TAG = EXCHANGE_TAG_BASE + (1 << 17)
 _COARSEN_TAG = EXCHANGE_TAG_BASE + (2 << 17)
 
 
+def moves_by_rank(moves, num_ranks):
+    """Each rank's view of a global move list: the moves it sends or
+    receives, in global order (the data-flow variant spawns its receive
+    and send tasks interleaved in that order)."""
+    views = {r: [] for r in range(num_ranks)}
+    for move in moves:
+        _bid, src, dst, _idx = move
+        views[src].append(move)
+        views[dst].append(move)
+    return views
+
+
 class SharedState:
     """Replicated simulation metadata shared by every rank program.
 
@@ -170,14 +182,17 @@ class BaseRankProgram:
     # Plans
     # ------------------------------------------------------------------
     def plans_for_group(self, group):
-        """This rank's three DirectionPlans for a variable group."""
+        """This rank's three DirectionPlans for a variable group.
+
+        Cached per ``nvars`` for the current epoch, so each rank asks the
+        board once per ``(epoch, nvars)`` — uneven variable groups
+        alternate between two sizes.
+        """
         nvars = self.cfg.group_size(group)
-        key = (self.epoch, nvars)
-        plans = self._plan_cache.get(key)
+        plans = self._plan_cache.get(nvars)
         if plans is None:
             all_plans = self.shared.commplans(self.epoch, nvars)
-            plans = all_plans[self.rank]
-            self._plan_cache = {key: plans}
+            plans = self._plan_cache[nvars] = all_plans[self.rank]
         return plans
 
     # ------------------------------------------------------------------
@@ -288,21 +303,16 @@ class BaseRankProgram:
 
         self.epoch += 1
         nblocks_before = len(self.blocks)
-        bundle = self.shared.board.get(
+        plan, moves_of, splits_of, consolidations_of = self.shared.board.get(
             ("refine", self.epoch), self._compute_refine_bundle
         )
-        plan, split_owner, coarsen_owner, coarsen_moves = bundle
+        splits = splits_of[self.rank]
+        consolidations = consolidations_of[self.rank]
 
         # Serial control work: marking, connectivity surgery.  This is the
         # poorly-parallelizable part every variant pays on its main thread;
         # MPI-only amortizes it over many more ranks (paper Section IV-B).
-        my_changes = sum(
-            1 for b, r in split_owner.items() if r == self.rank
-        ) + sum(
-            1
-            for p, info in coarsen_owner.items()
-            if info["rank"] == self.rank
-        )
+        my_changes = len(splits) + len(consolidations)
         control = (
             self.cost.refine_control_per_block * nblocks_before
             + self.cost.refine_change_overhead * my_changes
@@ -311,17 +321,17 @@ class BaseRankProgram:
         yield from self.charge(control)
 
         # Move coarsen children to their designated consolidator rank.
-        yield from self.transfer_blocks(coarsen_moves, _COARSEN_TAG)
+        yield from self.transfer_blocks(moves_of[self.rank], _COARSEN_TAG)
 
         # Split / consolidate payloads (variant-specific parallelism).
-        yield from self.refine_data_ops(plan, split_owner, coarsen_owner)
+        yield from self.refine_data_ops(splits, consolidations)
         yield from self.join_all()
 
         # Load balancing over the post-refinement mesh.
-        balance_moves = self.shared.board.get(
+        balance_moves, balance_views = self.shared.board.get(
             ("balance", self.epoch), self._compute_balance_moves
         )
-        yield from self.exchange_blocks(balance_moves)
+        yield from self.exchange_blocks(balance_views[self.rank])
 
         self._plan_cache = {}
         self.refine_seconds += self.env.now - t_enter
@@ -334,23 +344,34 @@ class BaseRankProgram:
         return 1.0
 
     def _compute_refine_bundle(self):
+        """Plan and apply one refinement: ``(plan, moves, splits,
+        consolidations)``, the last three mapping each rank to its
+        coarsen-child moves (global order), sorted splits and sorted
+        consolidations."""
         structure = self.shared.structure
         plan = plan_refinement(
             structure, self.objects, uniform=self.cfg.uniform_refine
         )
         split_owner, coarsen_owner = apply_plan(structure, plan)
+        ranks = range(self.cfg.num_ranks)
+        splits = {r: [] for r in ranks}
+        for bid in sorted(split_owner):
+            splits[split_owner[bid]].append(bid)
         # Children that must travel to their consolidator, with stable
         # indices for tagging: (bid, src, dst, index).
         moves = []
+        consolidations = {r: [] for r in ranks}
         for parent in sorted(coarsen_owner):
             info = coarsen_owner[parent]
-            for child, owner in sorted(info["child_owners"].items()):
-                if owner != info["rank"]:
-                    moves.append((child, owner, info["rank"]))
-        coarsen_moves = [
-            (bid, src, dst, i) for i, (bid, src, dst) in enumerate(moves)
-        ]
-        return plan, split_owner, coarsen_owner, coarsen_moves
+            dst = info["rank"]
+            consolidations[dst].append(parent)
+            for child, src in sorted(info["child_owners"].items()):
+                if src != dst:
+                    moves.append((child, src, dst, len(moves)))
+        return (
+            plan, moves_by_rank(moves, self.cfg.num_ranks), splits,
+            consolidations,
+        )
 
     def _compute_balance_moves(self):
         structure = self.shared.structure
@@ -365,14 +386,17 @@ class BaseRankProgram:
         # follows through the exchange protocol below.
         for bid, _src, dst, _i in moves:
             structure.set_owner(bid, dst)
-        return moves
+        return moves, moves_by_rank(moves, self.cfg.num_ranks)
 
     # ------------------------------------------------------------------
     # Block transfer (plain, used for coarsen-child moves)
     # ------------------------------------------------------------------
     def transfer_blocks(self, moves, tag_base):
         """Ship whole blocks between ranks (serial baseline implementation;
-        the data-flow variant overrides this with tasks + TAMPI)."""
+        the data-flow variant overrides this with tasks + TAMPI).
+
+        ``moves`` holds only moves this rank sends or receives.
+        """
         incoming = [
             (bid, src, idx) for bid, src, dst, idx in moves if dst == self.rank
         ]
@@ -414,7 +438,7 @@ class BaseRankProgram:
     # Load-balance exchange (ACK protocol, Section IV-B)
     # ------------------------------------------------------------------
     def exchange_blocks(self, moves):
-        """Multi-round ACK-gated block exchange.
+        """Multi-round ACK-gated block exchange of this rank's ``moves``.
 
         Receivers acknowledge each pending incoming block (positively while
         they have capacity); senders ship acknowledged blocks; a global
@@ -517,7 +541,9 @@ class BaseRankProgram:
     def checksum_local(self):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def refine_data_ops(self, plan, split_owner, coarsen_owner):
+    def refine_data_ops(self, splits, consolidations):
+        """Split this rank's ``splits`` and consolidate its
+        ``consolidations`` (both sorted)."""
         raise NotImplementedError  # pragma: no cover - abstract
 
     def join_all(self):
@@ -561,12 +587,3 @@ class BaseRankProgram:
                 vslice, self.shared.structure.open_faces(bid)
             )
             block.apply_stencil_kind(vslice, self.cfg.stencil)
-
-    def my_splits(self, split_owner):
-        return sorted(b for b, r in split_owner.items() if r == self.rank)
-
-    def my_consolidations(self, coarsen_owner):
-        return sorted(
-            p for p, info in coarsen_owner.items()
-            if info["rank"] == self.rank
-        )

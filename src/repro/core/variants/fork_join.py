@@ -178,21 +178,19 @@ class ForkJoinProgram(BaseRankProgram):
         return run
 
     # ------------------------------------------------------------------
-    def refine_data_ops(self, plan, split_owner, coarsen_owner):
+    def refine_data_ops(self, splits, consolidations):
         """Split/consolidate copies in parallel regions (the fairness
         addition the paper made to the fork-join variant)."""
         nbytes = self.cfg.block_bytes()
-        splits = self.my_splits(split_owner)
         if splits:
             costs = [self.copy_cost(nbytes)] * len(splits)
             bodies = [self._split_body(bid) for bid in splits]
             yield from self.team.parallel_for(
                 costs, bodies, label="split", phase="split"
             )
-        merges = self.my_consolidations(coarsen_owner)
-        if merges:
-            costs = [self.copy_cost(nbytes)] * len(merges)
-            bodies = [self._merge_body(p) for p in merges]
+        if consolidations:
+            costs = [self.copy_cost(nbytes)] * len(consolidations)
+            bodies = [self._merge_body(p) for p in consolidations]
             yield from self.team.parallel_for(
                 costs, bodies, label="consolidate", phase="consolidate"
             )

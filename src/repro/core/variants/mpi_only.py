@@ -109,11 +109,11 @@ class MpiOnlyProgram(BaseRankProgram):
         return total
 
     # ------------------------------------------------------------------
-    def refine_data_ops(self, plan, split_owner, coarsen_owner):
+    def refine_data_ops(self, splits, consolidations):
         nbytes = self.cfg.block_bytes()
-        for bid in self.my_splits(split_owner):
+        for bid in splits:
             yield from self.charge(self.copy_cost(nbytes))
             self.do_split(bid)
-        for parent in self.my_consolidations(coarsen_owner):
+        for parent in consolidations:
             yield from self.charge(self.copy_cost(nbytes))
             self.do_consolidate(parent)

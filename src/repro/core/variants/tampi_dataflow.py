@@ -307,11 +307,11 @@ class TampiDataflowProgram(BaseRankProgram):
         return self.cost.taskified_refine_factor
 
     # ------------------------------------------------------------------
-    def refine_data_ops(self, plan, split_owner, coarsen_owner):
+    def refine_data_ops(self, splits, consolidations):
         cfg = self.cfg
         nbytes = cfg.block_bytes()
         groups = range(cfg.num_groups)
-        for bid in self.my_splits(split_owner):
+        for bid in splits:
             child_handles = [
                 self.block_handle(c, g)
                 for c in bid.children()
@@ -325,7 +325,7 @@ class TampiDataflowProgram(BaseRankProgram):
                 outs=child_handles,
                 phase="split",
             )
-        for parent in self.my_consolidations(coarsen_owner):
+        for parent in consolidations:
             child_handles = [
                 self.block_handle(c, g)
                 for c in parent.children()

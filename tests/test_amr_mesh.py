@@ -191,10 +191,13 @@ def test_coarsen_requires_all_siblings():
     cz=st.floats(min_value=0.05, max_value=0.95),
     r=st.floats(min_value=0.05, max_value=0.3),
     steps=st.integers(min_value=1, max_value=3),
+    init_x=st.sampled_from([1, 2]),
 )
-def test_property_refinement_preserves_invariants(cx, cy, cz, r, steps):
-    """Any sequence of refinements keeps cover + 2:1 + ownership sanity."""
-    cfg = config(max_refine_level=2)
+def test_property_refinement_preserves_invariants(cx, cy, cz, r, steps,
+                                                  init_x):
+    """Any sequence of refinements keeps cover + 2:1 + ownership sanity,
+    and face neighbors match the blocks' geometry."""
+    cfg = config(max_refine_level=2, init_x=init_x)
     s = MeshStructure(cfg)
     objects = [MovingObject(sphere(center=(cx, cy, cz), radius=r,
                                    move=(0.07, 0.0, 0.0)))]
@@ -205,7 +208,44 @@ def test_property_refinement_preserves_invariants(cx, cy, cz, r, steps):
         assert s.check_two_to_one()
         total = sum(len(s.blocks_of_rank(rk)) for rk in range(8))
         assert total == s.num_blocks()
+        check_neighbor_geometry(s)
         objects[0].advance(1)
+
+
+def check_neighbor_geometry(s):
+    """``face_neighbors`` and ``face_coord`` against ``Grid.bounds``.
+
+    The reference neighbors of a face are the active blocks whose boxes
+    touch that face plane from the other side and overlap it with positive
+    area.  Bounds are correctly rounded quotients, so equal rationals give
+    equal floats and exact comparison is sound.
+    """
+    grid = s.grid
+    box = {b: grid.bounds(b) for b in s.active}
+    # (axis, low-or-high edge, coordinate) -> blocks with that edge there.
+    by_edge = {}
+    for b, bb in box.items():
+        for axis in range(3):
+            for side in (0, 1):
+                by_edge.setdefault((axis, side, bb[axis][side]), []).append(b)
+    for b, bb in box.items():
+        for axis in range(3):
+            plane = [a for a in range(3) if a != axis]
+            for side in (0, 1):
+                x = bb[axis][side]
+                expected = {
+                    n for n in by_edge.get((axis, 1 - side, x), [])
+                    if all(max(bb[a][0], box[n][a][0])
+                           < min(bb[a][1], box[n][a][1]) for a in plane)
+                }
+                got = s.face_neighbors(b, axis, side)
+                assert {n for n, _rel in got} == expected
+                assert len(got) == len(expected)
+                for n, rel in got:
+                    assert rel == {0: "same", -1: "coarser",
+                                   1: "finer"}[n.level - b.level]
+                at_boundary = x == (0.0, 1.0)[side]
+                assert (grid.face_coord(b, axis, side) is None) == at_boundary
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.core.app as app
 from repro import AmrConfig, RunSpec, laptop, run_simulation, sphere
 
 
@@ -112,3 +113,28 @@ def test_imbalance_bounded_after_balancing():
     res = run(cfg=base_cfg(num_tsteps=6))
     # SFC partition keeps per-rank counts within one block of the mean.
     assert res.imbalance <= 1.5
+
+
+@pytest.mark.parametrize(
+    "variant", ["mpi_only", "fork_join", "tampi_dataflow"]
+)
+def test_uneven_groups_build_each_epoch_plan_once(monkeypatch, variant):
+    """Groups of 2, 2 and 1 variables alternate two plan sizes every
+    stage; each (epoch, nvars) plan is still built exactly once."""
+    requested, built = set(), []
+    real_build = app.build_all_rank_plans
+    real_commplans = app.SharedState.commplans
+
+    def build(structure, config, nvars):
+        built.append(nvars)
+        return real_build(structure, config, nvars)
+
+    def commplans(self, epoch, nvars):
+        requested.add((epoch, nvars))
+        return real_commplans(self, epoch, nvars)
+
+    monkeypatch.setattr(app, "build_all_rank_plans", build)
+    monkeypatch.setattr(app.SharedState, "commplans", commplans)
+    run(variant, cfg=base_cfg(num_vars=5, comm_vars=2))
+    assert {nvars for _epoch, nvars in requested} == {1, 2}
+    assert len(built) == len(requested)

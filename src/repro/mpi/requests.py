@@ -13,17 +13,13 @@ class Request:
     envelope.
     """
 
-    __slots__ = ("event", "kind", "status", "data", "_seq")
-
-    _counter = 0
+    __slots__ = ("event", "kind", "status", "data")
 
     def __init__(self, env, kind):
         self.event = env.event()
         self.kind = kind  # "send" | "recv"
         self.status = Status()
         self.data = None
-        Request._counter += 1
-        self._seq = Request._counter
 
     @property
     def completed(self) -> bool:
@@ -35,4 +31,4 @@ class Request:
 
     def __repr__(self):
         state = "done" if self.completed else "pending"
-        return f"<Request {self.kind} {state} #{self._seq}>"
+        return f"<Request {self.kind} {state}>"

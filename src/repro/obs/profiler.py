@@ -361,14 +361,14 @@ class Profiler:
         """Fold another worker's profiler into this one.
 
         The partitioned kernel (:mod:`repro.simx.parallel`) runs one
-        profiler per worker; each numbers its tasks from 0, so ``other``'s
-        task ids (and its recorded ``preds``) are remapped by
-        ``tid_offset`` before merging.  ``other`` must have had
-        :meth:`materialize_edges` called (its deferred edge log still
-        references live Task objects, which do not cross workers);
-        everything else merges structurally — per-rank collections are
-        disjoint across workers, record streams interleave by end time,
-        counters add, peaks max.
+        profiler per worker, and each worker's run numbers its tasks from
+        1 (task ids are run-local), so ``other``'s task ids (and its
+        recorded ``preds``) are remapped by ``tid_offset`` before merging.
+        ``other`` must have had :meth:`materialize_edges` called (its
+        deferred edge log still references live Task objects, which do
+        not cross workers); everything else merges structurally —
+        per-rank collections are disjoint across workers, record streams
+        interleave by end time, counters add, peaks max.
         """
         if other._edges:
             raise ValueError(

@@ -10,6 +10,7 @@ simultaneous events are processed in (priority, schedule-order).
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import count
 from sys import getrefcount
 
 from .errors import EmptySchedule
@@ -42,6 +43,10 @@ class Environment:
         # flush_metrics() folds the count into the registry at run end.
         self._events_processed = 0
         self._timeout_pool = []
+        #: The run's task numbering (:class:`repro.tasking.Task` ids,
+        #: from 1).  Owned by the run, so ids never depend on what ran
+        #: before in the process.
+        self.task_ids = count(1)
 
     # ------------------------------------------------------------------
     # Clock & scheduling

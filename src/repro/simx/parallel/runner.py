@@ -276,7 +276,7 @@ def _merge_world_stats(stats_list):
 def _merge_profilers(workers):
     """Fold the per-worker profilers into one, remapping task ids.
 
-    Each worker numbers tasks from 0; worker ``w``'s ids are shifted past
+    Each worker numbers tasks from 1; worker ``w``'s ids are shifted past
     every earlier worker's id span (worker order is deterministic, so the
     remapped ids are too).
     """

@@ -144,8 +144,12 @@ class DependencyTracker:
                         ):
                             preds.append(c)
                     state.last_writer = task
-                    state.readers = []
-                    state.commuters = []
+                    # Only replace a history list that holds something:
+                    # a write after a write finds both empty.
+                    if state.readers:
+                        state.readers = []
+                    if state.commuters:
+                        state.commuters = []
         npred = len(preds)
         for pred in preds:
             pred.successors.append(task)

@@ -29,9 +29,13 @@ from ..machine.costmodel import CostSpec, NoiseModel
 from .deps import DependencyTracker
 from .task import Task, TaskState, normalize_accesses
 
-# Hoisted enum members for the per-task-execution paths.
+# Hoisted enum members for the per-task paths (a module-global load is
+# cheaper than an attribute of the enum class).
+_CREATED = TaskState.CREATED
+_READY = TaskState.READY
 _RUNNING = TaskState.RUNNING
 _EXECUTED = TaskState.EXECUTED
+_COMPLETED = TaskState.COMPLETED
 
 #: The task schedulers the runtime implements.  This tuple is the single
 #: source of truth — :class:`~repro.core.RunSpec` validation and the CLI
@@ -196,31 +200,30 @@ class RankRuntime:
         phase=None,
     ):
         """Create a task; charges spawn overhead to the calling thread."""
+        env = self.env
         overhead = self._spawn_overhead
         if overhead > 0:
-            yield self.env.timeout(overhead)
+            yield env.timeout(overhead)
         task = Task(
-            self.env,
-            label,
-            cost=cost,
-            body=body,
-            accesses=normalize_accesses(ins, outs, inouts, commutatives),
-            affinity=affinity,
-            locality_factor=locality_factor,
-            phase=phase,
+            env, label, cost, body,
+            normalize_accesses(ins, outs, inouts, commutatives),
+            affinity, locality_factor, phase,
         )
-        self._register(task)
+        # Registered inline (this runs per task); _register is the
+        # taskwait-with-deps marker's path.
+        self.stats.tasks_spawned += 1
+        self._outstanding += 1
+        if self.profiler is not None:
+            self.profiler.task_spawned(task, self.rank, env._now)
+        if self.tracker.register(task) == 0:
+            self._make_ready(task, None)
         return task
 
     def _register(self, task):
+        """Register a taskwait-with-deps marker (never outstanding)."""
         self.stats.tasks_spawned += 1
-        if not task.is_sync:
-            self._outstanding += 1
-            if self.profiler is not None:
-                self.profiler.task_spawned(task, self.rank, self.env.now)
-        self.tracker.register(task)
-        if task.npred == 0:
-            self._make_ready(task, preferred=None)
+        if self.tracker.register(task) == 0:
+            self._make_ready(task, None)
 
     # ------------------------------------------------------------------
     # Synchronization
@@ -290,7 +293,7 @@ class RankRuntime:
             return
         if task.commutative_handles and not self._acquire_commutative(task):
             return  # parked; re-released when the lock holder completes
-        task.state = TaskState.READY
+        task.state = _READY
         if self.profiler is not None:
             self.profiler.task_ready(
                 task,
@@ -303,10 +306,11 @@ class RankRuntime:
             # worker wakes, which queue the task lands on, front or back.
             preferred = rng.randrange(self.num_cores)
             front = rng.random() < 0.5
-        waiter = self._pick_waiter(preferred)
-        if waiter is not None:
-            waiter.succeed(task)
-            return
+        if self._waiters:
+            waiter = self._pick_waiter(preferred)
+            if waiter is not None:
+                waiter.succeed(task)
+                return
         if rng is not None:
             core = preferred
         elif preferred is None:
@@ -354,7 +358,7 @@ class RankRuntime:
                 waiting = entry[1].popleft()
                 # Only retry tasks still parked (CREATED); anything else
                 # already acquired its locks through another release.
-                if waiting.state is TaskState.CREATED:
+                if waiting.state is _CREATED:
                     retry.append(waiting)
                     break
         for waiting in retry:
@@ -370,8 +374,6 @@ class RankRuntime:
         taskwait-heavy run.
         """
         waiters = self._waiters
-        if not waiters:
-            return None
         if preferred is not None:
             event = waiters.get(preferred)
             if event is not None:
@@ -471,20 +473,16 @@ class RankRuntime:
         task.state = _RUNNING
         t0 = env._now
 
-        locality = (
-            task.affinity is not None
-            and self._last_affinity[core] == task.affinity
-        )
+        phase = task.phase
+        affinity = task.affinity
         cost = task.cost
         stats = self.stats
-        stats.tasks_by_phase[task.phase] = (
-            stats.tasks_by_phase.get(task.phase, 0) + 1
-        )
-        if locality:
+        by_phase = stats.tasks_by_phase
+        by_phase[phase] = by_phase.get(phase, 0) + 1
+        if affinity is not None and self._last_affinity[core] == affinity:
             stats.locality_hits += 1
-            stats.hits_by_phase[task.phase] = (
-                stats.hits_by_phase.get(task.phase, 0) + 1
-            )
+            hits = stats.hits_by_phase
+            hits[phase] = hits.get(phase, 0) + 1
             cost = cost / task.locality_factor
         total = self.noise.stretch(cost + self._dispatch_overhead)
         if total > 0:
@@ -510,11 +508,11 @@ class RankRuntime:
             # the finished run reclaimable by refcounting alone.
             task.body = None
 
-        self._last_affinity[core] = task.affinity
+        self._last_affinity[core] = affinity
         stats.tasks_executed += 1
         t1 = env._now
         phase_times = stats.per_phase_time
-        phase_times[task.phase] = phase_times.get(task.phase, 0.0) + (t1 - t0)
+        phase_times[phase] = phase_times.get(phase, 0.0) + (t1 - t0)
         if self.profiler is not None:
             self.profiler.task_ran(task, core, t0, t1)
 
@@ -544,35 +542,37 @@ class RankRuntime:
             self._complete(task, core=None)
 
     def _complete(self, task, core):
-        task.state = TaskState.COMPLETED
+        task.state = _COMPLETED
         if not task.is_sync:
             self._outstanding -= 1
             if self.profiler is not None:
-                self.profiler.task_completed(task, self.env.now)
+                self.profiler.task_completed(task, self.env._now)
         if task.commutative_handles:
             self._release_commutative(task, core)
 
         released = []
         for succ in task.successors:
-            succ.npred -= 1
-            if succ.npred == 0 and succ.state is TaskState.CREATED:
+            npred = succ.npred - 1
+            succ.npred = npred
+            if npred == 0 and succ.state is _CREATED:
                 released.append(succ)
-
-        if self._immediate_successor and core is not None:
-            # Immediate-successor policy: released tasks stay on the
-            # completing core, in release order (depth-first execution
-            # that reuses the block still in cache; idle cores steal).
-            for succ in reversed(released):
-                self._make_ready(succ, preferred=core, front=True)
-        else:
-            if self._rng is not None and len(released) > 1:
-                # Fuzz: permute the release order.  This is also how TAMPI
-                # completion interleavings are perturbed — a request's
-                # completion funnels through here, so its successors race
-                # in a different order on every seed.
-                self._rng.shuffle(released)
-            for succ in released:
-                self._make_ready(succ, preferred=None)
+        if released:
+            if self._immediate_successor and core is not None:
+                # Immediate-successor policy: released tasks stay on the
+                # completing core, in release order (depth-first execution
+                # that reuses the block still in cache; idle cores steal).
+                for succ in reversed(released):
+                    self._make_ready(succ, core, True)
+            else:
+                rng = self._rng
+                if rng is not None and len(released) > 1:
+                    # Fuzz: permute the release order.  This is also how
+                    # TAMPI completion interleavings are perturbed — a
+                    # request's completion funnels through here, so its
+                    # successors race in a different order on every seed.
+                    rng.shuffle(released)
+                for succ in released:
+                    self._make_ready(succ, None)
 
         done = task._done_event
         if done is not None:

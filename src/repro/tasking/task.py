@@ -30,12 +30,22 @@ class TaskState(Enum):
     COMPLETED = "completed"  # dependencies released
 
 
-#: Hoisted member for the per-spawn commutative scan in Task.__init__.
+# Hoisted members: the spawn path reads them once per task or access,
+# and a module-global load is cheaper than an attribute of the enum class.
+_IN = AccessMode.IN
+_OUT = AccessMode.OUT
+_INOUT = AccessMode.INOUT
 _COMMUTATIVE = AccessMode.COMMUTATIVE
+_CREATED = TaskState.CREATED
+_COMPLETED = TaskState.COMPLETED
 
 
 class Task:
     """One schedulable unit of work.
+
+    Task ids come from ``env.task_ids``, the run's own counter, so a run
+    numbers its tasks from 1 whatever ran before it in the process, and
+    creating a task writes no class attribute (see DESIGN.md §6).
 
     Parameters
     ----------
@@ -82,8 +92,6 @@ class Task:
         "unchecked",
     )
 
-    _counter = 0
-
     def __init__(
         self,
         env,
@@ -99,9 +107,7 @@ class Task:
             raise ValueError("task cost must be >= 0")
         if locality_factor < 1.0:
             raise ValueError("locality_factor must be >= 1.0")
-        tid = Task._counter + 1
-        Task._counter = tid
-        self.tid = tid
+        self.tid = next(env.task_ids)
         self.env = env
         self.label = label
         self.cost = cost
@@ -121,7 +127,7 @@ class Task:
         self.affinity = affinity
         self.locality_factor = locality_factor
         self.phase = phase or label
-        self.state = TaskState.CREATED
+        self.state = _CREATED
         self.npred = 0
         self.successors = []
         self.pending_requests = 0
@@ -158,7 +164,7 @@ class Task:
         ev = self._done_event
         if ev is None:
             ev = self._done_event = Event(self.env)
-            if self.state is TaskState.COMPLETED:
+            if self.state is _COMPLETED:
                 ev._ok = True
                 ev._value = None
                 ev.callbacks = None
@@ -166,7 +172,7 @@ class Task:
 
     @property
     def completed(self) -> bool:
-        return self.state is TaskState.COMPLETED
+        return self.state is _COMPLETED
 
     def __repr__(self):
         return f"<Task #{self.tid} {self.label!r} {self.state.value}>"
@@ -179,15 +185,12 @@ def normalize_accesses(ins=(), outs=(), inouts=(), commutatives=()):
     """
     accesses = []
     append = accesses.append
-    mode = AccessMode.IN
     for handle in ins:
-        append((mode, handle))
-    mode = AccessMode.OUT
+        append((_IN, handle))
     for handle in outs:
-        append((mode, handle))
-    mode = AccessMode.INOUT
+        append((_OUT, handle))
     for handle in inouts:
-        append((mode, handle))
+        append((_INOUT, handle))
     for handle in commutatives:
         append((_COMMUTATIVE, handle))
     return tuple(accesses)

@@ -15,7 +15,7 @@ import pytest
 from conftest import QUICK, bench_once
 
 from repro.bench import trace_runs
-from repro.trace import (
+from repro.obs import (
     core_utilization,
     mpi_time_by_call,
     overlap_fraction,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from repro import RunSpec, marenostrum4, run_simulation
 from repro.bench import TAMPI_OPTS, build_config, four_spheres
-from repro.trace import (
+from repro.obs import (
     core_utilization,
     legend,
     mpi_time_by_call,
@@ -49,7 +49,7 @@ def main():
         results[variant] = res
         prv = outdir / f"{variant}.prv"
         write_prv(res.tracer, prv, cfg.num_ranks, res.total_time)
-        write_pcf(outdir / f"{variant}.pcf")
+        write_pcf(res.tracer, outdir / f"{variant}.pcf")
         print(f"{variant}: total={res.total_time:.4f}s "
               f"refine={res.refine_time:.4f}s -> trace {prv}")
 

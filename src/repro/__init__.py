@@ -23,7 +23,7 @@ Quickstart::
     print(result.total_time, result.gflops)
 """
 
-from . import amr, core, faults, machine, mpi, simx, tampi, tasking, trace
+from . import amr, core, faults, machine, mpi, simx, tampi, tasking
 from .amr import AmrConfig, ObjectSpec, Shape, sphere
 from .core import CommStats, RunResult, RunSpec, RuntimeStats, run_simulation
 from .faults import FaultPlan, FaultStats, noise_plan, straggler_plan
@@ -89,7 +89,6 @@ __all__ = [
     "sphere",
     "tampi",
     "tasking",
-    "trace",
     "tune",
     "verify",
     "__version__",

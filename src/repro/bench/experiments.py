@@ -587,8 +587,6 @@ def trace_runs(quick=False, engine=None) -> TraceExperiment:
 
     MPI-only runs 96 ranks (48/node); TAMPI+OSS runs 8 ranks × 12 cores.
     Scaled step counts; traces are collected for analysis/rendering.
-    Trace runs are live-only (the tracer cannot cross a process boundary),
-    so the engine executes them in-process and never caches them.
     """
     num_nodes = 2
     tsteps = 2 if quick else 3

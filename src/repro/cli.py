@@ -101,9 +101,9 @@ def _add_geometry_options(p):
 def _add_engine_options(p):
     """Sweep-engine options shared by ``sweep`` and ``bench``."""
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes; every run but a trace run "
-                        "executes in one, so timeout/retry/cancel behave "
-                        "the same at any count (default: %(default)s)")
+                   help="worker processes; every run executes in one, "
+                        "so timeout/retry/cancel behave the same at any "
+                        "count (default: %(default)s)")
     p.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
                    help="content-addressed result cache directory "
                         "(default: %(default)s)")
@@ -286,9 +286,9 @@ def _add_verify_parser(sub):
     # introduced without a version bump, so only jobs/timeout/retries of
     # the engine options apply here.
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes; every run but a trace run "
-                        "executes in one, so timeout/retry/cancel behave "
-                        "the same at any count (default: %(default)s)")
+                   help="worker processes; every run executes in one, "
+                        "so timeout/retry/cancel behave the same at any "
+                        "count (default: %(default)s)")
     p.add_argument("--timeout", type=float, default=None,
                    help="per-run timeout in seconds (any --jobs count)")
     p.add_argument("--retries", type=int, default=2,

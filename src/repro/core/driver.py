@@ -10,9 +10,9 @@ from ..faults.injectors import FaultInjector
 from ..mpi import World
 from ..obs.profiler import Profiler
 from ..obs.report import PhaseSummary, build_profile_report
+from ..obs.trace import Tracer
 from ..simx import Environment
 from ..tasking import RankRuntime
-from ..trace import Tracer
 from ..verify.witness import AccessWitness
 from .app import SharedState
 from .results import CommStats, RunResult, RuntimeStats

@@ -5,13 +5,13 @@ summaries of the simulated-MPI and tasking-runtime counters.  Everything
 serializes losslessly through :meth:`RunResult.to_dict` /
 :meth:`RunResult.from_dict` — float64 values survive JSON exactly — so
 results can cross process boundaries and live in the on-disk cache of
-:mod:`repro.exec`.  The only live-only attachments are the run's
-:class:`~repro.obs.Profiler` and its :class:`~repro.trace.Tracer` view,
-which are excluded from serialization and from equality.  Data derived
-from them does serialize: a compact :class:`~repro.obs.PhaseSummary`
-rides along whenever the run traced or profiled, and a full
-:class:`~repro.obs.ProfileReport` when ``RunSpec(profile=True)`` — so
-cached results are no longer blind.
+:mod:`repro.exec`.  The one attachment that does not is the run's
+:class:`~repro.obs.Profiler`, which is excluded from serialization and
+from equality.  The views over its records serialize: the
+:class:`~repro.obs.Tracer` of a traced run (as compact event rows), a
+compact :class:`~repro.obs.PhaseSummary` whenever the run traced or
+profiled, and a full :class:`~repro.obs.ProfileReport` when
+``RunSpec(profile=True)``.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from ..obs.report import PhaseSummary, ProfileReport
+from ..obs.trace import Tracer
 
 
 @dataclass
@@ -130,10 +131,10 @@ class RunResult:
     #: :class:`~repro.faults.FaultPlan`): the
     #: :class:`~repro.faults.FaultStats` counters as a plain dict.
     fault_stats: dict = None
-    #: Live-only tracer (present when tracing was requested; never
-    #: serialized, ignored by equality).
-    tracer: object = None
-    #: Live-only :class:`~repro.obs.Profiler` (present when the run was
+    #: :class:`~repro.obs.Tracer` view of the run's records (present
+    #: when ``RunSpec(trace=True)``; serialized as ``"trace"`` rows).
+    tracer: Tracer = None
+    #: The run's :class:`~repro.obs.Profiler` (present when the run was
     #: traced or profiled in-process; never serialized, ignored by
     #: equality — the serializable digest is :attr:`profile`).  Needed by
     #: exporters that read raw records, e.g. the Chrome trace writer.
@@ -152,12 +153,12 @@ class RunResult:
 
     # ------------------------------------------------------------------
     def __eq__(self, other):
-        """Field equality modulo the live attachments (checksum arrays
+        """Field equality modulo the live profiler (checksum arrays
         exact)."""
         if not isinstance(other, RunResult):
             return NotImplemented
         for f in fields(self):
-            if f.name in ("tracer", "profiler", "checksums"):
+            if f.name in ("profiler", "checksums"):
                 continue
             if getattr(self, f.name) != getattr(other, f.name):
                 return False
@@ -176,10 +177,10 @@ class RunResult:
     def to_dict(self) -> dict:
         """JSON-compatible dict (inverse of :meth:`from_dict`).
 
-        The tracer is live-only and intentionally not included; its
-        serializable derivatives (``phase_summary``, ``profile``) are
-        emitted only when present, so dicts of untraced runs — and the
-        goldens built from them — are unchanged by these fields.
+        The profiler is intentionally not included; the views over it
+        (``phase_summary``, ``profile``, ``trace``) are emitted only when
+        present, so dicts of unobserved runs — and the goldens built from
+        them — are unchanged by these fields.
         """
         d = {
             "variant": self.variant,
@@ -202,6 +203,8 @@ class RunResult:
             d["profile"] = self.profile.to_dict()
         if self.fault_stats is not None:
             d["fault_stats"] = dict(self.fault_stats)
+        if self.tracer is not None:
+            d["trace"] = self.tracer.to_rows()
         return d
 
     @classmethod
@@ -235,4 +238,9 @@ class RunResult:
                 else None
             ),
             fault_stats=data.get("fault_stats"),
+            tracer=(
+                Tracer.from_rows(data["trace"])
+                if data.get("trace") is not None
+                else None
+            ),
         )

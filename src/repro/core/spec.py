@@ -144,8 +144,8 @@ class RunSpec:
     stage_barrier: bool = False
     #: :class:`~repro.machine.CostSpec` field overrides (for ablations).
     cost_overrides: dict = None
-    #: Attach a live :class:`~repro.trace.Tracer` — a view over the run's
-    #: :class:`~repro.obs.Profiler` records — to the result (never cached).
+    #: Attach a :class:`~repro.obs.Tracer` — a view over the run's
+    #: :class:`~repro.obs.Profiler` records — to the result.
     trace: bool = False
     #: Profile the run: collect a serializable
     #: :class:`~repro.obs.ProfileReport` (metrics, critical path, idle-gap

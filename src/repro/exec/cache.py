@@ -114,6 +114,9 @@ class ResultCache:
                 value=RunResult.from_dict(envelope["result"]),
                 wall_time=wall_time,
             )
+            if envelope["spec"].get("trace") and entry.value.tracer is None:
+                # Written before traces serialized with the result.
+                raise ValueError("traced run cached without its trace")
             self.hits += 1
             return entry
         except FileNotFoundError:

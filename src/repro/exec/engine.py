@@ -31,15 +31,11 @@ One scheduler core does the executing: :class:`EngineSession` launches,
 reaps, times out, retries, cancels and finalizes every run, and
 :class:`GraphRun` is the one path that admits a job graph into it — for
 :meth:`SweepEngine.run` and the serve broker alike.  Timeout, retry and
-cancel therefore behave the same at every ``jobs`` count.
-
-Trace runs (``spec.trace=True``) are the one exception: the tracer
-cannot cross a process boundary or live in the JSON cache, so they
-execute in the engine process and bypass the cache.  Profiled runs
-(``spec.profile=True``) are *not* live-only — the
-:class:`~repro.obs.ProfileReport` serializes with the result, so they
+cancel therefore behave the same at every ``jobs`` count.  Traced and
+profiled runs are no exception: their :class:`~repro.obs.Tracer` and
+:class:`~repro.obs.ProfileReport` serialize with the result, so they
 flow through the pool and the cache like any other run (under their own
-fingerprint, since ``profile`` is part of the spec).
+fingerprint, since ``trace`` and ``profile`` are part of the spec).
 """
 
 from __future__ import annotations
@@ -54,6 +50,7 @@ import traceback
 from dataclasses import dataclass, field
 
 from ..core import RunResult, RunSpec, run_simulation
+from ..core.driver import gc_suspended
 from ..obs.telemetry import QueueEmitter, drain_queue
 from .stats import FALLBACK_CONSERVATISM, fallback_cost, spec_signature
 
@@ -134,7 +131,6 @@ class RunOutcome:
     #: and backoff).  ``None`` when the run never succeeded.
     exec_time: float = None
     #: Engine worker (pool slot) that executed the run: ``0..jobs-1``,
-    #: ``-1`` for live-only trace runs executed in the engine parent,
     #: ``None`` when nothing executed (cached/blocked outcomes).
     worker_id: int = None
     #: Pool slots the run occupied while executing (a partitioned run
@@ -215,8 +211,14 @@ class SweepReport:
 # Worker side
 # ----------------------------------------------------------------------
 def run_spec_dict(spec_dict: dict) -> dict:
-    """Default worker body: execute a serialized spec, return a dict."""
-    return run_simulation(RunSpec.from_dict(spec_dict)).to_dict()
+    """Default worker body: execute a serialized spec, return a dict.
+
+    The result serializes before the cyclic collector is back on: a
+    traced run's event rows would otherwise make it rescan the whole
+    finished run.
+    """
+    with gc_suspended():
+        return run_simulation(RunSpec.from_dict(spec_dict)).to_dict()
 
 
 def _child_main(conn, runner, spec_dict):
@@ -337,12 +339,11 @@ class SweepEngine:
     jobs:
         Worker processes (default 1).  Every run executes in a worker
         process at every ``jobs`` count, so timeout, retry and cancel
-        behave the same at 1 as at 8; only live-only trace runs execute
-        in the engine process.
+        behave the same at 1 as at 8.
     cache:
         A :class:`~repro.exec.cache.ResultCache` (or ``None`` to disable).
     timeout:
-        Per-run wall-clock limit in seconds (every run but trace runs).
+        Per-run wall-clock limit in seconds.
     retries:
         Crash/timeout retries per run before it is marked failed.
         Deterministic Python exceptions are *not* retried.
@@ -567,7 +568,7 @@ class GraphRun:
     Decides *when* a node enters the session (the moment its own
     predecessors finish) and with which priority (critical-path-first),
     and settles the nodes that never need a worker: cache hits, analysis
-    values, builder failures, blocked dependents and trace runs.  The
+    values, builder failures and blocked dependents.  The
     caller polls the session and hands each finished ticket in
     :attr:`live` to :meth:`route`.  One ticket per node is reserved up
     front, so on a private session a node's ticket is its index.
@@ -703,9 +704,9 @@ class GraphRun:
     def _admit(self, index):
         """A node's predecessors are all done: resolve and enqueue it.
 
-        Cache lookups, generator builds, analysis reductions and trace
-        runs all happen here, synchronously — a cached or analytic node
-        unblocks its dependents without ever occupying a worker slot.
+        Cache lookups, generator builds and analysis reductions all
+        happen here, synchronously — a cached or analytic node unblocks
+        its dependents without ever occupying a worker slot.
         """
         node = self.graph.nodes[index]
         ready_at = time.monotonic()
@@ -763,10 +764,8 @@ class GraphRun:
             self._finish(index, outcome)
 
     def _run(self, task):
-        """Serve a run from the cache, run it inline (trace), or queue it;
-        the outcome when settled now, else ``None`` (it routes later)."""
-        if task.spec.trace:
-            return self.session._run_inline(task)
+        """Serve a run from the cache or queue it; the outcome when
+        settled now, else ``None`` (it routes later)."""
         cache, stats = self.engine.cache, self.engine.stats
         if cache is not None:
             entry = cache.get_entry(task.fingerprint)
@@ -867,9 +866,7 @@ class EngineSession:
     This is the engine's only code that launches, reaps, times out,
     retries, cancels and finalizes a run.  Every run executes in a
     worker process at every ``jobs`` count, so timeout, retry and cancel
-    behave identically at ``jobs=1``; the one exception is a live-only
-    trace run, which a job graph executes in the engine process because
-    its tracer cannot cross a process boundary.  A session does no cache
+    behave identically at ``jobs=1``.  A session does no cache
     lookups — the caller decides its own fast path (``run()`` looks up
     at admission, the serve broker coalesces *before* the session ever
     sees a spec); it stores completed runs to the cache and feeds the
@@ -1093,35 +1090,6 @@ class EngineSession:
             daemon=task.slots == 1,
         )
         task.conn = parent
-        self._begin_attempt(task)
-        task.deadline = (
-            task.started + engine.timeout if engine.timeout else None
-        )
-        task.proc.start()
-        child.close()
-        self._running.append(task)
-
-    def _run_inline(self, task):
-        """Execute a live-only trace run in this process (worker ``-1``).
-
-        The tracer cannot cross a process boundary or live in the cache,
-        so this is the one run that neither forks nor stores; ``runner``,
-        ``timeout`` and ``retries`` do not apply to it.
-        """
-        task.wids = [-1]
-        self._begin_attempt(task)
-        try:
-            result, error = run_simulation(task.spec), None
-        except Exception:
-            result, error = None, traceback.format_exc()
-        task.wall_time = time.monotonic() - task.started
-        if error is not None:
-            return self._finalize(task, "failed", error=error)
-        return self._finalize(task, "ok", result=result,
-                              exec_time=task.wall_time)
-
-    def _begin_attempt(self, task):
-        """Count an attempt and announce it (``start`` on the first)."""
         task.attempts += 1
         task.started = time.monotonic()
         if task.first_started is None:
@@ -1133,6 +1101,12 @@ class EngineSession:
         )
         if task.attempts == 1:
             self._progress("start", self._outcome(task, "running"))
+        task.deadline = (
+            task.started + engine.timeout if engine.timeout else None
+        )
+        task.proc.start()
+        child.close()
+        self._running.append(task)
 
     def _reap(self, task):
         """One reap step for a running task; the terminal outcome or
@@ -1217,7 +1191,7 @@ class EngineSession:
 
     def _release(self, task):
         """Return a task's claimed worker ids to the pool."""
-        if task.wids and task.wids[0] >= 0:
+        if task.wids:
             self._free_wids.extend(task.wids)
             self._free_wids.sort()
         task.wids = None

@@ -3,9 +3,12 @@
 Metrics registry, run profiler, critical-path / idle-gap attribution,
 serializable profile reports, and exporters (Chrome trace JSON, CSV,
 ASCII summaries).  The profiler is a run's only recorder: it is
-installed by ``RunSpec(profile=True)`` or ``RunSpec(trace=True)`` (whose
-:class:`~repro.trace.Tracer` is a view over it), and every hook in the
-instrumented layers is a no-op when neither is set.
+installed by ``RunSpec(profile=True)`` or ``RunSpec(trace=True)``, and
+every hook in the instrumented layers is a no-op when neither is set.
+Everything else is a view over its records, among them the
+:class:`Tracer` of a traced run with the Figs 1–3 analyses
+(:mod:`repro.obs.trace`) and its Paraver export and ASCII timelines
+(:mod:`repro.obs.paraver`).
 
 Above the single run sits the engine-wide telemetry layer: the
 :class:`TelemetryBus` JSONL stream every engine actor emits into
@@ -37,6 +40,7 @@ from .export import (
     write_chrome_trace,
 )
 from .metrics import MetricsRegistry
+from .paraver import legend, render_ascii, write_pcf, write_prv
 from .profiler import Profiler, TaskRecord
 from .report import PhaseSummary, ProfileReport, build_profile_report
 from .telemetry import (
@@ -49,6 +53,17 @@ from .telemetry import (
     read_records,
     validate_file,
     validate_record,
+)
+from .trace import (
+    TraceEvent,
+    Tracer,
+    UtilizationReport,
+    core_utilization,
+    mpi_time_by_call,
+    overlap_fraction,
+    phase_time,
+    task_time_by_phase,
+    unpack_follows_gap_fraction,
 )
 
 __all__ = [
@@ -64,23 +79,36 @@ __all__ = [
     "TaskRecord",
     "TelemetryBus",
     "TelemetryError",
+    "TraceEvent",
+    "Tracer",
+    "UtilizationReport",
     "ascii_summary",
     "build_profile_report",
     "chrome_trace_events",
     "comm_blocked_fraction",
     "compare_reports",
+    "core_utilization",
     "critical_path",
     "drain_queue",
     "idle_gaps",
     "iter_records",
+    "legend",
     "merge_intervals",
     "metrics_csv",
     "metrics_json",
+    "mpi_time_by_call",
+    "overlap_fraction",
     "overlap_length",
     "phase_overlap_fraction",
+    "phase_time",
     "pipeline_summary",
     "read_records",
+    "render_ascii",
+    "task_time_by_phase",
+    "unpack_follows_gap_fraction",
     "validate_file",
     "validate_record",
     "write_chrome_trace",
+    "write_pcf",
+    "write_prv",
 ]

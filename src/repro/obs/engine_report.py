@@ -355,17 +355,16 @@ class EngineReport:
         """The engine timeline as Chrome trace events: one lane per worker.
 
         ``pid`` 0 is the engine; ``tid`` is the worker id + 1 (lane 0
-        holds engine-scope instants; live-only parent runs, wid -1, land
-        there too).  Same schema as the per-run exporter: every event
-        has ``name``/``ph``/``pid``/``tid``; ``X`` spans add
-        ``ts``/``dur`` in microseconds.
+        holds engine-scope instants).  Same schema as the per-run
+        exporter: every event has ``name``/``ph``/``pid``/``tid``; ``X``
+        spans add ``ts``/``dur`` in microseconds.
         """
         t0 = self.t0 or 0.0
         events = []
         lanes = set()
         for ledger in self.ledgers.values():
             for wid, start, end, ok in ledger.spans:
-                tid = (wid if wid is not None and wid >= 0 else -1) + 1
+                tid = wid + 1
                 lanes.add(tid)
                 events.append({
                     "name": ledger.node,
@@ -416,10 +415,9 @@ class EngineReport:
             },
         ]
         for tid in sorted(lanes):
-            label = "parent (live)" if tid == 0 else f"worker {tid - 1}"
             meta.append({
                 "name": "thread_name", "ph": "M", "pid": 0, "tid": tid,
-                "args": {"name": label},
+                "args": {"name": f"worker {tid - 1}"},
             })
         return meta + events
 
@@ -471,9 +469,8 @@ class EngineReport:
             lines.append("-- worker utilization --")
             for wid in sorted(busy):
                 frac = busy[wid] / self.makespan
-                label = "parent" if wid == -1 else f"w{wid}"
                 lines.append(
-                    f"  {label:<8}{busy[wid]:9.3f} s  "
+                    f"  w{wid:<7}{busy[wid]:9.3f} s  "
                     f"{frac:6.1%}  [{_bar(frac)}]  "
                     f"{runs.get(wid, 0)} attempt(s)"
                 )

@@ -27,8 +27,8 @@ materialized once from those records by :meth:`Profiler.finalize_metrics`
 writes rather than a registry lookup.
 
 Every other view of a run is derived from these records: the
-:class:`~repro.trace.Tracer` (Paraver export, Figs 1–3 analyses) via
-:meth:`repro.trace.Tracer.from_profiler`, and the
+:class:`~repro.obs.Tracer` (Paraver export, Figs 1–3 analyses) via
+:meth:`repro.obs.Tracer.from_profiler`, and the
 :class:`~repro.obs.PhaseSummary`.
 """
 

@@ -29,35 +29,7 @@ from .attribution import (
     phase_overlap_fraction,
 )
 from .metrics import MetricsRegistry
-
-
-def _summarize_records(profiler):
-    """Phase / MPI-call / task-phase times from the profiler's records.
-
-    Same quantities as :func:`repro.trace.analysis.phase_time` (rank 0,
-    the paper's methodology), :func:`~repro.trace.analysis.mpi_time_by_call`
-    and :func:`~repro.trace.analysis.task_time_by_phase`, summed in
-    recording order.
-    """
-    phase_times = {}
-    mpi_times = {}
-    task_times = {}
-    for r in profiler.ran:
-        task_times[r.phase] = task_times.get(r.phase, 0.0) + (
-            r.t_end - r.t_start
-        )
-    for c in profiler.mpi_calls:
-        mpi_times[c.name] = mpi_times.get(c.name, 0.0) + (c.t1 - c.t0)
-    for p in profiler.phases:
-        if p.rank == 0:
-            phase_times[p.name] = phase_times.get(p.name, 0.0) + (
-                p.t1 - p.t0
-            )
-    return (
-        dict(sorted(phase_times.items())),
-        dict(sorted(mpi_times.items())),
-        dict(sorted(task_times.items())),
-    )
+from .trace import duration_sums
 
 
 @dataclass
@@ -75,11 +47,27 @@ class PhaseSummary:
 
     @classmethod
     def from_profiler(cls, profiler) -> "PhaseSummary":
-        phase_times, mpi_times, task_times = _summarize_records(profiler)
+        """Sum the profiler's records in recording order.
+
+        Same quantities, by the same :func:`~repro.obs.trace.duration_sums`,
+        as :func:`~repro.obs.trace.phase_time` (rank 0, the paper's
+        methodology), :func:`~repro.obs.trace.mpi_time_by_call` and
+        :func:`~repro.obs.trace.task_time_by_phase`, without building the
+        trace view.
+        """
+        phase_times = duration_sums(
+            (p.name, p.t0, p.t1) for p in profiler.phases if p.rank == 0
+        )
+        mpi_times = duration_sums(
+            (c.name, c.t0, c.t1) for c in profiler.mpi_calls
+        )
+        task_times = duration_sums(
+            (r.phase, r.t_start, r.t_end) for r in profiler.ran
+        )
         return cls(
-            phase_times=phase_times,
-            mpi_time_by_call=mpi_times,
-            task_time_by_phase=task_times,
+            phase_times=dict(sorted(phase_times.items())),
+            mpi_time_by_call=dict(sorted(mpi_times.items())),
+            task_time_by_phase=dict(sorted(task_times.items())),
             events=(
                 len(profiler.ran)
                 + len(profiler.mpi_calls)

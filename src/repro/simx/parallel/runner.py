@@ -301,7 +301,7 @@ def run_partitioned(rs):
     from ...core.results import CommStats, RunResult
     from ...faults.injectors import FaultStats
     from ...obs.report import PhaseSummary, build_profile_report
-    from ...trace import Tracer
+    from ...obs.trace import Tracer
 
     spec = rs.machine
     machine = spec.machine(

@@ -4,11 +4,12 @@ import os
 import signal
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro import AmrConfig, RunSpec, sphere
+from repro import AmrConfig, RunSpec, run_simulation, sphere
 from repro.exec import (
     EngineSession,
     ResultCache,
@@ -76,6 +77,24 @@ def test_session_executes_and_matches_run(tmp_path):
     for spec in specs:
         assert engine.cache.get(spec.fingerprint()) is not None
     session.close()
+
+
+def test_session_submit_keeps_the_trace(tmp_path):
+    # The serve broker's path: a traced spec submitted to a session comes
+    # back, and is cached, with the trace an in-process run records.
+    spec = replace(small_spec(variant="tampi_dataflow"), trace=True)
+    local = run_simulation(spec)
+    engine = SweepEngine(jobs=1, cache=ResultCache(tmp_path / "cache"))
+    session = engine.session()
+    ticket = session.submit(spec)
+    pump(session, until=lambda: session.active == 0)
+    outcome = session.outcome(ticket)
+    session.close()
+    assert outcome.status == "ok"
+    assert outcome.result.tracer.events
+    assert outcome.result.tracer == local.tracer
+    assert outcome.result == local
+    assert engine.cache.get(spec.fingerprint()).tracer == local.tracer
 
 
 def test_session_priority_orders_launches(tmp_path):

@@ -1,6 +1,7 @@
 """ResultCache: hit/miss semantics, corruption handling, atomicity."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -101,6 +102,17 @@ def test_fingerprint_mismatch_is_a_miss(tmp_path, spec, result):
     envelope["fingerprint"] = "0" * 64
     cache.path(fp).write_text(json.dumps(envelope))
     assert cache.get(fp) is None
+
+
+def test_traced_entry_without_its_trace_is_a_miss(tmp_path, spec, result):
+    # Entries written before traces serialized hold a trace-less result
+    # under the traced fingerprint; serving one would drop the trace.
+    traced = replace(spec, trace=True)
+    cache = ResultCache(tmp_path / "cache")
+    fp = traced.fingerprint()
+    cache.put(fp, traced, result)
+    assert cache.get(fp) is None
+    assert fp not in cache
 
 
 def test_no_temp_files_left_behind(tmp_path, spec, result):

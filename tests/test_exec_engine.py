@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import AmrConfig, RunSpec, sphere
+from repro import AmrConfig, RunSpec, run_simulation, sphere
 from repro.bench import weak_scaling
 from repro.exec import (
     ResultCache,
@@ -110,16 +110,23 @@ def test_serial_runs_also_fill_the_cache(tmp_path):
     assert warm.executed == 0 and warm.cached == 3
 
 
-def test_trace_specs_bypass_the_cache(tmp_path):
+def test_trace_specs_run_in_the_pool_and_cache(tmp_path):
     spec = RunSpec(config=small_config(), machine="laptop",
                    variant="tampi_dataflow", ranks_per_node=2, trace=True)
+    local = run_simulation(spec)
     cache = ResultCache(tmp_path / "cache")
-    first = SweepEngine(jobs=2, cache=cache).run([spec])
-    second = SweepEngine(jobs=2, cache=cache).run([spec])
-    assert len(cache) == 0
-    assert first.executed == second.executed == 1
-    # Trace runs stay in-process, so the live tracer is present.
-    assert first.outcomes[0].result.tracer is not None
+    first = SweepEngine(jobs=1, cache=cache).run([spec])
+    second = SweepEngine(jobs=1, cache=cache).run([spec])
+    cold, warm = first.outcomes[0], second.outcomes[0]
+    # A trace run forks onto a pool worker like any other run...
+    assert cold.status == "ok" and cold.worker_id == 0
+    assert cold.result.tracer.events
+    assert cold.result.tracer == local.tracer
+    # ...and its trace is served from the cache on a warm re-run.
+    assert len(cache) == 1
+    assert warm.status == "cached" and second.executed == 0
+    assert warm.result.tracer == local.tracer
+    assert warm.result == cold.result
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro import AmrConfig, RunSpec, laptop, run_simulation, sphere
-from repro.trace import TraceEvent, Tracer
+from repro.obs import TraceEvent, Tracer
 
 
 def cfg(**kw):

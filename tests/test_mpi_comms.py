@@ -4,9 +4,8 @@ import pytest
 
 from repro.machine import Machine, NetworkSpec, NodeSpec
 from repro.mpi import SUM, World
-from repro.obs import Profiler
+from repro.obs import Profiler, Tracer
 from repro.simx import Environment
-from repro.trace import Tracer
 
 
 def make_world(nranks=4, profiler=None):

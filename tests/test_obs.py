@@ -478,7 +478,7 @@ def test_metrics_exports(tampi_result):
 # ----------------------------------------------------------------------
 class TestTracerRingBuffer:
     def test_unbounded_by_default(self):
-        from repro.trace import Tracer
+        from repro.obs import Tracer
 
         prof = Profiler()
         for i in range(100):
@@ -494,8 +494,8 @@ class TestTracerRingBuffer:
 # ----------------------------------------------------------------------
 class TestAnalysisEdgeCases:
     def test_empty_tracer(self):
-        from repro.trace import Tracer
-        from repro.trace.analysis import (
+        from repro.obs import (
+            Tracer,
             mpi_time_by_call,
             overlap_fraction,
             phase_time,
@@ -512,8 +512,7 @@ class TestAnalysisEdgeCases:
         assert t.summarize() == "empty trace"
 
     def test_zero_duration_window_raises(self):
-        from repro.trace import Tracer
-        from repro.trace.analysis import core_utilization
+        from repro.obs import Tracer, core_utilization
 
         t = Tracer()
         with pytest.raises(ValueError):
@@ -522,8 +521,7 @@ class TestAnalysisEdgeCases:
             core_utilization(t, 0, 2, 2.0, 1.0)
 
     def test_utilization_of_empty_tracer_is_zero(self):
-        from repro.trace import Tracer
-        from repro.trace.analysis import core_utilization
+        from repro.obs import Tracer, core_utilization
 
         rep = core_utilization(Tracer(), 0, 2, 0.0, 1.0)
         assert rep.busy_fraction == 0.0

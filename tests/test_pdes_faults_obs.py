@@ -155,3 +155,16 @@ def test_trace_partitioned_matches_serial(variant):
     assert sorted(part.tracer.events, key=key) == s_events
     assert {e.kind for e in s_events} >= {"mpi", "phase"}
     assert part.phase_summary == serial.phase_summary
+
+
+@pytest.mark.parametrize("variant", ["mpi_only", "tampi_dataflow"])
+def test_traced_partitioned_result_is_byte_identical(variant):
+    # The trace serializes with the result, so it is held to the same
+    # contract as every other field: event for event, in order.
+    spec = _spec(trace=True, variant=variant)
+    if variant != "mpi_only":
+        spec = replace(spec, ranks_per_node=2, num_nodes=2)
+    serial = run_simulation(spec)
+    part = run_simulation(replace(spec, pdes_workers=2))
+    assert part.tracer == serial.tracer
+    assert _canon(part) == _canon(serial)

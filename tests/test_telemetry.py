@@ -314,18 +314,17 @@ class TestEngineIntegration:
         assert entry.window_efficiency is not None
         assert set(entry.partitions) == {0, 1}
 
-    def test_inline_and_trace_runs_get_worker_ids(self, tmp_path):
+    def test_trace_runs_get_pool_worker_ids(self, tmp_path):
         path = tmp_path / "tel.jsonl"
         spec = small_sweep(1)[0]
         with TelemetryBus(path) as bus:
             report = SweepEngine(jobs=1, telemetry=bus).run(
                 [spec, replace(spec, trace=True)]
             )
-        assert report.outcomes[0].worker_id == 0
-        assert report.outcomes[1].worker_id == -1
+        assert [o.worker_id for o in report.outcomes] == [0, 0]
         launched = [r for r in read_records(path)
                     if r["type"] == "job_launched"]
-        assert sorted(r["wid"] for r in launched) == [-1, 0]
+        assert [r["wid"] for r in launched] == [0, 0]
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,8 @@
 import pytest
 
 from repro import AmrConfig, RunSpec, run_simulation
-from repro.obs import Profiler
-from repro.trace import (
+from repro.obs import (
+    Profiler,
     TraceEvent,
     Tracer,
     core_utilization,
@@ -162,7 +162,7 @@ def test_unpack_follows_gap_fraction():
 def test_write_prv_and_pcf(tmp_path):
     t = make_tracer()
     prv = write_prv(t, tmp_path / "trace.prv", num_ranks=1, duration=8.0)
-    pcf = write_pcf(tmp_path / "trace.pcf")
+    pcf = write_pcf(t, tmp_path / "trace.pcf")
     lines = (tmp_path / "trace.prv").read_text().strip().splitlines()
     assert lines[0].startswith("#Paraver")
     # One record per task/mpi event.
@@ -172,6 +172,36 @@ def test_write_prv_and_pcf(tmp_path):
     pcf_text = (tmp_path / "trace.pcf").read_text()
     assert "STATES" in pcf_text
     assert "task:stencil" in pcf_text
+
+
+def test_paraver_state_codes_are_per_trace(tmp_path):
+    # A trace's .prv/.pcf bytes must not depend on what the process wrote
+    # before: codes are numbered 1.. over that trace's own categories.
+    a = make_tracer()
+    b = Tracer([
+        TraceEvent(1, -1, "mpi", "Waitall", "mpi", 0.0, 1.0),
+        TraceEvent(1, 0, "task", "split b9", "split", 0.5, 2.0),
+        TraceEvent(1, 0, "task", "stencil b9", "stencil", 2.0, 3.0),
+    ])
+
+    def write(tracer, name):
+        prv = write_prv(tracer, tmp_path / f"{name}.prv", 2, 8.0)
+        pcf = write_pcf(tracer, tmp_path / f"{name}.pcf")
+        return prv.read_bytes(), pcf.read_bytes()
+
+    alone = write(a, "a1")
+    write(b, "b")
+    assert write(a, "a2") == alone
+    prv, pcf = alone
+    assert prv.decode().splitlines()[1].endswith(":1")
+    assert pcf.decode().splitlines() == [
+        "STATES",
+        "1    task:stencil",
+        "2    task:intra",
+        "3    task:pack",
+        "4    mpi:mpi",
+        "5    task:unpack",
+    ]
 
 
 def test_render_ascii_paints_glyphs():

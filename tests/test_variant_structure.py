@@ -4,7 +4,7 @@ paper describes (phases, task types, message counts)."""
 import pytest
 
 from repro import AmrConfig, RunSpec, laptop, run_simulation, sphere
-from repro.trace import task_time_by_phase
+from repro.obs import task_time_by_phase
 
 
 def cfg(**kw):

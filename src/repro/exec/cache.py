@@ -146,12 +146,17 @@ class ResultCache:
             self.misses += 1
             return None
 
-    def put(self, fingerprint: str, spec: RunSpec, result: RunResult,
+    def put(self, fingerprint: str, spec: RunSpec, result_dict: dict,
             *, wall_time=None):
-        """Atomically store one result (write-to-temp + rename)."""
+        """Atomically store one result (write-to-temp + rename).
+
+        ``result_dict`` is the run's :meth:`RunResult.to_dict` — the dict
+        a sweep worker already sends back, stored without a second
+        serialization.
+        """
         envelope = {
             "spec": spec.to_dict(),
-            "result": result.to_dict(),
+            "result": result_dict,
         }
         self._write(fingerprint, envelope, wall_time)
 

@@ -1132,7 +1132,7 @@ class EngineSession:
             result = RunResult.from_dict(msg[1])
             if self.engine.cache is not None:
                 self.engine.cache.put(
-                    task.fingerprint, task.spec, result,
+                    task.fingerprint, task.spec, msg[1],
                     wall_time=attempt_time,
                 )
             return self._finalize(task, "ok", result=result,

@@ -24,16 +24,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .export import _bar, _us
 from .telemetry import iter_records
-
-
-def _us(seconds: float) -> float:
-    return seconds * 1e6
-
-
-def _bar(fraction, width=24) -> str:
-    filled = int(round(max(0.0, min(1.0, fraction)) * width))
-    return "#" * filled + "." * (width - filled)
 
 
 @dataclass

@@ -4,6 +4,12 @@ This package is the foundation of the whole reproduction: the simulated
 cluster, MPI library, tasking runtime, and the miniAMR application itself
 all execute as :class:`Process` generators inside an :class:`Environment`.
 
+It keeps only what the simulated stack needs: timeouts, one-shot
+events, all/any conditions (``Waitall``/``Waitany``) and generator
+processes.  Every event goes through one event loop, which
+:meth:`Environment.run` (to the end, to a time, or to an event) and the
+conservative-PDES :meth:`Environment.run_window` share.
+
 Public API::
 
     env = Environment()
@@ -14,36 +20,22 @@ Public API::
     env.run()
 """
 
-from .errors import (
-    EmptySchedule,
-    EventAlreadyTriggered,
-    Interrupt,
-    NotTriggeredError,
-    SimxError,
-    StaleProcessError,
-)
-from .events import AllOf, AnyOf, Condition, Event, Timeout
-from .kernel import NORMAL, URGENT, Environment
+from .errors import EventAlreadyTriggered, NotTriggeredError, SimxError
+from .events import NORMAL, URGENT, AllOf, AnyOf, Condition, Event, Timeout
+from .kernel import Environment
 from .process import Process
-from .resources import Gate, Semaphore, Store
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Condition",
-    "EmptySchedule",
     "Environment",
     "Event",
     "EventAlreadyTriggered",
-    "Gate",
-    "Interrupt",
     "NORMAL",
     "NotTriggeredError",
     "Process",
-    "Semaphore",
     "SimxError",
-    "StaleProcessError",
-    "Store",
     "Timeout",
     "URGENT",
 ]

@@ -1,4 +1,4 @@
-"""Errors and control-flow exceptions for the simulation kernel."""
+"""Errors raised by the simulation kernel."""
 
 
 class SimxError(Exception):
@@ -11,26 +11,3 @@ class EventAlreadyTriggered(SimxError):
 
 class NotTriggeredError(SimxError):
     """Raised when the value of an untriggered event is read."""
-
-
-class EmptySchedule(SimxError):
-    """Raised by :meth:`Environment.step` when no events remain."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it.
-
-    The ``cause`` attribute carries the value given to
-    :meth:`Process.interrupt`.
-    """
-
-    def __init__(self, cause=None):
-        super().__init__(cause)
-
-    @property
-    def cause(self):
-        return self.args[0]
-
-
-class StaleProcessError(SimxError):
-    """Raised when interacting with a process that already terminated."""

@@ -13,6 +13,11 @@ from __future__ import annotations
 
 from .errors import EventAlreadyTriggered, NotTriggeredError
 
+#: Priority for urgent events (process initialization).
+URGENT = 0
+#: Default priority for ordinary events.
+NORMAL = 1
+
 _PENDING = object()
 
 
@@ -82,22 +87,6 @@ class Event:
         self._value = exception
         self.env._schedule_event(self)
         return self
-
-    def trigger(self, event):
-        """Trigger this event with the state of another event (chaining)."""
-        if event._value is _PENDING:
-            raise NotTriggeredError(
-                f"cannot chain from untriggered source event {event!r}"
-            )
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
-
-    def _process_callbacks(self):
-        callbacks, self.callbacks = self.callbacks, None
-        for cb in callbacks:
-            cb(self)
 
     def __repr__(self):
         state = "pending"

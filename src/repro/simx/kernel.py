@@ -11,16 +11,11 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import count
+from math import inf, nextafter
 from sys import getrefcount
 
-from .errors import EmptySchedule
-from .events import AllOf, AnyOf, Event, Timeout
+from .events import NORMAL, AllOf, AnyOf, Event, Timeout
 from .process import Process
-
-#: Priority for urgent events (process initialization, interrupts).
-URGENT = 0
-#: Default priority for ordinary events.
-NORMAL = 1
 
 #: Upper bound on the Timeout free list (bounds idle memory; in steady
 #: state the pool holds roughly one Timeout per concurrently sleeping
@@ -35,12 +30,11 @@ class Environment:
         self._now = float(initial_time)
         self._queue = []  # heap of (time, priority, seq, event)
         self._seq = 0
-        self._active_proc = None
-        #: Optional :class:`repro.obs.MetricsRegistry` counting processed
-        #: events (None = no accounting; the hot loop stays branch-cheap).
+        #: Optional :class:`repro.obs.MetricsRegistry` the processed-event
+        #: count is flushed into (None = no accounting).
         self.metrics = metrics
-        # With metrics on, the per-event cost is one plain-int increment;
-        # flush_metrics() folds the count into the registry at run end.
+        # The event loop counts processed events here; flush_metrics()
+        # folds the count into the registry at run end.
         self._events_processed = 0
         self._timeout_pool = []
         #: The run's task numbering (:class:`repro.tasking.Task` ids,
@@ -56,11 +50,6 @@ class Environment:
         """Current simulated time (seconds)."""
         return self._now
 
-    @property
-    def active_process(self):
-        """The process currently being resumed, if any."""
-        return self._active_proc
-
     def _schedule_event(self, event, delay=0.0, priority=NORMAL):
         seq = self._seq + 1
         self._seq = seq
@@ -74,7 +63,7 @@ class Environment:
         from another worker — relative ``timeout(time - now)`` would
         re-round the float and lose bitwise equality with the serial
         schedule.  The event is created already-succeeded (value ``None``)
-        so both run loops process it like any other triggered event.
+        so the event loop processes it like any other triggered event.
         """
         if time < self._now:
             raise ValueError(
@@ -141,34 +130,49 @@ class Environment:
     # ------------------------------------------------------------------
     def peek(self):
         """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
+        return self._queue[0][0] if self._queue else inf
 
-    def step(self):
-        """Process the single next event.
+    def _loop(self, horizon, stop):
+        """Process events with time *strictly before* ``horizon``.
 
-        Raises :class:`EmptySchedule` when no events remain.  Re-raises the
-        exception of any failed event whose failure no process handled.
+        Stops early right after processing the event ``stop`` (if not
+        None).  Re-raises the exception of any failed event whose failure
+        nobody handled.  Returns the number of events processed.
+
+        Every mode of :meth:`run` and :meth:`run_window` goes through
+        here.  At paper-scale world sizes this executes millions of
+        iterations, so it works on local bindings: every attribute load
+        per event counts.
         """
+        queue = self._queue
+        pool = self._timeout_pool
+        pop = heappop
+        refcount = getrefcount
+        processed = 0
         try:
-            when, _prio, _seq, event = heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule("no scheduled events") from None
-
-        self._now = when
-        if self.metrics is not None:
-            self._events_processed += 1
-        event._process_callbacks()
-
-        if not event._ok and not event.defused:
-            exc = event._value
-            raise exc
-
-        # Free-list processed Timeouts nobody else references (refcount 2
-        # = this frame's local + getrefcount's argument).
-        if type(event) is Timeout and getrefcount(event) == 2:
-            pool = self._timeout_pool
-            if len(pool) < _TIMEOUT_POOL_CAP:
-                pool.append(event)
+            while queue and queue[0][0] < horizon:
+                when, _prio, _seq, event = pop(queue)
+                self._now = when
+                processed += 1
+                callbacks = event.callbacks
+                event.callbacks = None
+                for cb in callbacks:
+                    cb(event)
+                if not event._ok and not event.defused:
+                    raise event._value
+                if event is stop:
+                    break
+                # Free-list the Timeout when this frame holds the only
+                # reference (refcount 2: the local + getrefcount's arg).
+                if (
+                    type(event) is Timeout
+                    and refcount(event) == 2
+                    and len(pool) < _TIMEOUT_POOL_CAP
+                ):
+                    pool.append(event)
+        finally:
+            self._events_processed += processed
+        return processed
 
     def run_window(self, horizon):
         """Process every event with time *strictly before* ``horizon``.
@@ -181,38 +185,14 @@ class Environment:
         event time for the next safe-horizon computation.  Returns the
         number of events processed.
         """
-        queue = self._queue
-        pool = self._timeout_pool
-        pop = heappop
-        refcount = getrefcount
-        metered = self.metrics is not None
-        processed = 0
-        while queue and queue[0][0] < horizon:
-            when, _prio, _seq, event = pop(queue)
-            self._now = when
-            if metered:
-                self._events_processed += 1
-            processed += 1
-            callbacks = event.callbacks
-            event.callbacks = None
-            for cb in callbacks:
-                cb(event)
-            if not event._ok and not event.defused:
-                raise event._value
-            if (
-                type(event) is Timeout
-                and refcount(event) == 2
-                and len(pool) < _TIMEOUT_POOL_CAP
-            ):
-                pool.append(event)
-        return processed
+        return self._loop(horizon, None)
 
     def flush_metrics(self):
         """Fold the processed-event count into the metrics registry.
 
-        Deferred from :meth:`step` so the hot loop pays a plain-int
-        increment per event instead of a series update; the driver calls
-        this once before the profile report is built.
+        Deferred from the event loop so it pays a plain-int increment per
+        event instead of a series update; the driver calls this once
+        before the profile report is built.
         """
         if self.metrics is not None:
             self.metrics.counter("kernel.events").add(self._events_processed)
@@ -222,70 +202,26 @@ class Environment:
         """Run the simulation.
 
         ``until`` may be ``None`` (run until no events remain), a number
-        (run until that simulated time), or an :class:`Event` (run until it
-        triggers, returning its value).
+        (run until that simulated time, events at exactly that time
+        included), or an :class:`Event` (run until it triggers, returning
+        its value).
         """
         if until is None:
-            stop_time, stop_event = None, None
-        elif isinstance(until, Event):
-            stop_time, stop_event = None, until
-            if until.processed:
-                if not until._ok:
-                    raise until._value
-                return until._value
-        else:
-            stop_time, stop_event = float(until), None
-            if stop_time < self._now:
-                raise ValueError(
-                    f"until ({stop_time}) is in the past (now={self._now})"
-                )
-
-        # The event loop is inlined (rather than calling step()) and works
-        # on local bindings: at paper-scale world sizes it executes
-        # millions of iterations, so every attribute load per event counts.
-        # The until-a-time check only exists in the stop_time flavor of
-        # the loop head, keeping the (dominant) run-to-event mode free of
-        # the extra heap peek per iteration.
-        queue = self._queue
-        pool = self._timeout_pool
-        pop = heappop
-        refcount = getrefcount
-        metered = self.metrics is not None
-        timed = stop_time is not None
-        while queue:
-            if timed and queue[0][0] > stop_time:
-                self._now = stop_time
-                return None
-            when, _prio, _seq, event = pop(queue)
-            self._now = when
-            if metered:
-                self._events_processed += 1
-            callbacks = event.callbacks
-            event.callbacks = None
-            for cb in callbacks:
-                cb(event)
-            if not event._ok and not event.defused:
-                raise event._value
-            # An event becomes `processed` exactly when this loop pops it,
-            # so comparing identities replaces the per-event
-            # `stop_event.processed` property probe of the generic step().
-            if type(event) is Timeout:
-                if event is stop_event:
-                    return event._value
-                # Free-list the Timeout when this frame holds the only
-                # reference (refcount 2: the local + getrefcount's arg).
-                if refcount(event) == 2 and len(pool) < _TIMEOUT_POOL_CAP:
-                    pool.append(event)
-            elif event is stop_event:
-                if not event._ok:
-                    event.defused = True
-                    raise event._value
-                return event._value
-
-        if stop_event is not None:
-            raise RuntimeError(
-                f"simulation ended before {stop_event!r} triggered"
-            )
-        if stop_time is not None:
-            self._now = stop_time
+            self._loop(inf, None)
+            return None
+        if isinstance(until, Event):
+            if not until.processed:
+                self._loop(inf, until)
+                if not until.processed:
+                    raise RuntimeError(
+                        f"simulation ended before {until!r} triggered"
+                    )
+            if not until._ok:
+                raise until._value
+            return until._value
+        at = float(until)
+        if at < self._now:
+            raise ValueError(f"until ({at}) is in the past (now={self._now})")
+        self._loop(nextafter(at, inf), None)
+        self._now = at
         return None

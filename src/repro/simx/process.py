@@ -9,8 +9,7 @@ returns (success, with the return value) or raises (failure).
 
 from __future__ import annotations
 
-from .errors import Interrupt, StaleProcessError
-from .events import Event
+from .events import URGENT, Event
 
 
 class Initialize(Event):
@@ -23,21 +22,19 @@ class Initialize(Event):
         self.callbacks.append(process._resume)
         self._ok = True
         self._value = None
-        env._schedule_event(self, priority=0)
+        env._schedule_event(self, priority=URGENT)
 
 
 class Process(Event):
     """A running simulation process (also usable as an event to wait on)."""
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "name")
 
     def __init__(self, env, generator, name=None):
         if not hasattr(generator, "throw"):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        #: The event this process is currently waiting on (None if running).
-        self._target = None
         self.name = name or getattr(generator, "__name__", "process")
         Initialize(env, self)
 
@@ -46,102 +43,41 @@ class Process(Event):
         """True while the generator has not terminated."""
         return not self.triggered
 
-    def interrupt(self, cause=None):
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self.triggered:
-            raise StaleProcessError(f"{self} has terminated")
-        if self._target is self.env.active_process:
-            raise RuntimeError("a process cannot interrupt itself")
-        Interruption(self, cause)
-
     def _resume(self, event):
-        env = self.env
-        env._active_proc = self
-        # Resume runs once per processed event — locals for the generator
-        # methods keep the hot ok-path to one C call per step.
-        send = self._generator.send
+        # Runs once per processed event the process waits on: feed the
+        # event's outcome into the generator, then park on whatever it
+        # yields next (looping while that is already processed).
+        generator = self._generator
         while True:
-            if event._ok:
-                try:
-                    target = send(event._value)
-                except StopIteration as exc:
-                    self._finish(True, exc.value)
-                    break
-                except BaseException as exc:
-                    self._finish(False, exc)
-                    break
-            else:
-                event.defused = True
-                try:
-                    target = self._generator.throw(event._value)
-                except StopIteration as exc:
-                    self._finish(True, exc.value)
-                    break
-                except BaseException as exc:
-                    if exc is event._value:
-                        # Unhandled failure: keep defused semantics and crash
-                        # this process with the same exception.
-                        pass
-                    self._finish(False, exc)
-                    break
+            try:
+                if event._ok:
+                    target = generator.send(event._value)
+                else:
+                    event.defused = True
+                    target = generator.throw(event._value)
+            except StopIteration as exc:
+                self.succeed(exc.value)
+                return
+            except BaseException as exc:
+                self.fail(exc)
+                return
 
             if not isinstance(target, Event):
                 exc = TypeError(
                     f"process {self.name!r} yielded non-event {target!r}"
                 )
                 try:
-                    self._generator.throw(exc)
+                    generator.throw(exc)
                 except BaseException as err:
-                    self._finish(False, err)
-                break
+                    self.fail(err)
+                return
 
             if target.callbacks is None:  # processed: feed it immediately
                 event = target
                 continue
 
-            self._target = target
             target.callbacks.append(self._resume)
-            break
-
-        env._active_proc = None
-
-    def _finish(self, ok, value):
-        self._target = None
-        if ok:
-            self.succeed(value)
-        else:
-            if not isinstance(value, BaseException):  # pragma: no cover
-                value = RuntimeError(repr(value))
-            self.fail(value)
+            return
 
     def __repr__(self):
         return f"<Process {self.name!r}>"
-
-
-class Interruption(Event):
-    """Immediate event delivering an :class:`Interrupt` to a process."""
-
-    __slots__ = ("process",)
-
-    def __init__(self, process, cause):
-        super().__init__(process.env)
-        self.process = process
-        self._ok = False
-        self._value = Interrupt(cause)
-        self.defused = True
-        self.callbacks.append(self._deliver)
-        process.env._schedule_event(self, priority=0)
-
-    def _deliver(self, event):
-        process = self.process
-        if process.triggered:
-            return  # terminated in the meantime; interrupt is dropped
-        # Detach the process from whatever it was waiting on.
-        target = process._target
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(process._resume)
-            except ValueError:  # pragma: no cover
-                pass
-        process._target = None
-        process._resume(event)

@@ -1,5 +1,6 @@
 """EngineSession (incremental admission) and graceful engine shutdown."""
 
+import json
 import os
 import signal
 import threading
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import AmrConfig, RunSpec, run_simulation, sphere
+from repro import AmrConfig, RunResult, RunSpec, run_simulation, sphere
 from repro.exec import (
     EngineSession,
     ResultCache,
@@ -95,6 +96,34 @@ def test_session_submit_keeps_the_trace(tmp_path):
     assert outcome.result.tracer == local.tracer
     assert outcome.result == local
     assert engine.cache.get(spec.fingerprint()).tracer == local.tracer
+
+
+def test_reap_caches_the_worker_dict_as_sent(tmp_path, monkeypatch):
+    # The worker already serialized the result; the parent stores that
+    # dict and never runs RunResult.to_dict (a traced run's dict holds
+    # every trace row) a second time.
+    spec = replace(small_spec(variant="tampi_dataflow"), trace=True)
+    parent = os.getpid()
+    to_dict = RunResult.to_dict
+    parent_calls = []
+
+    def watched_to_dict(self):
+        if os.getpid() == parent:
+            parent_calls.append(self)
+        return to_dict(self)
+
+    monkeypatch.setattr(RunResult, "to_dict", watched_to_dict)
+    engine = SweepEngine(jobs=1, cache=ResultCache(tmp_path / "cache"))
+    session = engine.session()
+    ticket = session.submit(spec)
+    pump(session, until=lambda: session.active == 0)
+    outcome = session.outcome(ticket)
+    session.close()
+    assert outcome.status == "ok"
+    assert parent_calls == []
+    entry = json.loads(engine.cache.path(spec.fingerprint()).read_text())
+    assert entry["result"]["trace"]
+    assert entry["result"] == json.loads(json.dumps(to_dict(outcome.result)))
 
 
 def test_session_priority_orders_launches(tmp_path):

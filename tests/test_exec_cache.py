@@ -36,7 +36,7 @@ def test_miss_on_empty_cache(tmp_path, spec):
 def test_put_then_hit(tmp_path, spec, result):
     cache = ResultCache(tmp_path / "cache")
     fp = spec.fingerprint()
-    cache.put(fp, spec, result)
+    cache.put(fp, spec, result.to_dict())
     assert fp in cache
     assert len(cache) == 1
     assert cache.get(fp) == result
@@ -45,7 +45,7 @@ def test_put_then_hit(tmp_path, spec, result):
 def test_entry_is_sharded_and_self_describing(tmp_path, spec, result):
     cache = ResultCache(tmp_path / "cache")
     fp = spec.fingerprint()
-    cache.put(fp, spec, result)
+    cache.put(fp, spec, result.to_dict())
     path = cache.path(fp)
     assert path.parent.name == fp[:2]
     envelope = json.loads(path.read_text())
@@ -56,7 +56,7 @@ def test_entry_is_sharded_and_self_describing(tmp_path, spec, result):
 def test_corrupt_entry_is_a_miss_and_removed(tmp_path, spec, result):
     cache = ResultCache(tmp_path / "cache")
     fp = spec.fingerprint()
-    cache.put(fp, spec, result)
+    cache.put(fp, spec, result.to_dict())
     cache.path(fp).write_text("{ not json !!!")
     assert cache.get(fp) is None
     assert not cache.path(fp).exists()
@@ -67,7 +67,7 @@ def test_non_dict_envelope_is_a_miss_and_removed(tmp_path, spec, result):
     treated as a corrupt entry, not crash with AttributeError."""
     cache = ResultCache(tmp_path / "cache")
     fp = spec.fingerprint()
-    cache.put(fp, spec, result)
+    cache.put(fp, spec, result.to_dict())
     cache.path(fp).write_text(json.dumps([1, 2, 3]))
     assert cache.get(fp) is None
     assert not cache.path(fp).exists()
@@ -78,7 +78,7 @@ def test_corrupt_entry_logs_a_warning(tmp_path, spec, result, caplog):
 
     cache = ResultCache(tmp_path / "cache")
     fp = spec.fingerprint()
-    cache.put(fp, spec, result)
+    cache.put(fp, spec, result.to_dict())
     cache.path(fp).write_text("{ not json !!!")
     with caplog.at_level(logging.WARNING, logger="repro.exec.cache"):
         assert cache.get(fp) is None
@@ -88,7 +88,7 @@ def test_corrupt_entry_logs_a_warning(tmp_path, spec, result, caplog):
 def test_truncated_entry_is_a_miss(tmp_path, spec, result):
     cache = ResultCache(tmp_path / "cache")
     fp = spec.fingerprint()
-    cache.put(fp, spec, result)
+    cache.put(fp, spec, result.to_dict())
     blob = cache.path(fp).read_text()
     cache.path(fp).write_text(blob[: len(blob) // 2])
     assert cache.get(fp) is None
@@ -97,7 +97,7 @@ def test_truncated_entry_is_a_miss(tmp_path, spec, result):
 def test_fingerprint_mismatch_is_a_miss(tmp_path, spec, result):
     cache = ResultCache(tmp_path / "cache")
     fp = spec.fingerprint()
-    cache.put(fp, spec, result)
+    cache.put(fp, spec, result.to_dict())
     envelope = json.loads(cache.path(fp).read_text())
     envelope["fingerprint"] = "0" * 64
     cache.path(fp).write_text(json.dumps(envelope))
@@ -110,14 +110,14 @@ def test_traced_entry_without_its_trace_is_a_miss(tmp_path, spec, result):
     traced = replace(spec, trace=True)
     cache = ResultCache(tmp_path / "cache")
     fp = traced.fingerprint()
-    cache.put(fp, traced, result)
+    cache.put(fp, traced, result.to_dict())
     assert cache.get(fp) is None
     assert fp not in cache
 
 
 def test_no_temp_files_left_behind(tmp_path, spec, result):
     cache = ResultCache(tmp_path / "cache")
-    cache.put(spec.fingerprint(), spec, result)
+    cache.put(spec.fingerprint(), spec, result.to_dict())
     leftovers = [
         p for p in (tmp_path / "cache").rglob("*")
         if p.is_file() and not p.name.endswith(".json")
@@ -127,7 +127,7 @@ def test_no_temp_files_left_behind(tmp_path, spec, result):
 
 def test_clear(tmp_path, spec, result):
     cache = ResultCache(tmp_path / "cache")
-    cache.put(spec.fingerprint(), spec, result)
+    cache.put(spec.fingerprint(), spec, result.to_dict())
     cache.clear()
     assert len(cache) == 0
     assert cache.get(spec.fingerprint()) is None
@@ -142,7 +142,7 @@ def test_version_bump_changes_fingerprint_and_misses(
 
     cache = ResultCache(tmp_path / "cache")
     old_fp = spec.fingerprint()
-    cache.put(old_fp, spec, result)
+    cache.put(old_fp, spec, result.to_dict())
     assert cache.get(old_fp) == result
 
     monkeypatch.setattr(repro, "__version__", "999.0.0")
@@ -177,7 +177,7 @@ def test_abandoned_partial_write_is_invisible(tmp_path, spec, result):
     miss, and ``clear()`` must sweep it."""
     cache = ResultCache(tmp_path / "cache")
     fp = spec.fingerprint()
-    cache.put(fp, spec, result)
+    cache.put(fp, spec, result.to_dict())
     shard = cache.path(fp).parent
     orphan = shard / ".tmp-deadbeef.part"
     orphan.write_text('{"half": "written')
@@ -212,7 +212,7 @@ def test_publish_is_atomic_under_concurrent_readers(tmp_path, spec, result):
         t.start()
     try:
         for _ in range(50):
-            cache.put(fp, spec, result)
+            cache.put(fp, spec, result.to_dict())
     finally:
         stop.set()
         for t in threads:
@@ -228,7 +228,7 @@ def test_corrupt_unlink_is_inode_guarded(tmp_path, spec, result):
 
     cache = ResultCache(tmp_path / "cache")
     fp = spec.fingerprint()
-    cache.put(fp, spec, result)
+    cache.put(fp, spec, result.to_dict())
     path = cache.path(fp)
 
     real_stat = os.stat
@@ -239,7 +239,7 @@ def test_corrupt_unlink_is_inode_guarded(tmp_path, spec, result):
         # corrupt file with a fresh (different-inode) good entry.
         st = real_stat(p, *a, **k)
         if str(p) == str(path):
-            cache.put(fp, spec, result)
+            cache.put(fp, spec, result.to_dict())
             return real_stat(p, *a, **k)
         return st
 

@@ -11,47 +11,6 @@ from repro.simx import (
 )
 
 
-def test_event_trigger_chains_success():
-    env = Environment()
-    source = env.event()
-    sink = env.event()
-    source.succeed("payload")
-    sink.trigger(source)
-    assert sink.triggered and sink.ok
-    assert sink.value == "payload"
-
-
-def test_event_trigger_chains_failure():
-    env = Environment()
-    source = env.event()
-    sink = env.event()
-    exc = RuntimeError("boom")
-    source.fail(exc)
-    source.defused = True
-    sink.trigger(source)
-    sink.defused = True
-    assert sink.triggered and not sink.ok
-    assert sink.value is exc
-    env.run()
-
-
-def test_event_trigger_from_untriggered_source_raises():
-    """Chaining from a pending source must fail loudly (it used to read
-    the _PENDING sentinel as the chained value), naming the offender."""
-    from repro.simx import NotTriggeredError
-
-    env = Environment()
-    source = env.event()
-    sink = env.event()
-    with pytest.raises(NotTriggeredError) as excinfo:
-        sink.trigger(source)
-    assert repr(source) in str(excinfo.value)
-    # The sink must be left untouched and still usable.
-    assert not sink.triggered
-    sink.succeed("later")
-    assert sink.value == "later"
-
-
 def test_fail_requires_exception():
     env = Environment()
     ev = env.event()

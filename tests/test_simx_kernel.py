@@ -1,17 +1,17 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import math
+
 import pytest
 
+from repro.obs import MetricsRegistry
 from repro.simx import (
     AllOf,
     AnyOf,
-    EmptySchedule,
     Environment,
     Event,
     EventAlreadyTriggered,
-    Interrupt,
     NotTriggeredError,
-    StaleProcessError,
 )
 
 
@@ -281,44 +281,6 @@ def test_condition_fails_if_member_fails():
     assert caught == [2]
 
 
-def test_interrupt_delivers_cause():
-    env = Environment()
-    causes = []
-
-    def victim(env):
-        try:
-            yield env.timeout(100)
-        except Interrupt as exc:
-            causes.append((exc.cause, env.now))
-
-    def attacker(env, victim_proc):
-        yield env.timeout(3)
-        victim_proc.interrupt("stop it")
-
-    v = env.process(victim(env))
-    env.process(attacker(env, v))
-    env.run()
-    assert causes == [("stop it", 3)]
-
-
-def test_interrupt_terminated_process_raises():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1)
-
-    p = env.process(quick(env))
-    env.run()
-    with pytest.raises(StaleProcessError):
-        p.interrupt()
-
-
-def test_step_on_empty_schedule_raises():
-    env = Environment()
-    with pytest.raises(EmptySchedule):
-        env.step()
-
-
 def test_peek_returns_next_event_time():
     env = Environment()
     env.timeout(7)
@@ -328,6 +290,44 @@ def test_peek_returns_next_event_time():
 def test_peek_empty_is_inf():
     env = Environment()
     assert env.peek() == float("inf")
+
+
+@pytest.mark.parametrize("mode", ["until", "window", "split_count"])
+def test_event_loop_time_boundaries(mode):
+    """``run(until=t)`` includes an event at exactly ``t``, ``run_window(t)``
+    leaves it queued, and a run split at ``t`` counts every event once."""
+    t = 0.1 + 0.2  # 0.30000000000000004: the bound must be exact
+    after = math.nextafter(t, math.inf)
+    fired = []
+
+    def world(metrics=None):
+        env = Environment(metrics=metrics)
+        env.schedule_at(t, lambda ev: fired.append(t))
+        env.schedule_at(after, lambda ev: fired.append(after))
+        return env
+
+    if mode == "until":
+        env = world()
+        env.run(until=t)
+        assert fired == [t]
+        assert env.now == t
+        assert env.peek() == after
+    elif mode == "window":
+        env = world()
+        assert env.run_window(t) == 0
+        assert fired == []
+        assert env.peek() == t
+    else:
+        split, whole = MetricsRegistry(), MetricsRegistry()
+        env = world(split)
+        env.run(until=t)
+        env.run()
+        env.flush_metrics()
+        env = world(whole)
+        env.run()
+        env.flush_metrics()
+        assert split.value("kernel.events") == 2
+        assert whole.value("kernel.events") == 2
 
 
 def test_process_is_alive_lifecycle():

@@ -46,7 +46,10 @@ class Process(Event):
     def _resume(self, event):
         # Runs once per processed event the process waits on: feed the
         # event's outcome into the generator, then park on whatever it
-        # yields next (looping while that is already processed).
+        # yields next (looping while that is already processed).  A
+        # non-event yield is answered with a TypeError thrown back in; a
+        # generator that catches it goes on from what it yields or
+        # returns next, like after any other resume.
         generator = self._generator
         while True:
             try:
@@ -55,21 +58,15 @@ class Process(Event):
                 else:
                     event.defused = True
                     target = generator.throw(event._value)
+                while not isinstance(target, Event):
+                    target = generator.throw(TypeError(
+                        f"process {self.name!r} yielded non-event {target!r}"
+                    ))
             except StopIteration as exc:
                 self.succeed(exc.value)
                 return
             except BaseException as exc:
                 self.fail(exc)
-                return
-
-            if not isinstance(target, Event):
-                exc = TypeError(
-                    f"process {self.name!r} yielded non-event {target!r}"
-                )
-                try:
-                    generator.throw(exc)
-                except BaseException as err:
-                    self.fail(err)
                 return
 
             if target.callbacks is None:  # processed: feed it immediately

@@ -11,6 +11,12 @@ OpenMP ``depend`` clauses, over two kinds of handles:
 
 Registration happens in task-creation order (program order), exactly as a
 sequential thread creating tasks would register them.
+
+A scalar handle's history is forgotten once every task that registered on
+it has completed (:meth:`DependencyTracker.release`): ``register`` treats a
+completed writer, reader or commuter as absent, so such a history orders
+nothing and a fresh one is equivalent.  Region segments keep their
+histories for the run.
 """
 
 from __future__ import annotations
@@ -28,12 +34,15 @@ _COMPLETED = TaskState.COMPLETED
 class _HandleState:
     """Dependency history of one handle (or region segment)."""
 
-    __slots__ = ("last_writer", "readers", "commuters")
+    __slots__ = ("last_writer", "readers", "commuters", "pending")
 
     def __init__(self):
         self.last_writer = None
         self.readers = []
         self.commuters = []
+        #: Accesses registered on a scalar handle by tasks not yet
+        #: completed; the history is dropped when it falls to zero.
+        self.pending = 0
 
     def clone(self):
         """Independent copy for a region-segment split: the fragment
@@ -53,28 +62,16 @@ class DependencyTracker:
         self._region_spaces = {}
 
     # ------------------------------------------------------------------
-    def _states_for(self, handle):
-        if isinstance(handle, Region):
-            space = self._region_spaces.get(handle.base)
-            if space is None:
-                space = self._region_spaces[handle.base] = RegionSpace()
-            return space.segments_for(handle.start, handle.stop, _HandleState)
-        state = self._scalar.get(handle)
-        if state is None:
-            state = self._scalar[handle] = _HandleState()
-        return [state]
-
-    # ------------------------------------------------------------------
     def register(self, task: Task) -> int:
         """Register ``task``'s accesses; returns its predecessor count.
 
         Side effects: wires ``pred.successors`` edges and sets
-        ``task.npred``.
+        ``task.npred``.  Every registered task must later be passed to
+        :meth:`release` when it completes.
 
-        The scalar-handle path is inlined (no per-access list through
-        :meth:`_states_for`) and completion is probed through
-        ``t.state is COMPLETED`` rather than the ``completed`` property —
-        this method runs once per access of every task spawned.
+        Completion is probed through ``t.state is COMPLETED`` rather than
+        the ``completed`` property: this method runs once per access of
+        every task spawned.
         """
         accesses = task.accesses
         if not accesses:
@@ -97,6 +94,7 @@ class DependencyTracker:
                 state = scalar.get(handle)
                 if state is None:
                     state = scalar[handle] = _HandleState()
+                state.pending += 1
                 states = (state,)
             for state in states:
                 writer = state.last_writer
@@ -155,3 +153,21 @@ class DependencyTracker:
             pred.successors.append(task)
         task.npred = npred
         return npred
+
+    def release(self, task):
+        """Forget the scalar histories ``task`` was the last incomplete
+        registrant of.  Called once per registered task, at completion.
+
+        While a task is incomplete its histories keep ``pending >= 1``, so
+        each lookup finds the state ``register`` counted; a miss is a
+        :class:`Region` access, whose segments are never counted.
+        """
+        scalar = self._scalar
+        for _mode, handle in task.accesses:
+            state = scalar.get(handle)
+            if state is not None:
+                pending = state.pending - 1
+                if pending:
+                    state.pending = pending
+                else:
+                    del scalar[handle]

@@ -556,6 +556,12 @@ class RankRuntime:
             succ.npred = npred
             if npred == 0 and succ.state is _CREATED:
                 released.append(succ)
+        # ``register`` never wires an edge from a completed task, so its
+        # successor list and its share of the dependency histories are
+        # dead from here on; freeing them now keeps a run's memory to its
+        # live graph.  (A profiler keeps its own reference to the list.)
+        task.successors = ()
+        self.tracker.release(task)
         if released:
             if self._immediate_successor and core is not None:
                 # Immediate-successor policy: released tasks stay on the

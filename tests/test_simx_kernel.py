@@ -353,6 +353,39 @@ def test_yield_non_event_raises():
         env.run()
 
 
+def test_process_that_catches_the_non_event_error_goes_on():
+    env = Environment()
+
+    def recovering(env):
+        try:
+            yield 42
+        except TypeError:
+            pass
+        yield env.timeout(1)
+        yield env.timeout(2)
+        return "done"
+
+    proc = env.process(recovering(env))
+    assert env.run(until=proc) == "done"
+    assert env.now == 3.0
+    assert not proc.is_alive
+
+
+def test_process_that_returns_after_the_non_event_error_succeeds():
+    env = Environment()
+
+    def recovering(env):
+        try:
+            yield 42
+        except TypeError:
+            return "recovered"
+
+    proc = env.process(recovering(env))
+    env.run()
+    assert proc.ok and proc.value == "recovered"
+    assert not proc.is_alive
+
+
 def test_nested_process_wait():
     env = Environment()
     results = []

@@ -1,27 +1,20 @@
 """``repro.mpi`` — a from-scratch simulated MPI library.
 
-Substitutes for Intel MPI on the simulated cluster: non-blocking
-point-to-point messaging with envelope matching and non-overtaking order,
-blocking wrappers, ``waitany``/``waitall``/``test``, and tree-cost
-collectives.  All operations are generators used with ``yield from`` inside
-simulation processes, mirroring how mpi4py calls appear in real code.
+Substitutes for Intel MPI on the simulated cluster with the API surface
+the mini-app uses on ``COMM_WORLD``: non-blocking point-to-point messaging
+matched on exact (source, tag) envelopes with non-overtaking order, a
+blocking ``recv``, ``waitany``/``waitall``, and tree-cost ``barrier`` and
+sum-``allreduce`` collectives.  All operations are generators used with
+``yield from`` inside simulation processes, mirroring how mpi4py calls
+appear in real code.
 """
 
 from .comm import RankComm, World, WorldStats, payload_nbytes
-from .datatypes import ANY_SOURCE, ANY_TAG, MAX, MIN, PROD, SUM, Op, Status
 from .requests import Request
 
 __all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "MAX",
-    "MIN",
-    "Op",
-    "PROD",
     "RankComm",
     "Request",
-    "SUM",
-    "Status",
     "World",
     "WorldStats",
     "payload_nbytes",

@@ -2,23 +2,19 @@
 
 from __future__ import annotations
 
-from .datatypes import Status
-
 
 class Request:
     """Handle to an in-flight non-blocking operation.
 
     Completion is represented by an underlying simulation event.  For
-    receives, ``data`` carries the delivered payload and ``status`` the
-    envelope.
+    receives, ``data`` carries the delivered payload.
     """
 
-    __slots__ = ("event", "kind", "status", "data")
+    __slots__ = ("event", "kind", "data")
 
     def __init__(self, env, kind):
         self.event = env.event()
         self.kind = kind  # "send" | "recv"
-        self.status = Status()
         self.data = None
 
     @property

@@ -46,10 +46,7 @@ from collections import defaultdict
 from .profiler import BLOCKING_MPI_CALLS
 
 #: MPI collective trace names (RankComm traces ``kind.capitalize()``).
-COLLECTIVE_CALLS = frozenset(
-    ("Barrier", "Allreduce", "Reduce", "Bcast", "Gather", "Scatter",
-     "Reduce_scatter", "Allgather", "Alltoall", "Dup", "Split")
-)
+COLLECTIVE_CALLS = frozenset(("Barrier", "Allreduce"))
 
 #: Idle-gap blocker categories (classification priority order).  The
 #: fault classes come first: an injected delay is the *root cause* of any

@@ -39,7 +39,7 @@ from operator import attrgetter
 from .metrics import MetricsRegistry
 
 #: MPI call names whose duration is "the caller sat blocked" time.
-BLOCKING_MPI_CALLS = frozenset(("Wait", "Waitany", "Waitall", "Recv"))
+BLOCKING_MPI_CALLS = frozenset(("Waitany", "Waitall", "Recv"))
 
 
 class TaskRecord:

@@ -86,12 +86,6 @@ class _InjectorView:
         self.stats = stats
 
 
-def _record_time(rec) -> float:
-    # ("p2p", comm_id, dst, src, tag, nbytes, payload, sched) |
-    # ("coll", comm_id, index, kind, rank, value, nbytes, meta, time)
-    return rec[7] if rec[0] == "p2p" else rec[8]
-
-
 def _drive_windows(sim, mail, barrier, mins, wid, la, bus=None):
     """Run one worker's share of the window protocol to completion.
 
@@ -114,9 +108,12 @@ def _drive_windows(sim, mail, barrier, mins, wid, la, bus=None):
         barrier.wait()
         w_stall = perf() - t0
         records = []
+        # A record is ("p2p", dst, src, tag, payload, sched) or
+        # ("coll", index, kind, rank, value, nbytes, time): its simulated
+        # time is always the last field.
         for src, box in mail.drain():
             for idx, rec in enumerate(box):
-                records.append((_record_time(rec), src, idx, rec))
+                records.append((rec[-1], src, idx, rec))
         # Deterministic ingress order: primary by timestamp, ties broken
         # by (sending worker, posting index) — both run-invariant.
         records.sort(key=lambda r: (r[0], r[1], r[2]))
@@ -258,7 +255,7 @@ def _merge_world_stats(stats_list):
     """Component-wise sum of the per-worker ``WorldStats``.
 
     Every counter is sender-side (collectives are counted exactly once,
-    by the owner of the lowest member rank), so the sums equal the
+    by the owner of rank 0), so the sums equal the
     serial counters.
     """
     merged = stats_list[0]
@@ -268,8 +265,6 @@ def _merge_world_stats(stats_list):
         merged.intra_node_messages += s.intra_node_messages
         merged.inter_node_messages += s.inter_node_messages
         merged.collectives += s.collectives
-        for key, n in s.by_tag_kind.items():
-            merged.by_tag_kind[key] = merged.by_tag_kind.get(key, 0) + n
     return merged
 
 

@@ -8,15 +8,11 @@ Reproduces the TAMPI contract the paper relies on (Section II-B):
   released only once every bound request completed.
 * :func:`isend` / :func:`irecv` are the convenience wrappers that perform
   the non-blocking operation and immediately bind the resulting request.
-* :func:`send` / :func:`recv` model TAMPI's *blocking* mode: the calling
-  task pauses until the operation completes, while the runtime's other
-  cores keep executing tasks (in the simulator the core simply waits — the
-  paper's port uses the non-blocking mode for all heavy transfers).
 
 All functions take the :class:`~repro.tasking.runtime.TaskContext` handed
 to generator task bodies, plus the rank's communicator.
 """
 
-from .tampi import irecv, isend, iwait, iwaitall, recv, send
+from .tampi import irecv, isend, iwait, iwaitall
 
-__all__ = ["irecv", "isend", "iwait", "iwaitall", "recv", "send"]
+__all__ = ["irecv", "isend", "iwait", "iwaitall"]

@@ -50,18 +50,3 @@ def irecv(ctx, comm, source, tag, nbytes=0):
     iwait(ctx, request)
     return request
 
-
-def send(ctx, comm, dest, tag, nbytes=None, payload=None):
-    """Blocking-mode TAMPI send: pauses the calling task until complete."""
-    request = yield from comm.isend(dest, tag, nbytes=nbytes, payload=payload)
-    if not request.completed:
-        yield request.event
-    return request
-
-
-def recv(ctx, comm, source, tag, nbytes=0):
-    """Blocking-mode TAMPI receive: pauses until the message arrived."""
-    request = yield from comm.irecv(source, tag, nbytes=nbytes)
-    if not request.completed:
-        yield request.event
-    return request

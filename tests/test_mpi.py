@@ -4,28 +4,26 @@ import numpy as np
 import pytest
 
 from repro.machine import NetworkSpec, NodeSpec, Machine
-from repro.mpi import (
-    ANY_SOURCE,
-    ANY_TAG,
-    MAX,
-    MIN,
-    PROD,
-    SUM,
-    World,
-    payload_nbytes,
-)
+from repro.mpi import World, payload_nbytes
 from repro.simx import Environment
 
 
-def make_world(num_nodes=1, ranks_per_node=2, cores_per_node=4):
+def make_world(num_nodes=1, ranks_per_node=2, cores_per_node=4,
+               network=None):
     env = Environment()
     machine = Machine(
         node=NodeSpec(cores_per_node=cores_per_node, sockets_per_node=1),
         num_nodes=num_nodes,
         ranks_per_node=ranks_per_node,
     )
-    world = World(env, machine, NetworkSpec())
+    world = World(env, machine, network or NetworkSpec())
     return env, world
+
+
+def send(comm, dest, tag, nbytes=None, payload=None):
+    """Blocking send for test scaffolding: post, then wait for landing."""
+    req = yield from comm.isend(dest, tag, nbytes=nbytes, payload=payload)
+    yield from comm.waitall([req])
 
 
 # ----------------------------------------------------------------------
@@ -36,7 +34,7 @@ def test_send_recv_payload():
     received = []
 
     def sender(comm):
-        yield from comm.send(dest=1, tag=5, payload={"x": 1})
+        yield from send(comm, dest=1, tag=5, payload={"x": 1})
 
     def receiver(comm):
         req = yield from comm.recv(source=0, tag=5)
@@ -55,11 +53,11 @@ def test_isend_irecv_numpy_roundtrip():
     def sender(comm):
         data = np.arange(100, dtype=np.float64)
         req = yield from comm.isend(dest=1, tag=3, payload=data)
-        yield from comm.wait(req)
+        yield from comm.waitall([req])
 
     def receiver(comm):
         req = yield from comm.irecv(source=0, tag=3)
-        req = yield from comm.wait(req)
+        yield from comm.waitall([req])
         out.append(req.data)
 
     env.process(sender(world.comm(0)))
@@ -78,7 +76,7 @@ def test_recv_before_send_matches():
 
     def sender(comm):
         yield comm.env.timeout(1.0)  # receiver posts first
-        yield from comm.send(dest=1, tag=9, payload="late")
+        yield from send(comm, dest=1, tag=9, payload="late")
 
     env.process(receiver(world.comm(1)))
     env.process(sender(world.comm(0)))
@@ -91,7 +89,7 @@ def test_unexpected_message_queued_until_recv():
     got = []
 
     def sender(comm):
-        yield from comm.send(dest=1, tag=1, payload="early")
+        yield from send(comm, dest=1, tag=1, payload="early")
 
     def receiver(comm):
         yield comm.env.timeout(5.0)  # message arrives before post
@@ -109,8 +107,8 @@ def test_tag_matching_selects_correct_message():
     got = {}
 
     def sender(comm):
-        yield from comm.send(dest=1, tag=10, payload="ten")
-        yield from comm.send(dest=1, tag=20, payload="twenty")
+        yield from send(comm, dest=1, tag=10, payload="ten")
+        yield from send(comm, dest=1, tag=20, payload="twenty")
 
     def receiver(comm):
         req20 = yield from comm.recv(source=0, tag=20)
@@ -122,25 +120,6 @@ def test_tag_matching_selects_correct_message():
     env.process(receiver(world.comm(1)))
     env.run()
     assert got == {20: "twenty", 10: "ten"}
-
-
-def test_any_source_any_tag_wildcards():
-    env, world = make_world(ranks_per_node=3, cores_per_node=3)
-    got = []
-
-    def sender(comm, payload):
-        yield from comm.send(dest=2, tag=7, payload=payload)
-
-    def receiver(comm):
-        for _ in range(2):
-            req = yield from comm.recv(source=ANY_SOURCE, tag=ANY_TAG)
-            got.append((req.status.source, req.data))
-
-    env.process(sender(world.comm(0), "from0"))
-    env.process(sender(world.comm(1), "from1"))
-    env.process(receiver(world.comm(2)))
-    env.run()
-    assert sorted(got) == [(0, "from0"), (1, "from1")]
 
 
 def test_non_overtaking_same_channel():
@@ -173,7 +152,7 @@ def test_send_to_self():
     def proc(comm):
         sreq = yield from comm.isend(dest=0, tag=2, payload="me")
         rreq = yield from comm.recv(source=0, tag=2)
-        yield from comm.wait(sreq)
+        yield from comm.waitall([sreq])
         got.append(rreq.data)
 
     env.process(proc(world.comm(0)))
@@ -192,28 +171,114 @@ def test_invalid_dest_rejected():
         env.run()
 
 
-def test_status_reports_envelope():
+@pytest.mark.parametrize("source", [-1, 2])
+def test_invalid_source_rejected(source):
+    """Receives match exact envelopes: a source outside the world (-1 is
+    MPI's customary ``ANY_SOURCE`` value) could never match, so it is
+    refused instead of stalling the rank."""
     env, world = make_world()
-    statuses = []
+    assert source in (-1, world.size)
 
-    def sender(comm):
-        yield from comm.send(dest=1, tag=42, nbytes=4096, payload=None)
+    def proc(comm):
+        yield from comm.irecv(source=source, tag=0)
 
-    def receiver(comm):
-        req = yield from comm.recv(source=ANY_SOURCE, tag=ANY_TAG)
-        statuses.append(req.status)
-
-    env.process(sender(world.comm(0)))
-    env.process(receiver(world.comm(1)))
-    env.run()
-    st = statuses[0]
-    assert st.Get_source() == 0
-    assert st.Get_tag() == 42
-    assert st.Get_count() == 4096
+    env.process(proc(world.comm(0)))
+    with pytest.raises(ValueError, match="invalid source rank"):
+        env.run()
 
 
 # ----------------------------------------------------------------------
-# Waitany / waitall / test
+# Matching cost: a scan step per earlier queue entry from the same source
+# ----------------------------------------------------------------------
+SCAN = 1e-3  # large next to every other cost, so steps are unmistakable
+
+
+def _posted_match_delay(k, other_source_receives=0):
+    """How long after landing a message completes when it matches the k-th
+    receive rank 2 posted from rank 0 (after ``other_source_receives``
+    receives posted from rank 1)."""
+    env, world = make_world(
+        ranks_per_node=3, cores_per_node=3,
+        network=NetworkSpec(match_scan_cost=SCAN),
+    )
+    done, landed = [], []
+
+    def receiver(comm):
+        for tag in range(other_source_receives):
+            yield from comm.irecv(source=1, tag=tag)
+        reqs = []
+        for tag in range(1, k + 1):
+            reqs.append((yield from comm.irecv(source=0, tag=tag)))
+        yield reqs[-1].event
+        assert reqs[-1].data == "hit"
+        done.append(env.now)
+
+    def sender(comm):
+        yield env.timeout(1.0)  # every receive is posted by now
+        req = yield from comm.isend(dest=2, tag=k, payload="hit")
+        yield req.event  # a send completes when its message lands
+        landed.append(env.now)
+
+    env.process(receiver(world.comm(2)))
+    env.process(sender(world.comm(0)))
+    env.run()
+    return done[0] - landed[0]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_posted_match_pays_one_scan_step_per_earlier_receive(k):
+    assert _posted_match_delay(k) == pytest.approx((k - 1) * SCAN)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_posted_receives_from_other_sources_cost_nothing(k):
+    assert _posted_match_delay(k, other_source_receives=4) == (
+        pytest.approx((k - 1) * SCAN)
+    )
+
+
+def _unexpected_match_cost(k, other_source_messages=0):
+    """How long rank 2's ``irecv`` takes when its message is the k-th of
+    the unexpected messages from rank 0 (with ``other_source_messages``
+    from rank 1 landed too)."""
+    env, world = make_world(
+        ranks_per_node=3, cores_per_node=3,
+        network=NetworkSpec(match_scan_cost=SCAN),
+    )
+    done = []
+
+    def sender(comm, count):
+        for tag in range(1, count + 1):
+            yield from comm.isend(dest=2, tag=tag, payload=tag)
+
+    def receiver(comm):
+        yield env.timeout(1.0)  # every message has landed by now
+        t0 = env.now
+        req = yield from comm.irecv(source=0, tag=k)
+        assert req.completed and req.data == k
+        done.append(env.now - t0)
+
+    env.process(sender(world.comm(0), k))
+    env.process(sender(world.comm(1), other_source_messages))
+    env.process(receiver(world.comm(2)))
+    env.run()
+    return done[0] - world.network.recv_cpu_time(0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_unexpected_match_pays_one_scan_step_per_earlier_message(k):
+    assert _unexpected_match_cost(k) == pytest.approx((k - 1) * SCAN)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_unexpected_messages_from_other_sources_cost_nothing(k):
+    assert _unexpected_match_cost(k, other_source_messages=4) == (
+        pytest.approx((k - 1) * SCAN)
+    )
+
+
+# ----------------------------------------------------------------------
+# Waitany / waitall
 # ----------------------------------------------------------------------
 def test_waitany_returns_first_completed():
     env, world = make_world(ranks_per_node=3, cores_per_node=3)
@@ -221,10 +286,10 @@ def test_waitany_returns_first_completed():
 
     def slow_sender(comm):
         yield comm.env.timeout(10.0)
-        yield from comm.send(dest=2, tag=1, payload="slow")
+        yield from send(comm, dest=2, tag=1, payload="slow")
 
     def fast_sender(comm):
-        yield from comm.send(dest=2, tag=2, payload="fast")
+        yield from send(comm, dest=2, tag=2, payload="fast")
 
     def receiver(comm):
         r_slow = yield from comm.irecv(source=0, tag=1)
@@ -253,26 +318,6 @@ def test_waitany_on_all_none_raises():
         env.run()
 
 
-def test_test_is_nonblocking():
-    env, world = make_world()
-    flags = []
-
-    def receiver(comm):
-        req = yield from comm.irecv(source=0, tag=1)
-        flags.append(comm.test(req))
-        yield from comm.wait(req)
-        flags.append(comm.test(req))
-
-    def sender(comm):
-        yield comm.env.timeout(1.0)
-        yield from comm.send(dest=1, tag=1, payload="x")
-
-    env.process(receiver(world.comm(1)))
-    env.process(sender(world.comm(0)))
-    env.run()
-    assert flags == [False, True]
-
-
 # ----------------------------------------------------------------------
 # Timing model
 # ----------------------------------------------------------------------
@@ -286,7 +331,7 @@ def test_intra_node_message_faster_than_inter_node():
         done = []
 
         def sender(comm):
-            yield from comm.send(dest=dest, tag=0, nbytes=1 << 20)
+            yield from send(comm, dest=dest, tag=0, nbytes=1 << 20)
 
         def receiver(comm):
             yield from comm.recv(source=0, tag=0)
@@ -308,7 +353,7 @@ def test_larger_message_takes_longer():
         done = []
 
         def sender(comm):
-            yield from comm.send(dest=1, tag=0, nbytes=nbytes)
+            yield from send(comm, dest=1, tag=0, nbytes=nbytes)
 
         def receiver(comm):
             yield from comm.recv(source=0, tag=0)
@@ -326,7 +371,7 @@ def test_stats_count_messages_and_bytes():
     env, world = make_world(num_nodes=2, ranks_per_node=1, cores_per_node=4)
 
     def sender(comm):
-        yield from comm.send(dest=1, tag=0, nbytes=1000)
+        yield from send(comm, dest=1, tag=0, nbytes=1000)
 
     def receiver(comm):
         yield from comm.recv(source=0, tag=0)
@@ -354,90 +399,24 @@ def run_collective(nranks, body):
     for r in range(nranks):
         env.process(proc(r))
     env.run()
-    return results, env
+    return results, world
 
 
 def test_allreduce_sum():
     results, _ = run_collective(
-        4, lambda comm, rank: comm.allreduce(rank + 1, op=SUM)
+        4, lambda comm, rank: comm.allreduce(rank + 1)
     )
     assert all(v == 10 for v in results.values())
-
-
-def test_allreduce_max_min_prod():
-    results, _ = run_collective(
-        3, lambda comm, rank: comm.allreduce(rank, op=MAX)
-    )
-    assert all(v == 2 for v in results.values())
-    results, _ = run_collective(
-        3, lambda comm, rank: comm.allreduce(rank, op=MIN)
-    )
-    assert all(v == 0 for v in results.values())
-    results, _ = run_collective(
-        3, lambda comm, rank: comm.allreduce(rank + 1, op=PROD)
-    )
-    assert all(v == 6 for v in results.values())
 
 
 def test_allreduce_numpy_arrays():
     results, _ = run_collective(
         4,
         lambda comm, rank: comm.allreduce(
-            np.full(5, float(rank)), op=SUM
+            np.full(5, float(rank))
         ),
     )
     assert np.array_equal(results[0], np.full(5, 6.0))
-
-
-def test_allreduce_tuple_elementwise():
-    results, _ = run_collective(
-        2, lambda comm, rank: comm.allreduce((rank, 10 * rank), op=SUM)
-    )
-    assert results[0] == (1, 10)
-
-
-def test_reduce_only_root_gets_result():
-    results, _ = run_collective(
-        4, lambda comm, rank: comm.reduce(rank + 1, op=SUM, root=2)
-    )
-    assert results[2] == 10
-    assert results[0] is None and results[1] is None and results[3] is None
-
-
-def test_bcast_distributes_root_value():
-    def body(comm, rank):
-        value = "secret" if rank == 1 else None
-        return (yield from comm.bcast(value, root=1))
-
-    results, _ = run_collective(4, body)
-    assert all(v == "secret" for v in results.values())
-
-
-def test_allgather_collects_in_rank_order():
-    results, _ = run_collective(
-        4, lambda comm, rank: comm.allgather(rank * rank)
-    )
-    assert results[3] == [0, 1, 4, 9]
-
-
-def test_alltoall_personalized_exchange():
-    def body(comm, rank):
-        values = [f"{rank}->{d}" for d in range(comm.Get_size())]
-        return (yield from comm.alltoall(values))
-
-    results, _ = run_collective(3, body)
-    assert results[1] == ["0->1", "1->1", "2->1"]
-
-
-def test_alltoall_wrong_length_rejected():
-    env, world = make_world()
-
-    def proc(comm):
-        yield from comm.alltoall([1])  # size is 2
-
-    env.process(proc(world.comm(0)))
-    with pytest.raises(ValueError):
-        env.run()
 
 
 def test_barrier_synchronizes_ranks():
@@ -478,18 +457,19 @@ def test_successive_collectives_keep_order():
         2,
         lambda comm, rank: _two_collectives(comm, rank),
     )
-    assert results[0] == (1, 2)
-    assert results[1] == (1, 2)
+    assert results[0] == (1, 30)
+    assert results[1] == (1, 30)
 
 
 def _two_collectives(comm, rank):
-    first = yield from comm.allreduce(rank, op=SUM)
-    second = yield from comm.allreduce(rank + 1, op=PROD)
+    first = yield from comm.allreduce(rank)
+    second = yield from comm.allreduce(10 * (rank + 1))
     return (first, second)
 
 
 def test_collectives_counted_in_stats():
-    _, env_world = run_collective(2, lambda comm, rank: comm.barrier())
+    _, world = run_collective(2, lambda comm, rank: comm.barrier())
+    assert world.stats.collectives == 1
 
 
 def test_payload_nbytes_estimates():

@@ -29,6 +29,12 @@ def make_setup(num_ranks=2, cores_per_rank=2):
     return env, world, runtimes
 
 
+def send(comm, dest, tag, payload=None):
+    """Blocking send for test scaffolding: post, then wait for landing."""
+    req = yield from comm.isend(dest, tag, payload=payload)
+    yield from comm.waitall([req])
+
+
 def test_isend_task_completes_only_when_message_lands():
     """A TAMPI send task's dependencies are released at message landing."""
     env, world, (rt0, rt1) = make_setup()
@@ -85,7 +91,7 @@ def test_irecv_data_available_to_successor():
 
     def sender_main():
         yield env.timeout(3.0)
-        yield from world.comm(0).send(dest=1, tag=2, payload="ghost-face")
+        yield from send(world.comm(0), dest=1, tag=2, payload="ghost-face")
 
     env.process(receiver_main())
     env.process(sender_main())
@@ -117,7 +123,7 @@ def test_iwaitall_binds_multiple_requests():
         comm = world.comm(0)
         for i, tag in enumerate((10, 11, 12)):
             yield env.timeout(2.0)  # staggered sends: last at t=6
-            yield from comm.send(dest=1, tag=tag, payload=i)
+            yield from send(comm, dest=1, tag=tag, payload=i)
 
     env.process(receiver_main())
     env.process(sender_main())
@@ -142,37 +148,12 @@ def test_iwait_on_completed_request_is_noop():
         yield from rt1.taskwait()
 
     def sender_main():
-        yield from world.comm(0).send(dest=1, tag=5, payload="x")
+        yield from send(world.comm(0), dest=1, tag=5, payload="x")
 
     env.process(receiver_main())
     env.process(sender_main())
     env.run()
     assert done == ["x"]
-
-
-def test_blocking_send_recv_inside_tasks():
-    env, world, (rt0, rt1) = make_setup()
-    got = []
-
-    def send_body(ctx):
-        yield from tampi.send(ctx, world.comm(0), dest=1, tag=9, payload="blk")
-
-    def recv_body(ctx):
-        req = yield from tampi.recv(ctx, world.comm(1), source=0, tag=9)
-        got.append(req.data)  # blocking mode: safe to consume in-body
-
-    def main0():
-        yield from rt0.spawn("bsend", body=send_body)
-        yield from rt0.taskwait()
-
-    def main1():
-        yield from rt1.spawn("brecv", body=recv_body)
-        yield from rt1.taskwait()
-
-    env.process(main0())
-    env.process(main1())
-    env.run()
-    assert got == ["blk"]
 
 
 def test_computation_overlaps_inflight_communication():
@@ -197,7 +178,7 @@ def test_computation_overlaps_inflight_communication():
 
     def sender_main():
         yield env.timeout(10.0)
-        yield from world.comm(0).send(dest=1, tag=3, payload="late")
+        yield from send(world.comm(0), dest=1, tag=3, payload="late")
 
     env.process(receiver_main())
     env.process(sender_main())
@@ -219,7 +200,7 @@ def test_bind_request_to_completed_task_rejected():
         with pytest.raises(ValueError):
             rt0.bind_request(task, req)
         # Unblock the pending receive so the run drains.
-        yield from world.comm(1).send(dest=0, tag=0, payload=None)
+        yield from send(world.comm(1), dest=0, tag=0, payload=None)
 
     env.process(main())
     env.run()

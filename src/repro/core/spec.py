@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from ..amr.config import AmrConfig
 from ..amr.objects import ObjectSpec, Shape
@@ -57,9 +57,18 @@ def resolve_ranks_per_node(variant, machine, ranks_per_node=None) -> int:
 # ----------------------------------------------------------------------
 # Component (de)serialization
 # ----------------------------------------------------------------------
+def _fields_dict(obj) -> dict:
+    """A flat dataclass's fields, read shallowly.
+
+    ``dataclasses.asdict`` would deep-copy every value; these are
+    immutable scalars and tuples, so they are shared instead.
+    """
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def config_to_dict(config: AmrConfig) -> dict:
     """An :class:`AmrConfig` as a JSON-compatible dict."""
-    d = asdict(config)
+    d = _fields_dict(config)
     d["objects"] = [
         {
             "shape": int(o.shape),
@@ -94,9 +103,9 @@ def machine_to_dict(spec: MachineSpec) -> dict:
     """A :class:`MachineSpec` as a JSON-compatible dict."""
     return {
         "name": spec.name,
-        "node": asdict(spec.node),
-        "network": asdict(spec.network),
-        "cost": asdict(spec.cost),
+        "node": _fields_dict(spec.node),
+        "network": _fields_dict(spec.network),
+        "cost": _fields_dict(spec.cost),
     }
 
 

@@ -15,6 +15,10 @@ the general one.  Both flow through one scheduler with one contract:
   slots — at ``jobs=1`` too; results come back as serialized dicts and
   are bit-identical at any ``jobs`` count (the simulator is
   deterministic and ``RunResult`` round-trips losslessly through JSON);
+* workers persist: one whose attempt ended ``ok`` takes the next spec,
+  so a sweep forks at most ``jobs`` of them; any other ending (crash,
+  timeout, cancel, error, shutdown) kills the worker, and so does every
+  ending under a runner that does not declare ``reuse_worker``;
 * each run is looked up in / stored to a content-addressed
   :class:`~repro.exec.cache.ResultCache` by its spec fingerprint —
   lookups happen when the node becomes *ready*, so a cached calibrate
@@ -31,7 +35,9 @@ One scheduler core does the executing: :class:`EngineSession` launches,
 reaps, times out, retries, cancels and finalizes every run, and
 :class:`GraphRun` is the one path that admits a job graph into it — for
 :meth:`SweepEngine.run` and the serve broker alike.  Timeout, retry and
-cancel therefore behave the same at every ``jobs`` count.  Traced and
+cancel therefore behave the same at every ``jobs`` count, and the
+scheduling loops block in :meth:`EngineSession.wait` instead of
+sleeping.  Traced and
 profiled runs are no exception: their :class:`~repro.obs.Tracer` and
 :class:`~repro.obs.ProfileReport` serialize with the result, so they
 flow through the pool and the cache like any other run (under their own
@@ -44,6 +50,7 @@ import hashlib
 import json
 import multiprocessing
 import signal
+import socket
 import threading
 import time
 import traceback
@@ -221,9 +228,18 @@ def run_spec_dict(spec_dict: dict) -> dict:
         return run_simulation(RunSpec.from_dict(spec_dict)).to_dict()
 
 
-def _child_main(conn, runner, spec_dict):
-    """Subprocess entry: run and report ("ok", dict) / ("error", tb)."""
-    # A forked child inherits the parent's graceful-shutdown signal
+# Nothing carries from one run to the next: a worker may run another.
+run_spec_dict.reuse_worker = True
+
+
+def _worker_main(conn, engine_end, runner, queue):
+    """Worker process loop: receive ``(tags, spec_dict)``, answer
+    ``("ok", dict)`` and wait for the next spec, or ``("error", tb)`` and
+    exit (a failed worker is never reused).  With telemetry on, ``tags``
+    names the run and the worker posts ``run_start``/``run_end`` onto
+    ``queue``; the engine parent drains it and stays the single writer.
+    """
+    # A forked worker inherits the parent's graceful-shutdown signal
     # handlers (SIGTERM -> request_shutdown), which would swallow the
     # very terminate() the engine uses to kill it.  Workers die on
     # signal, only the engine parent drains.
@@ -232,47 +248,31 @@ def _child_main(conn, runner, spec_dict):
             signal.signal(sig, signal.SIG_DFL)
         except (ValueError, OSError):  # pragma: no cover - exotic host
             pass
-    try:
-        conn.send(("ok", runner(spec_dict)))
-    except BaseException:
+    # The engine's end of the pipe came along with the fork; closed, it
+    # lets the worker see EOF and exit once the engine process is gone.
+    engine_end.close()
+    while True:
         try:
-            conn.send(("error", traceback.format_exc()))
-        except BaseException:
-            pass
-    finally:
-        conn.close()
-
-
-class _ChildTelemetryRunner:
-    """Wrap a pool child's runner with in-worker telemetry spans.
-
-    The child posts ``run_start``/``run_end`` records onto a queue the
-    engine parent drains into the stream file (the parent stays the
-    single writer for everything it spawned).  Picklable by
-    construction: the wrapped runner already had to be.
-    """
-
-    __slots__ = ("runner", "queue", "node", "run", "wid")
-
-    def __init__(self, runner, queue, node, run, wid):
-        self.runner = runner
-        self.queue = queue
-        self.node = node
-        self.run = run
-        self.wid = wid
-
-    def __call__(self, spec_dict):
-        emitter = QueueEmitter(
-            self.queue, wid=self.wid, run=self.run, node=self.node
-        )
-        emitter.emit("run_start")
+            tags, spec_dict = conn.recv()
+        except (EOFError, OSError):  # the engine parent is gone
+            return
+        emit = (QueueEmitter(queue, **tags).emit if tags is not None
+                else lambda *args, **fields: None)
+        emit("run_start")
+        ran = False
         try:
-            result = self.runner(spec_dict)
+            result = runner(spec_dict)
+            ran = True
+            emit("run_end", ok=True)
+            conn.send(("ok", result))
         except BaseException:
-            emitter.emit("run_end", ok=False)
-            raise
-        emitter.emit("run_end", ok=True)
-        return result
+            if not ran:
+                emit("run_end", ok=False)
+            try:
+                conn.send(("error", traceback.format_exc()))
+            except BaseException:
+                pass
+            return
 
 
 # ----------------------------------------------------------------------
@@ -360,6 +360,10 @@ class SweepEngine:
     runner:
         Picklable ``spec_dict -> result_dict`` executed in workers
         (test/instrumentation hook; defaults to :func:`run_spec_dict`).
+        A worker runs further specs only if the runner has a true
+        ``reuse_worker`` attribute (:func:`run_spec_dict` does); any
+        other runner gets a fresh fork of the engine process per
+        attempt, so it may keep per-process state.
     stats:
         A :class:`~repro.exec.stats.RunStatsStore` (or ``None``).  Every
         completed run — including cache hits whose original duration
@@ -401,6 +405,7 @@ class SweepEngine:
         #: terminating them (see :meth:`request_shutdown`).
         self.drain_timeout = drain_timeout
         self._shutdown = False
+        self._session = None  # the one run() drives, for wake-ups
         if stats is not None and telemetry is not None and getattr(
             stats, "telemetry", None
         ) is None:
@@ -428,9 +433,13 @@ class SweepEngine:
         report normally.  Safe to call from any thread or from a signal
         handler; :meth:`run` installs SIGTERM/SIGINT handlers that call
         it when running on the main thread, so an interrupted sweep
-        drains instead of orphaning its worker processes.
+        drains instead of orphaning its worker processes.  A loop blocked
+        in :meth:`EngineSession.wait` wakes at once.
         """
         self._shutdown = True
+        session = self._session
+        if session is not None:
+            session.wake()
 
     def _install_signal_handlers(self):
         """SIGTERM/SIGINT -> graceful drain (main thread only)."""
@@ -462,14 +471,14 @@ class SweepEngine:
         """Execute a sweep or pipeline; outcomes come back in node order.
 
         Drives one :class:`GraphRun` over a private session: polls it,
-        routes every finished ticket back into the graph, and — on
-        :meth:`request_shutdown` — drains in-flight runs and blocks the
-        rest.
+        routes every finished ticket back into the graph, waits on the
+        session while nothing finished, and — on :meth:`request_shutdown`
+        — drains in-flight runs and blocks the rest.
         """
         graph = self._as_graph(sweep)
         self._shutdown = False
         t0 = time.monotonic()
-        session = EngineSession(self)
+        session = self._session = EngineSession(self)
         session._graph = graph.name
         previous = self._install_signal_handlers()
         try:
@@ -486,17 +495,18 @@ class SweepEngine:
                 if self._shutdown:
                     run.drain(self.drain_timeout)
                     break
-                finished = session.poll().finished
-                for ticket, outcome in finished:
+                step = session.poll()
+                for ticket, outcome in step.finished:
                     run.route(ticket, outcome)
                 if not session.active and not run.done:
                     raise RuntimeError(
                         f"job graph {graph.name!r}: no runnable work but "
                         f"{run.unsettled} node(s) unfinished"
                     )
-                if not finished:
-                    time.sleep(0.005)
+                if not step.finished:  # else routing may have admitted work
+                    session.wait(step)
         finally:
+            self._session = None
             session.close()
             self._restore_signal_handlers(previous)
         return SweepReport(
@@ -641,6 +651,7 @@ class GraphRun:
         self.stopped = True
         session = self.session
         deadline = time.monotonic() + max(0.0, timeout or 0.0)
+        step = None
         while True:
             for task in list(session._launchable):
                 session._withdraw(
@@ -656,9 +667,13 @@ class GraphRun:
                         f"after {timeout}s drain",
                     )
                 break
-            for ticket, outcome in session.poll().finished:
+            if step is not None:
+                # After the withdrawal above: a retry the last poll
+                # requeued must not hold the drain up.
+                session.wait(step, deadline - time.monotonic())
+            step = session.poll()
+            for ticket, outcome in step.finished:
                 self.route(ticket, outcome)
-            time.sleep(0.01)
         for index in range(len(self.graph)):
             if session.outcome(self.first + index) is None:
                 self._settle(self._outcome(
@@ -850,6 +865,10 @@ class SessionStep:
     started: list = field(default_factory=list)
     #: ``(ticket, RunOutcome)`` pairs that reached a terminal state.
     finished: list = field(default_factory=list)
+    #: Monotonic time the next poll has work by: the nearest attempt
+    #: deadline or launch (in the past when one may launch now);
+    #: ``None`` when only a running attempt's end can bring any.
+    due: float = None
 
 
 class EngineSession:
@@ -857,6 +876,7 @@ class EngineSession:
 
     Callers :meth:`submit` independent specs at any time, :meth:`poll`
     advances launching and reaping without ever blocking on a run,
+    :meth:`wait` blocks until a poll may have something to do,
     :meth:`cancel` withdraws queued work (and terminates running work),
     and :meth:`close` winds the session down.  The serving
     layer (:mod:`repro.serve`) runs its broker on one of these, and a
@@ -866,7 +886,10 @@ class EngineSession:
     This is the engine's only code that launches, reaps, times out,
     retries, cancels and finalizes a run.  Every run executes in a
     worker process at every ``jobs`` count, so timeout, retry and cancel
-    behave identically at ``jobs=1``.  A session does no cache
+    behave identically at ``jobs=1``.  The session keeps the workers
+    whose last attempt ended ``ok`` and hands them the next spec; it
+    forks one, with the ``engine.runner`` and telemetry queue it captured
+    when it opened, only when none is idle.  A session does no cache
     lookups — the caller decides its own fast path (``run()`` looks up
     at admission, the serve broker coalesces *before* the session ever
     sees a spec); it stores completed runs to the cache and feeds the
@@ -890,6 +913,12 @@ class EngineSession:
         self._outcomes = {}       # ticket -> terminal RunOutcome
         self._cancel_requested = set()
         self._free_wids = list(range(engine.jobs))
+        self._runner = engine.runner
+        self._idle = []           # (process, pipe) of idle workers
+        # A byte on this socket wakes wait() (see request_shutdown).
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
         self._next_ticket = 0
         self._closed = False
         self._started_t = time.monotonic()
@@ -997,9 +1026,7 @@ class EngineSession:
                 used = sum(t.slots for t in self._running)
                 task = next(
                     (t for t in self._launchable
-                     if t.not_before <= now
-                     and (used + t.slots <= self.engine.jobs
-                          or not self._running)),
+                     if t.not_before <= now and self._fits(t, used)),
                     None,
                 )
                 if task is None:
@@ -1012,15 +1039,70 @@ class EngineSession:
                 outcome = self._reap(task)
                 if outcome is not None:
                     step.finished.append((task.index, outcome))
+            # A task that does not fit waits for a running attempt to
+            # end, which wakes wait() by itself; counting it would spin.
+            used = sum(t.slots for t in self._running)
+            step.due = min(
+                [t.deadline for t in self._running if t.deadline is not None]
+                + [t.not_before for t in self._launchable
+                   if self._fits(t, used)],
+                default=None,
+            )
         return step
+
+    def _fits(self, task, used) -> bool:
+        """Whether ``task`` may launch beside ``used`` claimed slots."""
+        return used + task.slots <= self.engine.jobs or not self._running
+
+    def wait(self, step, timeout=None):
+        """Block until a running worker answers or exits, :meth:`wake` is
+        called, or ``step.due`` (of the last :meth:`poll`) or ``timeout``
+        seconds pass — whichever comes first.  With nothing running and
+        nothing due, returns at once: no wait could end on its own."""
+        # Imported here, so a process that imports the engine but never
+        # runs it does not load the module (~0.5 MB resident).
+        from multiprocessing.connection import wait
+
+        with self._lock:
+            waitables = [self._wake_r]
+            for task in self._running:
+                waitables += (task.conn, task.proc.sentinel)
+        now = time.monotonic()
+        bounds = [] if step.due is None else [step.due]
+        if timeout is not None:
+            bounds.append(now + timeout)
+        if len(waitables) == 1 and not bounds:
+            return
+        wait(waitables, max(0.0, min(bounds) - now) if bounds else None)
+        try:
+            while self._wake_r.recv(64):
+                pass
+        except OSError:  # drained (BlockingIOError) or closed
+            pass
+
+    def retire_idle(self):
+        """Stop and join the idle workers (the next launch forks anew);
+        joined, their CPU time counts in ``RUSAGE_CHILDREN``."""
+        with self._lock:
+            for worker in self._idle:
+                self._kill(*worker)
+            self._idle.clear()
+
+    def wake(self):
+        """Make :meth:`wait` return now; safe from any thread, a signal
+        handler, and after close."""
+        try:
+            self._wake_w.send(b"\0")
+        except OSError:  # full (already woken) or closed
+            pass
 
     def close(self):
         """Terminate everything still live; the session ends canceled.
 
         Queued jobs finish ``canceled`` immediately; running processes
-        are terminated and finish ``canceled`` too.  Writes the
-        ``engine_stop`` record and flushes the engine's stats store.
-        Idempotent.
+        are terminated and finish ``canceled`` too, and idle workers are
+        stopped and joined.  Writes the ``engine_stop`` record and
+        flushes the engine's stats store.  Idempotent.
         """
         with self._lock:
             if self._closed:
@@ -1028,6 +1110,9 @@ class EngineSession:
             self._closed = True
             for task in self._launchable + self._running:
                 self._withdraw(task, "canceled", "canceled: session closed")
+            self.retire_idle()
+            self._wake_r.close()
+            self._wake_w.close()
             self._drain_telemetry()
             if self._tel_queue is not None:
                 self._tel_queue.close()
@@ -1069,27 +1154,11 @@ class EngineSession:
         )
 
     def _launch(self, task):
-        """Fork one attempt of ``task`` onto its claimed pool slots."""
+        """Start one attempt of ``task`` on its claimed pool slots, on an
+        idle worker or, when none is left, a freshly forked one."""
         engine = self.engine
         task.wids = self._free_wids[:task.slots]
         del self._free_wids[:task.slots]
-        runner = engine.runner
-        if self._tel_queue is not None:
-            runner = _ChildTelemetryRunner(
-                runner, self._tel_queue, task.name, task.fingerprint,
-                task.wid,
-            )
-        parent, child = engine._ctx.Pipe(duplex=False)
-        # Partitioned runs (slots > 1) spawn their own PDES worker
-        # processes, which daemonic children may not do — those
-        # workers are daemons of the child, so they still die with
-        # it; plain runs keep the stronger daemon cleanup guarantee.
-        task.proc = engine._ctx.Process(
-            target=_child_main,
-            args=(child, runner, task.spec.to_dict()),
-            daemon=task.slots == 1,
-        )
-        task.conn = parent
         task.attempts += 1
         task.started = time.monotonic()
         if task.first_started is None:
@@ -1104,29 +1173,57 @@ class EngineSession:
         task.deadline = (
             task.started + engine.timeout if engine.timeout else None
         )
-        task.proc.start()
-        child.close()
+        task.proc = None
+        while task.slots == 1 and self._idle and task.proc is None:
+            proc, conn = self._idle.pop()
+            if proc.is_alive():
+                task.proc, task.conn = proc, conn
+            else:
+                self._kill(proc, conn)
+        if task.proc is None:
+            task.conn, child = engine._ctx.Pipe()
+            # Partitioned runs (slots > 1) spawn their own PDES worker
+            # processes, which daemonic children may not do — those
+            # workers are daemons of this one, so they still die with
+            # it; plain runs keep the stronger daemon cleanup guarantee.
+            task.proc = engine._ctx.Process(
+                target=_worker_main,
+                args=(child, task.conn, self._runner, self._tel_queue),
+                daemon=task.slots == 1,
+            )
+            task.proc.start()
+            child.close()
+        tags = None if self._tel_queue is None else dict(
+            wid=task.wid, run=task.fingerprint, node=task.name,
+        )
+        try:
+            task.conn.send((tags, task.spec.to_dict()))
+        except OSError:
+            pass  # the worker died: its reap retries the attempt
         self._running.append(task)
 
     def _reap(self, task):
         """One reap step for a running task; the terminal outcome or
         ``None`` (still running, or requeued for a retry)."""
         msg = reason = None
+        # Liveness first: a worker that exited after answering has its
+        # answer in the pipe by then.
+        alive = task.proc.is_alive()
         if task.conn.poll():
             try:
                 msg = task.conn.recv()
             except (EOFError, OSError):
                 pass
-        elif task.proc.is_alive():
+        elif alive:
             if task.index not in self._cancel_requested:
                 if task.deadline is None or (
                     time.monotonic() <= task.deadline
                 ):
                     return None  # still working
                 reason = f"timed out after {self.engine.timeout}s"
-            task.proc.terminate()
-        attempt_time = self._stop_attempt(task)
-        if msg is not None and msg[0] == "ok":
+        ok = msg is not None and msg[0] == "ok"
+        attempt_time = self._stop_attempt(task, reuse=ok)
+        if ok:
             # A completed result always wins, even over a pending
             # cancel — exactly-once beats promptly-withdrawn.
             result = RunResult.from_dict(msg[1])
@@ -1148,13 +1245,16 @@ class EngineSession:
             reason or f"worker died (exit code {task.proc.exitcode})",
         )
 
-    def _stop_attempt(self, task) -> float:
-        """Join an ended attempt's process and charge its wall time."""
-        task.proc.join()
-        try:
-            task.conn.close()
-        except OSError:
-            pass
+    def _stop_attempt(self, task, reuse=False) -> float:
+        """End an attempt and charge its wall time.  Its worker goes back
+        idle if the attempt ended ``ok`` (``reuse``), it is daemonic (not
+        a partitioned run's) and the runner allows reuse; otherwise it is
+        killed."""
+        if (reuse and task.proc.daemon
+                and getattr(self._runner, "reuse_worker", False)):
+            self._idle.append((task.proc, task.conn))
+        else:
+            self._kill(task.proc, task.conn)
         self._running.remove(task)
         elapsed = time.monotonic() - task.started
         task.wall_time += elapsed
@@ -1185,9 +1285,15 @@ class EngineSession:
         if task in self._launchable:
             self._launchable.remove(task)
         else:
-            task.proc.terminate()
             self._stop_attempt(task)
         return self._finalize(task, status, error=error, blocker=blocker)
+
+    @staticmethod
+    def _kill(proc, conn):
+        """Terminate a worker (busy, or idle in ``recv``) and join it."""
+        proc.terminate()
+        proc.join()
+        conn.close()
 
     def _release(self, task):
         """Return a task's claimed worker ids to the pool."""

@@ -598,6 +598,10 @@ class Broker:
             for execution in list(self._inflight.values()):
                 if execution.graph is not None and execution.graph.done:
                     self._finish_graph(execution)
+            if not self._inflight and not self._pending:
+                # An idle broker keeps no worker (nor the memory of its
+                # last run) alive; the next run forks afresh.
+                self.session.retire_idle()
 
     def _admit(self, execution):
         """Enter one execution into the session: a run as one ticket, a

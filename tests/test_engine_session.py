@@ -1,8 +1,12 @@
 """EngineSession (incremental admission) and graceful engine shutdown."""
 
 import json
+import multiprocessing
 import os
+import resource
 import signal
+import subprocess
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -19,6 +23,7 @@ from repro.exec import (
     run_spec_dict,
     spec_signature,
 )
+from repro.faults import noise_plan
 from repro.obs.telemetry import TelemetryBus, read_records, validate_file
 
 
@@ -261,8 +266,6 @@ def test_request_shutdown_drains_and_blocks(tmp_path):
         else:
             assert "engine shutdown" in outcome.error
     # No orphaned worker processes survive run().
-    import multiprocessing
-
     assert not [
         p for p in multiprocessing.active_children() if p.is_alive()
     ]
@@ -296,3 +299,270 @@ def test_signal_handlers_trigger_shutdown_and_restore():
     finally:
         engine._restore_signal_handlers(previous)
     assert signal.getsignal(signal.SIGTERM) is original
+
+
+# ----------------------------------------------------------------------
+# The persistent worker pool
+# ----------------------------------------------------------------------
+#: ``sched_seed`` values that make :func:`_pid_logging_runner` misbehave;
+#: any other seed runs the spec.
+CRASH, RAISE, HANG, HOLD, CRASH_ONCE = 1001, 1002, 1003, 1004, 1005
+
+
+def _pid_logging_runner(spec_dict):
+    """Log ``<pid> <sched_seed> <monotonic time>`` for each attempt, then
+    act on the seed."""
+    marker = Path(os.environ["REPRO_EXEC_TEST_DIR"])
+    seed = spec_dict["sched_seed"]
+    with open(marker / "attempts.log", "a") as fh:
+        fh.write(f"{os.getpid()} {seed} {time.monotonic()}\n")
+    if seed == CRASH:
+        os._exit(3)
+    if seed == CRASH_ONCE and not (marker / "crashed").exists():
+        (marker / "crashed").touch()
+        os._exit(3)
+    if seed == RAISE:
+        raise ValueError("deterministic failure")
+    if seed == HANG:
+        time.sleep(600)
+    while seed == HOLD and (marker / "HOLD").exists():
+        time.sleep(0.02)
+    return run_spec_dict(spec_dict)
+
+
+_pid_logging_runner.reuse_worker = True
+
+
+def _fresh_pid_logging_runner(spec_dict):
+    """:func:`_pid_logging_runner` without ``reuse_worker``."""
+    return _pid_logging_runner(spec_dict)
+
+
+def _attempts(marker):
+    """``(pid, sched_seed)`` of every attempt, in launch order."""
+    lines = (marker / "attempts.log").read_text().splitlines()
+    return [tuple(int(x) for x in line.split()[:2]) for line in lines]
+
+
+def _attempt_times(marker):
+    """``(sched_seed, monotonic start)`` of every attempt."""
+    lines = (marker / "attempts.log").read_text().splitlines()
+    return [(int(line.split()[1]), float(line.split()[2]))
+            for line in lines]
+
+
+def _sleep_then_run(spec_dict):
+    time.sleep(0.5)
+    return run_spec_dict(spec_dict)
+
+
+def _sleep_5s(spec_dict):
+    # Longer than the test's budget: a shutdown that fails to wake the
+    # loop shows as run() returning only when these end.
+    time.sleep(5)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_cold_sweep_forks_at_most_jobs_workers(tmp_path, monkeypatch,
+                                                 jobs):
+    monkeypatch.setenv("REPRO_EXEC_TEST_DIR", str(tmp_path))
+    specs = [replace(small_spec(), sched_seed=i) for i in range(6)]
+    report = SweepEngine(jobs=jobs, runner=_pid_logging_runner).run(specs)
+    assert report.executed == 6
+    pids = {pid for pid, _ in _attempts(tmp_path)}
+    assert len(pids) <= jobs
+    # close() stopped and joined every idle worker.
+    assert multiprocessing.active_children() == []
+
+
+def test_a_runner_without_reuse_worker_gets_a_fork_per_attempt(
+        tmp_path, monkeypatch):
+    # Such a runner may keep per-process state (a profiler writing one
+    # file per pid, say), so no worker runs it twice.
+    monkeypatch.setenv("REPRO_EXEC_TEST_DIR", str(tmp_path))
+    specs = [replace(small_spec(), sched_seed=i) for i in range(3)]
+    report = SweepEngine(jobs=1, runner=_fresh_pid_logging_runner).run(specs)
+    assert report.executed == 3
+    assert len({pid for pid, _ in _attempts(tmp_path)}) == 3
+    assert multiprocessing.active_children() == []
+
+
+def test_a_crash_retried_without_backoff_does_not_stall(tmp_path,
+                                                        monkeypatch):
+    # The retry is requeued after the poll's launch step, already due,
+    # with nothing left running: the wait must not block on its own.
+    monkeypatch.setenv("REPRO_EXEC_TEST_DIR", str(tmp_path))
+    engine = SweepEngine(jobs=1, runner=_pid_logging_runner, retries=1,
+                         backoff=0.0)
+    reports = []
+    thread = threading.Thread(
+        target=lambda: reports.append(engine.run(
+            [replace(small_spec(), sched_seed=CRASH_ONCE)])),
+        daemon=True,
+    )
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive(), "run() stalled on a due retry"
+    outcome = reports[0].outcomes[0]
+    assert outcome.ok and outcome.attempts == 2
+
+
+def test_queued_work_takes_the_slot_a_crash_freed_at_once(tmp_path,
+                                                          monkeypatch):
+    monkeypatch.setenv("REPRO_EXEC_TEST_DIR", str(tmp_path))
+    session = SweepEngine(jobs=1, runner=_pid_logging_runner, retries=1,
+                          backoff=2.0).session()
+    crashing = session.submit(replace(small_spec(), sched_seed=CRASH_ONCE))
+    queued = session.submit(replace(small_spec(), sched_seed=0))
+    deadline = time.monotonic() + 60
+    while session.active and time.monotonic() < deadline:
+        session.wait(session.poll())
+    session.close()
+    assert session.outcome(crashing).ok and session.outcome(queued).ok
+    (first, crashed_at), (second, started_at), (third, _) = (
+        _attempt_times(tmp_path))
+    assert (first, second, third) == (CRASH_ONCE, 0, CRASH_ONCE)
+    # Well inside the crashed run's 2 s backoff.
+    assert started_at - crashed_at < 1.0
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_worker_never_runs_again_after_a_failed_attempt(
+        tmp_path, monkeypatch, jobs):
+    monkeypatch.setenv("REPRO_EXEC_TEST_DIR", str(tmp_path))
+    seeds = [0, CRASH, 1, RAISE, 2, HANG, 3, 4]
+    specs = [replace(small_spec(), sched_seed=s) for s in seeds]
+    engine = SweepEngine(jobs=jobs, runner=_pid_logging_runner,
+                         retries=1, backoff=0.01, timeout=2.0)
+    report = engine.run(specs)
+    status = {o.spec.sched_seed: o.status for o in report.outcomes}
+    assert status == {s: "failed" if s in (CRASH, RAISE, HANG) else "ok"
+                      for s in seeds}
+    attempts = _attempts(tmp_path)
+    # Crashes and timeouts are retried (on a fresh fork); errors are not.
+    assert [s for _, s in attempts].count(CRASH) == 2
+    assert [s for _, s in attempts].count(HANG) == 2
+    for k, (pid, seed) in enumerate(attempts):
+        if seed in (CRASH, RAISE, HANG):
+            assert pid not in {p for p, _ in attempts[k + 1:]}
+    assert multiprocessing.active_children() == []
+
+
+def test_a_canceled_run_kills_its_worker(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_EXEC_TEST_DIR", str(tmp_path))
+    (tmp_path / "HOLD").touch()
+    session = SweepEngine(jobs=1, runner=_pid_logging_runner).session()
+    first = session.submit(replace(small_spec(), sched_seed=0))
+    pump(session, until=lambda: session.active == 0)
+    held = session.submit(replace(small_spec(), sched_seed=HOLD))
+    pump(session, until=lambda: len(_attempts(tmp_path)) == 2)
+    session.cancel(held)
+    pump(session, until=lambda: session.outcome(held) is not None)
+    last = session.submit(replace(small_spec(), sched_seed=1))
+    pump(session, until=lambda: session.active == 0)
+    session.close()
+    assert [session.outcome(t).status for t in (first, held, last)] == [
+        "ok", "canceled", "ok"]
+    (ok_pid, _), (held_pid, _), (last_pid, _) = _attempts(tmp_path)
+    # The idle worker took the held run; after the cancel a fresh one
+    # was forked.
+    assert held_pid == ok_pid
+    assert last_pid != held_pid
+    assert multiprocessing.active_children() == []
+
+
+def test_one_worker_runs_any_history_like_a_fresh_process(tmp_path,
+                                                          monkeypatch):
+    monkeypatch.setenv("REPRO_EXEC_TEST_DIR", str(tmp_path))
+    base = small_spec()
+    specs = [small_spec(variant=v)
+             for v in ("mpi_only", "fork_join", "tampi_dataflow")]
+    specs += [replace(small_spec(variant="tampi_dataflow"),
+                      scheduler="fuzz", sched_seed=seed) for seed in (5, 6)]
+    specs += [replace(base, trace=True), replace(base, profile=True),
+              replace(base, faults=noise_plan(seed=3))]
+    together = SweepEngine(jobs=1, runner=_pid_logging_runner).run(specs)
+    assert len({pid for pid, _ in _attempts(tmp_path)}) == 1
+    for spec, outcome in zip(specs, together.outcomes):
+        # Each run() forks its own worker: a process with no run history.
+        alone = SweepEngine(jobs=1).run([spec]).outcomes[0]
+        assert outcome.status == alone.status == "ok"
+        assert json.dumps(outcome.result.to_dict(), sort_keys=True) == (
+            json.dumps(alone.result.to_dict(), sort_keys=True)
+        )
+
+
+def test_the_scheduling_loop_blocks_instead_of_polling():
+    engine = SweepEngine(jobs=1, runner=_sleep_then_run)
+    before = resource.getrusage(resource.RUSAGE_SELF)
+    report = engine.run([small_spec()])
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    assert report.executed == 1
+    cpu = (after.ru_utime - before.ru_utime) + (
+        after.ru_stime - before.ru_stime
+    )
+    assert cpu < 0.05, f"parent spent {cpu:.3f}s CPU waiting on one run"
+
+
+def test_request_shutdown_from_a_thread_wakes_the_loop():
+    engine = SweepEngine(jobs=2, runner=_sleep_5s, retries=0,
+                         drain_timeout=0.3)
+    fired = []
+
+    def shutdown():
+        fired.append(time.monotonic())
+        engine.request_shutdown()
+
+    timer = threading.Timer(0.3, shutdown)
+    timer.start()
+    try:
+        report = engine.run(
+            [small_spec(checksum_freq=2 + i) for i in range(3)]
+        )
+    finally:
+        timer.cancel()
+    elapsed = time.monotonic() - fired[0]
+    assert sorted(o.status for o in report.outcomes) == [
+        "blocked", "failed", "failed"]
+    assert elapsed < engine.drain_timeout + 0.2
+
+
+_KILLED_ENGINE = """
+import os, signal, sys
+sys.path.insert(0, sys.argv[1])
+from test_engine_session import small_spec
+from repro.exec import SweepEngine
+session = SweepEngine(jobs=2).session()
+tickets = [session.submit(small_spec(checksum_freq=c)) for c in (2, 3)]
+while session.active:
+    session.wait(session.poll(), 0.05)
+print(*(proc.pid for proc, _ in session._idle), flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def _exited(pid):
+    """The process ended (a zombie awaiting its new parent, or gone)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] in ("Z", "X")
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_idle_workers_exit_when_the_engine_process_dies():
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(here.parent / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _KILLED_ENGINE, str(here)], env=env,
+        stdout=subprocess.PIPE, text=True, timeout=60,
+    )
+    assert done.returncode == -signal.SIGKILL
+    pids = [int(p) for p in done.stdout.split()]
+    assert len(pids) == 2
+    deadline = time.monotonic() + 10
+    while not all(_exited(p) for p in pids):
+        assert time.monotonic() < deadline, "idle workers outlived the engine"
+        time.sleep(0.05)

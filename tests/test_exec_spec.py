@@ -1,7 +1,9 @@
 """RunSpec: serialization, fingerprinting, default resolution, shim."""
 
 import dataclasses
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,12 +11,15 @@ from repro import (
     AmrConfig,
     MachineSpec,
     RunSpec,
+    __version__,
     laptop,
     marenostrum4,
     run_simulation,
     sphere,
 )
 from repro.core import DEFAULT_HYBRID_RPN, resolve_ranks_per_node
+from repro.faults import noise_plan
+from repro.verify.goldens import golden_key
 
 
 def small_config(**overrides):
@@ -116,6 +121,66 @@ def test_fingerprint_sensitive_to_every_field(change):
 def test_fingerprint_sensitive_to_config_changes():
     changed = base_spec(config=small_config(num_tsteps=2))
     assert changed.fingerprint() != base_spec().fingerprint()
+
+
+def _canonical(d):
+    return json.dumps(d, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
+
+
+def _asdict_reference(spec):
+    """``spec.to_dict()`` as ``dataclasses.asdict`` serializes its config
+    and machine (the reference the shallow serializer must match)."""
+    d = spec.to_dict()
+    d["config"] = json.loads(_canonical(dataclasses.asdict(spec.config)))
+    if not isinstance(spec.machine, str):
+        d["machine"] = json.loads(_canonical(dataclasses.asdict(spec.machine)))
+    return d
+
+
+def _golden_specs():
+    root = Path(__file__).resolve().parents[1] / "goldens"
+    return [json.loads(p.read_text()) for p in sorted(root.glob("*.json"))]
+
+
+@pytest.mark.parametrize("golden", _golden_specs(), ids=lambda g: g["name"])
+def test_golden_specs_serialize_to_their_committed_keys(golden):
+    spec = RunSpec.from_dict(golden["spec"])
+    assert _canonical(spec.to_dict()) == _canonical(golden["spec"])
+    assert golden_key(spec) == golden["key"]
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"cost_overrides": {"numa_penalty": 1.0}},
+    {"faults": noise_plan(seed=7)},
+    {"pdes_workers": 2, "pdes_partition": "contiguous"},
+    {"profile": True},
+    {"trace": True},
+    {"machine": laptop()},
+], ids=["plain", "cost", "faults", "pdes", "profile", "trace", "machine"])
+def test_shallow_serialization_matches_asdict(overrides):
+    spec = base_spec(**overrides)
+    for form in (spec, spec.resolve()):
+        assert _canonical(form.to_dict()) == _canonical(
+            _asdict_reference(form)
+        )
+    blob = _canonical({"version": __version__,
+                       "spec": _asdict_reference(spec.resolve())})
+    assert spec.fingerprint() == hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_mutating_a_spec_dict_leaves_the_spec_unchanged():
+    spec = base_spec(machine=laptop(), cost_overrides={"numa_penalty": 1.0},
+                     faults=noise_plan(seed=7))
+    before = _canonical(spec.to_dict())
+    d = spec.to_dict()
+    d["config"]["nx"] = 99
+    d["config"]["objects"][0]["center"][0] = 0.9
+    d["machine"]["cost"]["numa_penalty"] = 9.0
+    d["cost_overrides"]["numa_penalty"] = 9.0
+    d["faults"]["straggler_ranks"].append(1)
+    assert _canonical(spec.to_dict()) == before
 
 
 # ----------------------------------------------------------------------

@@ -327,6 +327,22 @@ def test_cache_fast_path_skips_execution(tmp_path, marker_dir):
         broker.shutdown(drain_timeout=5.0)
 
 
+def test_an_idle_broker_keeps_no_worker_alive(tmp_path):
+    import multiprocessing
+
+    broker = make_broker(tmp_path, runner=run_spec_dict, jobs=1)
+    broker.start()
+    try:
+        job = broker.submit(submit_body(small_spec()))
+        wait_terminal(broker, [job["job"]["id"]])
+        deadline = time.monotonic() + 10
+        while multiprocessing.active_children():
+            assert time.monotonic() < deadline, "idle worker kept alive"
+            time.sleep(0.02)
+    finally:
+        broker.shutdown(drain_timeout=5.0)
+
+
 def test_quota_enforced_under_contention(tmp_path, marker_dir):
     broker = make_broker(
         tmp_path, quota_rate=0.001, quota_burst=3,

@@ -84,8 +84,9 @@ class TampiDataflowProgram(BaseRankProgram):
                 for gi, mgroup in enumerate(groups):
                     rbuf = ("rbuf", ns, peer, gi)
                     slot = {}
-                    yield from rt.spawn(
-                        f"recv d{axis} p{peer} m{gi}",
+                    yield rt.charge_spawn()
+                    rt.spawn(
+                        ("recv d{} p{} m{}", axis, peer, gi),
                         body=self._recv_body(
                             slot, peer, direction_tag(axis, gi),
                             group_nbytes(mgroup), rbuf,
@@ -107,8 +108,9 @@ class TampiDataflowProgram(BaseRankProgram):
                     ]
                     slots = [None] * len(mgroup)
                     for fi, t in enumerate(mgroup):
-                        yield from rt.spawn(
-                            f"pack d{axis} {t.src.coords}",
+                        yield rt.charge_spawn()
+                        rt.spawn(
+                            ("pack d{} {.coords}", axis, t.src),
                             cost=self.copy_cost(t.nbytes),
                             body=self._pack_body(slots, fi, t, vs, sections[fi]),
                             ins=[self.block_handle(t.src, group)],
@@ -118,8 +120,9 @@ class TampiDataflowProgram(BaseRankProgram):
                             phase="pack",
                         )
                     # Multi-dependency on every section of the message.
-                    yield from rt.spawn(
-                        f"send d{axis} p{peer} m{gi}",
+                    yield rt.charge_spawn()
+                    rt.spawn(
+                        ("send d{} p{} m{}", axis, peer, gi),
                         body=self._send_body(
                             slots, peer, direction_tag(axis, gi),
                             group_nbytes(mgroup), sections,
@@ -135,8 +138,9 @@ class TampiDataflowProgram(BaseRankProgram):
             commutative = cfg.commutative_ghosts
             for t in dplan.local:
                 dst_handle = self.block_handle(t.dst, group)
-                yield from rt.spawn(
-                    f"intra d{axis} {t.dst.coords}",
+                yield rt.charge_spawn()
+                rt.spawn(
+                    ("intra d{} {.coords}", axis, t.dst),
                     cost=self.copy_cost(t.nbytes),
                     body=self._local_copy_body(t, vs),
                     ins=[self.block_handle(t.src, group)],
@@ -151,8 +155,9 @@ class TampiDataflowProgram(BaseRankProgram):
             for slot, mgroup, rbuf in recv_jobs:
                 for fi, t in enumerate(mgroup):
                     dst_handle = self.block_handle(t.dst, group)
-                    yield from rt.spawn(
-                        f"unpack d{axis} {t.dst.coords}",
+                    yield rt.charge_spawn()
+                    rt.spawn(
+                        ("unpack d{} {.coords}", axis, t.dst),
                         cost=self.copy_cost(t.nbytes),
                         body=self._unpack_body(slot, fi, t, vs, rbuf),
                         ins=[rbuf],
@@ -215,9 +220,11 @@ class TampiDataflowProgram(BaseRankProgram):
         nvars = cfg.group_size(group)
         cost = self.stencil_cost(nvars)
         boost = self.cost.locality_ipc_boost
+        rt = self.rt
         for bid in sorted(self.blocks):
-            yield from self.rt.spawn(
-                f"stencil {bid.coords}",
+            yield rt.charge_spawn()
+            rt.spawn(
+                ("stencil {.coords}", bid),
                 cost=cost,
                 body=self._stencil_body(bid, vs),
                 inouts=[self.block_handle(bid, group)],
@@ -242,14 +249,16 @@ class TampiDataflowProgram(BaseRankProgram):
         seq = self._csum_seq
         partials = []
         handles = []
+        rt = self.rt
         for group in range(cfg.num_groups):
             vs = cfg.group_slice(group)
             cost = self.checksum_cost(cfg.group_size(group))
             for bid in sorted(self.blocks):
                 handle = ("csum", seq, bid, group)
                 handles.append(handle)
-                yield from self.rt.spawn(
-                    f"checksum {bid.coords}",
+                yield rt.charge_spawn()
+                rt.spawn(
+                    ("checksum {.coords}", bid),
                     cost=cost,
                     body=self._csum_body(partials, bid, vs, handle),
                     ins=[self.block_handle(bid, group)],
@@ -311,14 +320,16 @@ class TampiDataflowProgram(BaseRankProgram):
         cfg = self.cfg
         nbytes = cfg.block_bytes()
         groups = range(cfg.num_groups)
+        rt = self.rt
         for bid in splits:
             child_handles = [
                 self.block_handle(c, g)
                 for c in bid.children()
                 for g in groups
             ]
-            yield from self.rt.spawn(
-                f"split {bid.coords}",
+            yield rt.charge_spawn()
+            rt.spawn(
+                ("split {.coords}", bid),
                 cost=self.copy_cost(nbytes),
                 body=self._split_body(bid),
                 ins=[self.block_handle(bid, g) for g in groups],
@@ -331,8 +342,9 @@ class TampiDataflowProgram(BaseRankProgram):
                 for c in parent.children()
                 for g in groups
             ]
-            yield from self.rt.spawn(
-                f"consolidate {parent.coords}",
+            yield rt.charge_spawn()
+            rt.spawn(
+                ("consolidate {.coords}", parent),
                 cost=self.copy_cost(nbytes),
                 body=self._merge_body(parent),
                 ins=child_handles,
@@ -368,16 +380,18 @@ class TampiDataflowProgram(BaseRankProgram):
             if dst == self.rank:
                 rbuf = ("xrbuf", idx)
                 slot = {}
-                yield from rt.spawn(
-                    f"xrecv {bid.coords}",
+                yield rt.charge_spawn()
+                rt.spawn(
+                    ("xrecv {.coords}", bid),
                     body=self._recv_body(
                         slot, src, tag_base + idx, nbytes, rbuf
                     ),
                     outs=[rbuf],
                     phase="exchange-recv",
                 )
-                yield from rt.spawn(
-                    f"xunpack {bid.coords}",
+                yield rt.charge_spawn()
+                rt.spawn(
+                    ("xunpack {.coords}", bid),
                     cost=self.copy_cost(nbytes),
                     body=self._xunpack_body(slot, bid, rbuf),
                     ins=[rbuf],
@@ -387,16 +401,18 @@ class TampiDataflowProgram(BaseRankProgram):
             elif src == self.rank:
                 sbuf = ("xsbuf", idx)
                 slot = [None]
-                yield from rt.spawn(
-                    f"xpack {bid.coords}",
+                yield rt.charge_spawn()
+                rt.spawn(
+                    ("xpack {.coords}", bid),
                     cost=self.copy_cost(nbytes),
                     body=self._xpack_body(slot, bid, sbuf),
                     ins=[self.block_handle(bid, g) for g in groups],
                     outs=[sbuf],
                     phase="exchange-pack",
                 )
-                yield from rt.spawn(
-                    f"xsend {bid.coords}",
+                yield rt.charge_spawn()
+                rt.spawn(
+                    ("xsend {.coords}", bid),
                     body=self._xsend_body(
                         slot, dst, tag_base + idx, nbytes, sbuf
                     ),

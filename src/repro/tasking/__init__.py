@@ -1,15 +1,14 @@
 """``repro.tasking`` — an OmpSs-2-like tasking runtime on the simulator.
 
-Provides tasks with in/out/inout dependencies (whole-object handles and
-byte-range regions), per-core workers with work stealing, the
-immediate-successor locality scheduler, ``taskwait``,
+Provides tasks with in/out/inout/commutative dependencies on whole-object
+handles, per-core workers with work stealing, the immediate-successor
+locality scheduler, ``taskwait``,
 ``taskwait_with_deps`` (the OmpSs-2 feature behind the paper's delayed
 checksum), and a fork-join ``parallel_for`` layer for the MPI+OMP variant.
 """
 
 from .deps import DependencyTracker
 from .forkjoin import ForkJoinTeam
-from .regions import Region, RegionSpace
 from .runtime import SCHEDULERS, RankRuntime, RuntimeStats, TaskContext
 from .task import AccessMode, Task, TaskState, normalize_accesses
 
@@ -18,8 +17,6 @@ __all__ = [
     "DependencyTracker",
     "ForkJoinTeam",
     "RankRuntime",
-    "Region",
-    "RegionSpace",
     "RuntimeStats",
     "SCHEDULERS",
     "Task",

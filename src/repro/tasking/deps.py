@@ -1,27 +1,21 @@
 """Data-dependency tracking for tasks.
 
 Implements the standard last-writer/readers algorithm used by OmpSs-2 and
-OpenMP ``depend`` clauses, over two kinds of handles:
-
-* arbitrary hashables (whole-object dependencies, e.g. a mesh block's
-  variable-group key) — the common case;
-* :class:`~repro.tasking.regions.Region` byte ranges, resolved through a
-  :class:`~repro.tasking.regions.RegionSpace` so accesses conflict exactly
-  when they overlap.
+OpenMP ``depend`` clauses over whole-object handles: any hashable (e.g. a
+mesh block's variable-group key), two accesses conflicting exactly when
+their handles are equal.
 
 Registration happens in task-creation order (program order), exactly as a
 sequential thread creating tasks would register them.
 
-A scalar handle's history is forgotten once every task that registered on
-it has completed (:meth:`DependencyTracker.release`): ``register`` treats a
+A handle's history is forgotten once every task that registered on it has
+completed (:meth:`DependencyTracker.release`): ``register`` treats a
 completed writer, reader or commuter as absent, so such a history orders
-nothing and a fresh one is equivalent.  Region segments keep their
-histories for the run.
+nothing and a fresh one is equivalent.
 """
 
 from __future__ import annotations
 
-from .regions import Region, RegionSpace
 from .task import AccessMode, Task, TaskState
 
 # Hoisted enum members: register() runs once per task access and enum
@@ -32,7 +26,7 @@ _COMPLETED = TaskState.COMPLETED
 
 
 class _HandleState:
-    """Dependency history of one handle (or region segment)."""
+    """Dependency history of one handle."""
 
     __slots__ = ("last_writer", "readers", "commuters", "pending")
 
@@ -40,18 +34,9 @@ class _HandleState:
         self.last_writer = None
         self.readers = []
         self.commuters = []
-        #: Accesses registered on a scalar handle by tasks not yet
-        #: completed; the history is dropped when it falls to zero.
+        #: Accesses registered on the handle by tasks not yet completed;
+        #: the history is dropped when it falls to zero.
         self.pending = 0
-
-    def clone(self):
-        """Independent copy for a region-segment split: the fragment
-        inherits the history so far but diverges from its sibling."""
-        state = _HandleState()
-        state.last_writer = self.last_writer
-        state.readers = list(self.readers)
-        state.commuters = list(self.commuters)
-        return state
 
 
 class DependencyTracker:
@@ -59,7 +44,6 @@ class DependencyTracker:
 
     def __init__(self):
         self._scalar = {}
-        self._region_spaces = {}
 
     # ------------------------------------------------------------------
     def register(self, task: Task) -> int:
@@ -83,71 +67,61 @@ class DependencyTracker:
         preds = []
         scalar = self._scalar
         for mode, handle in accesses:
-            if isinstance(handle, Region):
-                space = self._region_spaces.get(handle.base)
-                if space is None:
-                    space = self._region_spaces[handle.base] = RegionSpace()
-                states = space.segments_for(
-                    handle.start, handle.stop, _HandleState
-                )
-            else:
-                state = scalar.get(handle)
-                if state is None:
-                    state = scalar[handle] = _HandleState()
-                state.pending += 1
-                states = (state,)
-            for state in states:
-                writer = state.last_writer
-                if (
-                    writer is not None
-                    and writer.state is not _COMPLETED
-                    and writer is not task
-                    and writer not in preds
-                ):
-                    preds.append(writer)
-                if mode is _IN:
-                    for c in state.commuters:
-                        if (
-                            c.state is not _COMPLETED
-                            and c is not task
-                            and c not in preds
-                        ):
-                            preds.append(c)
-                    state.readers.append(task)
-                elif mode is _COMMUTATIVE:
-                    # Ordered against writers and earlier readers, but NOT
-                    # against the other members of the commutative group —
-                    # those are mutually excluded by the runtime lock.
-                    for reader in state.readers:
-                        if (
-                            reader.state is not _COMPLETED
-                            and reader is not task
-                            and reader not in preds
-                        ):
-                            preds.append(reader)
-                    state.commuters.append(task)
-                else:  # OUT and INOUT are both treated as writes
-                    for reader in state.readers:
-                        if (
-                            reader.state is not _COMPLETED
-                            and reader is not task
-                            and reader not in preds
-                        ):
-                            preds.append(reader)
-                    for c in state.commuters:
-                        if (
-                            c.state is not _COMPLETED
-                            and c is not task
-                            and c not in preds
-                        ):
-                            preds.append(c)
-                    state.last_writer = task
-                    # Only replace a history list that holds something:
-                    # a write after a write finds both empty.
-                    if state.readers:
-                        state.readers = []
-                    if state.commuters:
-                        state.commuters = []
+            state = scalar.get(handle)
+            if state is None:
+                state = scalar[handle] = _HandleState()
+            state.pending += 1
+            writer = state.last_writer
+            if (
+                writer is not None
+                and writer.state is not _COMPLETED
+                and writer is not task
+                and writer not in preds
+            ):
+                preds.append(writer)
+            if mode is _IN:
+                for c in state.commuters:
+                    if (
+                        c.state is not _COMPLETED
+                        and c is not task
+                        and c not in preds
+                    ):
+                        preds.append(c)
+                state.readers.append(task)
+            elif mode is _COMMUTATIVE:
+                # Ordered against writers and earlier readers, but NOT
+                # against the other members of the commutative group —
+                # those are mutually excluded by the runtime lock.
+                for reader in state.readers:
+                    if (
+                        reader.state is not _COMPLETED
+                        and reader is not task
+                        and reader not in preds
+                    ):
+                        preds.append(reader)
+                state.commuters.append(task)
+            else:  # OUT and INOUT are both treated as writes
+                for reader in state.readers:
+                    if (
+                        reader.state is not _COMPLETED
+                        and reader is not task
+                        and reader not in preds
+                    ):
+                        preds.append(reader)
+                for c in state.commuters:
+                    if (
+                        c.state is not _COMPLETED
+                        and c is not task
+                        and c not in preds
+                    ):
+                        preds.append(c)
+                state.last_writer = task
+                # Only replace a history list that holds something:
+                # a write after a write finds both empty.
+                if state.readers:
+                    state.readers = []
+                if state.commuters:
+                    state.commuters = []
         npred = len(preds)
         for pred in preds:
             pred.successors.append(task)
@@ -155,19 +129,17 @@ class DependencyTracker:
         return npred
 
     def release(self, task):
-        """Forget the scalar histories ``task`` was the last incomplete
-        registrant of.  Called once per registered task, at completion.
+        """Forget the histories ``task`` was the last incomplete registrant
+        of.  Called once per registered task, at completion.
 
         While a task is incomplete its histories keep ``pending >= 1``, so
-        each lookup finds the state ``register`` counted; a miss is a
-        :class:`Region` access, whose segments are never counted.
+        each lookup finds the state ``register`` counted.
         """
         scalar = self._scalar
         for _mode, handle in task.accesses:
-            state = scalar.get(handle)
-            if state is not None:
-                pending = state.pending - 1
-                if pending:
-                    state.pending = pending
-                else:
-                    del scalar[handle]
+            state = scalar[handle]
+            pending = state.pending - 1
+            if pending:
+                state.pending = pending
+            else:
+                del scalar[handle]

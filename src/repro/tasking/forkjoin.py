@@ -71,8 +71,9 @@ class ForkJoinTeam:
                 if bodies is None
                 else _chunk_body(bodies, start, stop)
             )
-            task = yield from rt.spawn(
-                f"{label}[{t}]",
+            yield rt.charge_spawn()
+            task = rt.spawn(
+                ("{}[{}]", label, t),
                 cost=chunk_cost,
                 body=chunk_bodies,
                 phase=phase or label,

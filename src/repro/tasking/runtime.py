@@ -3,9 +3,10 @@
 One :class:`RankRuntime` manages the cores of one MPI rank:
 
 * the **main thread** (the rank's program coroutine) conceptually occupies
-  core 0; it creates tasks with :meth:`spawn` and joins them with
-  :meth:`taskwait` — during which it executes ready tasks inline, exactly
-  like an OmpSs-2 implicit task;
+  core 0; it creates tasks with :meth:`~RankRuntime.spawn`, each after
+  charging its creation cost (``yield rt.charge_spawn()``), and joins
+  them with :meth:`taskwait` — during which it executes ready tasks
+  inline, exactly like an OmpSs-2 implicit task;
 * cores 1..N-1 run **worker** processes that pull ready tasks;
 * released successors are pushed to the *front* of the completing core's
   queue under the default ``"locality"`` scheduler (Nanos6's
@@ -24,8 +25,11 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import repeat
 
 from ..machine.costmodel import CostSpec, NoiseModel
+from ..simx.events import Event
 from .deps import DependencyTracker
 from .task import Task, TaskState, normalize_accesses
 
@@ -154,9 +158,22 @@ class RankRuntime:
         self._last_affinity = [None] * num_cores
         self._outstanding = 0
         self._rr = 0
-        # Cost-spec scalars pulled out of the dataclass once: spawn and
-        # dispatch overheads are read on every task.
-        self._spawn_overhead = self.cost_spec.task_spawn_overhead
+        #: ``charge_spawn()`` returns the event a thread yields to pay one
+        #: task's creation cost, right before :meth:`spawn` and in its own
+        #: frame: ``env.timeout(task_spawn_overhead)``, or at zero
+        #: overhead an event already processed, which the yielding process
+        #: takes straight back without touching the event heap.  Both are
+        #: C-level callables, so the charge adds no Python frame per task.
+        overhead = self.cost_spec.task_spawn_overhead
+        if overhead > 0:
+            self.charge_spawn = partial(env.timeout, overhead)
+        else:
+            charged = Event(env)
+            charged._ok = True
+            charged._value = None
+            charged.callbacks = None
+            self.charge_spawn = repeat(charged).__next__
+        # Read on every task: pulled out of the dataclass once.
         self._dispatch_overhead = self.cost_spec.task_dispatch_overhead
         #: Immediate-successor policy flag (checked once per completion).
         self._immediate_successor = scheduler == "locality"
@@ -184,7 +201,7 @@ class RankRuntime:
         self._waiters.clear()
 
     # ------------------------------------------------------------------
-    # Task creation (generator: ``task = yield from rt.spawn(...)``)
+    # Task creation: ``yield rt.charge_spawn()`` then ``rt.spawn(...)``
     # ------------------------------------------------------------------
     def spawn(
         self,
@@ -199,18 +216,18 @@ class RankRuntime:
         locality_factor=1.0,
         phase=None,
     ):
-        """Create a task; charges spawn overhead to the calling thread."""
+        """Create and register a task; returns it.
+
+        ``label`` is a ``str`` or a ``(fmt, *args)`` template (see
+        :class:`~repro.tasking.task.Task`).  The caller charges the
+        spawn overhead first with ``yield rt.charge_spawn()``.
+        """
         env = self.env
-        overhead = self._spawn_overhead
-        if overhead > 0:
-            yield env.timeout(overhead)
         task = Task(
             env, label, cost, body,
             normalize_accesses(ins, outs, inouts, commutatives),
             affinity, locality_factor, phase,
         )
-        # Registered inline (this runs per task); _register is the
-        # taskwait-with-deps marker's path.
         self.stats.tasks_spawned += 1
         self._outstanding += 1
         if self.profiler is not None:
@@ -218,12 +235,6 @@ class RankRuntime:
         if self.tracker.register(task) == 0:
             self._make_ready(task, None)
         return task
-
-    def _register(self, task):
-        """Register a taskwait-with-deps marker (never outstanding)."""
-        self.stats.tasks_spawned += 1
-        if self.tracker.register(task) == 0:
-            self._make_ready(task, None)
 
     # ------------------------------------------------------------------
     # Synchronization
@@ -260,7 +271,10 @@ class RankRuntime:
             accesses=normalize_accesses(ins, outs, inouts),
         )
         task.is_sync = True
-        self._register(task)
+        # Registered like a spawned task, but never outstanding.
+        self.stats.tasks_spawned += 1
+        if self.tracker.register(task) == 0:
+            self._make_ready(task, None)
         # Like a blocked Nanos6 thread, the caller's core keeps executing
         # ready tasks while the marker is pending (the resume may therefore
         # lag the dependency satisfaction by up to one task length).  When

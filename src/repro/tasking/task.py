@@ -50,7 +50,12 @@ class Task:
     Parameters
     ----------
     label:
-        Human-readable name (also the trace event name).
+        Human-readable name (also the trace event name): a ``str``, or a
+        template tuple ``(fmt, *args)`` that :attr:`label` formats with
+        ``fmt.format(*args)`` on first read.  Most labels are never
+        read (only the profiler, the access witness and ``repr`` read
+        them), so the spawn path passes templates whose arguments are
+        objects the task holds anyway.
     cost:
         Base simulated CPU seconds of the task body.
     body:
@@ -60,21 +65,22 @@ class Task:
         Released (set to ``None``) once it has run.
     accesses:
         Sequence of ``(AccessMode, handle)`` pairs declaring the data the
-        task touches.  Handles are arbitrary hashables or
-        :class:`~repro.tasking.regions.Region` byte ranges.
+        task touches.  Handles are arbitrary hashables; two accesses
+        name the same data exactly when their handles are equal.
     affinity:
         Cache-locality key; when a core runs two consecutive tasks with the
         same affinity the second enjoys the model's IPC boost.
     locality_factor:
         Speedup divisor applied on an affinity hit (≥ 1.0).
     phase:
-        Phase tag for tracing/analysis (e.g. ``"stencil"``).
+        Phase tag for tracing/analysis (e.g. ``"stencil"``); defaults to
+        the (formatted) label.
     """
 
     __slots__ = (
         "tid",
         "env",
-        "label",
+        "_label",
         "cost",
         "body",
         "gen_body",
@@ -109,7 +115,7 @@ class Task:
             raise ValueError("locality_factor must be >= 1.0")
         self.tid = next(env.task_ids)
         self.env = env
-        self.label = label
+        self._label = label
         self.cost = cost
         self.body = body
         #: Whether ``body`` is a generator function (resolved once here;
@@ -126,7 +132,7 @@ class Task:
         self.accesses = accesses = tuple(accesses)
         self.affinity = affinity
         self.locality_factor = locality_factor
-        self.phase = phase or label
+        self.phase = phase if phase else self.label
         self.state = _CREATED
         self.npred = 0
         self.successors = []
@@ -151,6 +157,14 @@ class Task:
                 else:
                     comm.append(access[1])
         self.commutative_handles = () if comm is None else tuple(comm)
+
+    @property
+    def label(self) -> str:
+        """The label, formatted from its template on first read."""
+        label = self._label
+        if label.__class__ is not str:
+            label = self._label = label[0].format(*label[1:])
+        return label
 
     @property
     def done_event(self) -> Event:

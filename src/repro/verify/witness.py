@@ -28,9 +28,7 @@ Coverage rules (race semantics, not value semantics):
 * a **write** touch requires a declared ``out``, ``inout``, or
   ``commutative`` access — a write under a bare ``in`` races with every
   concurrent reader;
-* a declared :class:`~repro.tasking.regions.Region` covers a touched
-  region of the same base iff it fully contains it; scalar handles cover
-  by equality.
+* a declared handle covers a touched handle iff they are equal.
 
 Touches from the main thread (no executing task) are ignored: the main
 thread's accesses are program-ordered by construction.  Tasks marked
@@ -42,7 +40,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..tasking.regions import Region
 from ..tasking.task import AccessMode
 
 #: Touch kinds reported by the instrumentation.
@@ -85,13 +82,6 @@ def covers(declared_mode, declared_handle, kind, handle) -> bool:
     """Whether one declared access covers an actual touch."""
     if kind == WRITE and declared_mode not in _WRITE_MODES:
         return False
-    if isinstance(handle, Region):
-        return (
-            isinstance(declared_handle, Region)
-            and declared_handle.base == handle.base
-            and declared_handle.start <= handle.start
-            and handle.stop <= declared_handle.stop
-        )
     return declared_handle == handle
 
 
@@ -137,11 +127,6 @@ class AccessWitness:
             if self._stack[i].task is task:
                 del self._stack[i]
                 return
-
-    @property
-    def active(self):
-        """The currently executing witnessed task, or ``None``."""
-        return self._stack[-1].task if self._stack else None
 
     # ------------------------------------------------------------------
     # Application-facing instrumentation

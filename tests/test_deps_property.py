@@ -1,9 +1,8 @@
 """Property test: DependencyTracker edges match a brute-force oracle.
 
-For an arbitrary registration sequence over scalar handles and
-(overlapping) Regions, the tracker wires a *reduced* edge set — last
-writer, readers-since, commuters — rather than every conflicting pair.
-The correctness condition is therefore closure equality: the transitive
+For an arbitrary registration sequence over a few handles, the tracker
+wires a *reduced* edge set — last writer, readers-since, commuters —
+rather than every conflicting pair.  The correctness condition is therefore closure equality: the transitive
 closure of the tracker's edges must equal the transitive closure of the
 O(n²) pairwise-conflict relation.  (Edges only ever point from earlier to
 later registration, so both closures are over the same partial order.)
@@ -14,37 +13,18 @@ from hypothesis import strategies as st
 
 from repro.simx import Environment
 from repro.tasking.deps import DependencyTracker
-from repro.tasking.regions import Region
 from repro.tasking.task import AccessMode, Task
 
 MODES = [AccessMode.IN, AccessMode.OUT, AccessMode.INOUT,
          AccessMode.COMMUTATIVE]
 
-scalar_handles = st.sampled_from(["s0", "s1"])
-region_handles = st.builds(
-    lambda base, start, length: Region(base, start, start + length),
-    st.sampled_from(["buf0", "buf1"]),
-    st.integers(min_value=0, max_value=12),
-    st.integers(min_value=1, max_value=8),
-)
+handles = st.sampled_from(["s0", "s1", "s2"])
 access_strategy = st.lists(
-    st.tuples(
-        st.sampled_from(MODES),
-        st.one_of(scalar_handles, region_handles),
-    ),
+    st.tuples(st.sampled_from(MODES), handles),
     min_size=1,
     max_size=3,
 )
 graph_strategy = st.lists(access_strategy, min_size=2, max_size=10)
-
-
-def _touches(ha, hb) -> bool:
-    """Whether two handles denote (partly) the same data."""
-    if isinstance(ha, Region) and isinstance(hb, Region):
-        return ha.overlaps(hb)
-    if isinstance(ha, Region) or isinstance(hb, Region):
-        return False
-    return ha == hb
 
 
 def oracle_conflicts(acc_a, acc_b) -> bool:
@@ -52,7 +32,7 @@ def oracle_conflicts(acc_a, acc_b) -> bool:
     read-read or commutative-commutative conflicts."""
     for ma, ha in acc_a:
         for mb, hb in acc_b:
-            if not _touches(ha, hb):
+            if ha != hb:
                 continue
             if ma is AccessMode.IN and mb is AccessMode.IN:
                 continue

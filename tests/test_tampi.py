@@ -47,8 +47,10 @@ def test_isend_task_completes_only_when_message_lands():
         log.append(("body-done", env.now))
 
     def sender_main():
-        yield from rt0.spawn("send", body=send_body, ins=["buf"])
-        yield from rt0.spawn(
+        yield rt0.charge_spawn()
+        rt0.spawn("send", body=send_body, ins=["buf"])
+        yield rt0.charge_spawn()
+        rt0.spawn(
             "reuse", body=lambda: log.append(("reuse", env.now)), outs=["buf"]
         )
         yield from rt0.taskwait()
@@ -85,8 +87,10 @@ def test_irecv_data_available_to_successor():
         received.append(holder["req"].data)
 
     def receiver_main():
-        yield from rt1.spawn("recv", body=recv_body, outs=["rbuf"])
-        yield from rt1.spawn("unpack", body=unpack_body, ins=["rbuf"])
+        yield rt1.charge_spawn()
+        rt1.spawn("recv", body=recv_body, outs=["rbuf"])
+        yield rt1.charge_spawn()
+        rt1.spawn("unpack", body=unpack_body, ins=["rbuf"])
         yield from rt1.taskwait()
 
     def sender_main():
@@ -111,8 +115,10 @@ def test_iwaitall_binds_multiple_requests():
         tampi.iwaitall(ctx, reqs)
 
     def receiver_main():
-        yield from rt1.spawn("recv-all", body=recv_body, outs=["faces"])
-        yield from rt1.spawn(
+        yield rt1.charge_spawn()
+        rt1.spawn("recv-all", body=recv_body, outs=["faces"])
+        yield rt1.charge_spawn()
+        rt1.spawn(
             "consume",
             body=lambda: unpack_times.append(env.now),
             ins=["faces"],
@@ -144,7 +150,8 @@ def test_iwait_on_completed_request_is_noop():
         done.append(req.data)
 
     def receiver_main():
-        yield from rt1.spawn("recv", body=recv_body)
+        yield rt1.charge_spawn()
+        rt1.spawn("recv", body=recv_body)
         yield from rt1.taskwait()
 
     def sender_main():
@@ -166,14 +173,17 @@ def test_computation_overlaps_inflight_communication():
         yield from tampi.irecv(ctx, world.comm(1), source=0, tag=3)
 
     def receiver_main():
-        yield from rt1.spawn("recv", body=recv_body, outs=["ghost"])
+        yield rt1.charge_spawn()
+        rt1.spawn("recv", body=recv_body, outs=["ghost"])
         for i in range(4):
-            yield from rt1.spawn(
+            yield rt1.charge_spawn()
+            rt1.spawn(
                 f"stencil{i}",
                 cost=1.0,
                 body=lambda: stencil_times.append(env.now),
             )
-        yield from rt1.spawn("unpack", ins=["ghost"])
+        yield rt1.charge_spawn()
+        rt1.spawn("unpack", ins=["ghost"])
         yield from rt1.taskwait()
 
     def sender_main():
@@ -194,7 +204,8 @@ def test_bind_request_to_completed_task_rejected():
     env, world, (rt0, rt1) = make_setup()
 
     def main():
-        task = yield from rt0.spawn("t", cost=0.0)
+        yield rt0.charge_spawn()
+        task = rt0.spawn("t", cost=0.0)
         yield from rt0.taskwait()
         req = yield from world.comm(0).irecv(source=1, tag=0)
         with pytest.raises(ValueError):

@@ -39,7 +39,8 @@ def test_commutative_tasks_are_mutually_exclusive():
 
     def main():
         for i in range(4):
-            yield from rt.spawn(
+            yield rt.charge_spawn()
+            rt.spawn(
                 f"c{i}", cost=1.0, commutatives=["acc"],
                 body=self_pop(active, body(i)),
             )
@@ -62,9 +63,11 @@ def test_commutative_serializes_but_parallel_elsewhere():
     def main():
         # Four commutative tasks on one handle + four independent tasks.
         for i in range(4):
-            yield from rt.spawn(f"c{i}", cost=1.0, commutatives=["acc"])
+            yield rt.charge_spawn()
+            rt.spawn(f"c{i}", cost=1.0, commutatives=["acc"])
         for i in range(4):
-            yield from rt.spawn(f"free{i}", cost=1.0)
+            yield rt.charge_spawn()
+            rt.spawn(f"free{i}", cost=1.0)
         yield from rt.taskwait()
 
     run_main(env, main())
@@ -78,13 +81,16 @@ def test_commutative_vs_inout_ordering():
     order = []
 
     def main():
-        yield from rt.spawn("w1", cost=1.0, outs=["acc"],
-                            body=lambda: order.append("w1"))
+        yield rt.charge_spawn()
+        rt.spawn("w1", cost=1.0, outs=["acc"],
+                 body=lambda: order.append("w1"))
         for i in range(3):
-            yield from rt.spawn(f"c{i}", cost=1.0, commutatives=["acc"],
-                                body=lambda i=i: order.append(f"c{i}"))
-        yield from rt.spawn("w2", cost=1.0, inouts=["acc"],
-                            body=lambda: order.append("w2"))
+            yield rt.charge_spawn()
+            rt.spawn(f"c{i}", cost=1.0, commutatives=["acc"],
+                     body=lambda i=i: order.append(f"c{i}"))
+        yield rt.charge_spawn()
+        rt.spawn("w2", cost=1.0, inouts=["acc"],
+                 body=lambda: order.append("w2"))
         yield from rt.taskwait()
 
     run_main(env, main())
@@ -99,13 +105,17 @@ def test_commutative_reader_ordering():
     order = []
 
     def main():
-        yield from rt.spawn("w", cost=1.0, outs=["acc"])
-        yield from rt.spawn("r-before", cost=1.0, ins=["acc"],
-                            body=lambda: order.append("r-before"))
-        yield from rt.spawn("c", cost=1.0, commutatives=["acc"],
-                            body=lambda: order.append("c"))
-        yield from rt.spawn("r-after", cost=1.0, ins=["acc"],
-                            body=lambda: order.append("r-after"))
+        yield rt.charge_spawn()
+        rt.spawn("w", cost=1.0, outs=["acc"])
+        yield rt.charge_spawn()
+        rt.spawn("r-before", cost=1.0, ins=["acc"],
+                 body=lambda: order.append("r-before"))
+        yield rt.charge_spawn()
+        rt.spawn("c", cost=1.0, commutatives=["acc"],
+                 body=lambda: order.append("c"))
+        yield rt.charge_spawn()
+        rt.spawn("r-after", cost=1.0, ins=["acc"],
+                 body=lambda: order.append("r-after"))
         yield from rt.taskwait()
 
     run_main(env, main())
@@ -119,12 +129,15 @@ def test_commutative_multiple_handles_no_deadlock():
     done = []
 
     def main():
-        yield from rt.spawn("ab", cost=1.0, commutatives=["a", "b"],
-                            body=lambda: done.append("ab"))
-        yield from rt.spawn("bc", cost=1.0, commutatives=["b", "c"],
-                            body=lambda: done.append("bc"))
-        yield from rt.spawn("ca", cost=1.0, commutatives=["c", "a"],
-                            body=lambda: done.append("ca"))
+        yield rt.charge_spawn()
+        rt.spawn("ab", cost=1.0, commutatives=["a", "b"],
+                 body=lambda: done.append("ab"))
+        yield rt.charge_spawn()
+        rt.spawn("bc", cost=1.0, commutatives=["b", "c"],
+                 body=lambda: done.append("bc"))
+        yield rt.charge_spawn()
+        rt.spawn("ca", cost=1.0, commutatives=["c", "a"],
+                 body=lambda: done.append("ca"))
         yield from rt.taskwait()
 
     run_main(env, main())
@@ -139,9 +152,11 @@ def test_commutative_group_total_time_parallel_groups():
 
     def main():
         for i in range(3):
-            yield from rt.spawn(f"g1-{i}", cost=1.0, commutatives=["g1"])
+            yield rt.charge_spawn()
+            rt.spawn(f"g1-{i}", cost=1.0, commutatives=["g1"])
         for i in range(3):
-            yield from rt.spawn(f"g2-{i}", cost=1.0, commutatives=["g2"])
+            yield rt.charge_spawn()
+            rt.spawn(f"g2-{i}", cost=1.0, commutatives=["g2"])
         yield from rt.taskwait()
 
     run_main(env, main())
@@ -161,8 +176,9 @@ def test_functional_commutative_accumulation():
 
     def main():
         for x in (1.0, 2.0, 3.0, 4.0, 5.0):
-            yield from rt.spawn(f"add{x}", cost=0.5,
-                                commutatives=["sum"], body=add(x))
+            yield rt.charge_spawn()
+            rt.spawn(f"add{x}", cost=0.5,
+                     commutatives=["sum"], body=add(x))
         yield from rt.taskwait()
 
     run_main(env, main())

@@ -80,7 +80,8 @@ def test_property_conflicting_tasks_keep_registration_order(graph, cores):
                 HANDLES[h] for m, h in accesses
                 if m is AccessMode.COMMUTATIVE
             ]
-            yield from rt.spawn(
+            yield rt.charge_spawn()
+            rt.spawn(
                 f"t{i}", cost=0.0, body=body(i),
                 ins=ins, outs=outs, inouts=inouts, commutatives=comm,
             )
@@ -118,7 +119,8 @@ def test_property_runtime_always_drains(graph, cores):
             handles = {}
             for m, h in accesses:
                 handles.setdefault(m, []).append(HANDLES[h])
-            yield from rt.spawn(
+            yield rt.charge_spawn()
+            rt.spawn(
                 f"t{i}",
                 cost=1e-6,
                 body=lambda i=i: executed.append(i),

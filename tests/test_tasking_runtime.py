@@ -3,13 +3,13 @@
 import pytest
 
 from repro.machine import CostSpec
+from repro.obs import Profiler
 from repro.simx import Environment
 from repro.tasking import (
     AccessMode,
     DependencyTracker,
     ForkJoinTeam,
     RankRuntime,
-    Region,
     Task,
     TaskState,
     normalize_accesses,
@@ -125,26 +125,6 @@ def test_multidep_union_of_handles():
     assert consumer.npred == 2
 
 
-def test_region_overlap_creates_dependency():
-    env = Environment()
-    tracker = DependencyTracker()
-    w = dep_task(env, outs=[Region("buf", 0, 100)])
-    r = dep_task(env, ins=[Region("buf", 50, 150)])
-    tracker.register(w)
-    tracker.register(r)
-    assert r.npred == 1
-
-
-def test_region_disjoint_no_dependency():
-    env = Environment()
-    tracker = DependencyTracker()
-    w = dep_task(env, outs=[Region("buf", 0, 100)])
-    r = dep_task(env, ins=[Region("buf", 100, 200)])
-    tracker.register(w)
-    tracker.register(r)
-    assert r.npred == 0
-
-
 def test_self_dependency_excluded():
     env = Environment()
     tracker = DependencyTracker()
@@ -161,7 +141,8 @@ def test_single_task_executes_and_charges_cost():
     ran = []
 
     def main():
-        yield from rt.spawn("t", cost=2.0, body=lambda: ran.append(env.now))
+        yield rt.charge_spawn()
+        rt.spawn("t", cost=2.0, body=lambda: ran.append(env.now))
         yield from rt.taskwait()
 
     run_main(env, main())
@@ -175,7 +156,8 @@ def test_independent_tasks_run_in_parallel():
 
     def main():
         for i in range(4):
-            yield from rt.spawn(f"t{i}", cost=1.0)
+            yield rt.charge_spawn()
+            rt.spawn(f"t{i}", cost=1.0)
         yield from rt.taskwait()
 
     run_main(env, main())
@@ -188,10 +170,12 @@ def test_dependent_tasks_serialize():
     order = []
 
     def main():
-        yield from rt.spawn("w", cost=1.0, outs=["x"],
-                            body=lambda: order.append("w"))
-        yield from rt.spawn("r", cost=1.0, ins=["x"],
-                            body=lambda: order.append("r"))
+        yield rt.charge_spawn()
+        rt.spawn("w", cost=1.0, outs=["x"],
+                 body=lambda: order.append("w"))
+        yield rt.charge_spawn()
+        rt.spawn("r", cost=1.0, ins=["x"],
+                 body=lambda: order.append("r"))
         yield from rt.taskwait()
 
     run_main(env, main())
@@ -204,14 +188,18 @@ def test_diamond_dependency_graph():
     order = []
 
     def main():
-        yield from rt.spawn("a", cost=1.0, outs=["x"],
-                            body=lambda: order.append("a"))
-        yield from rt.spawn("b", cost=1.0, ins=["x"], outs=["y"],
-                            body=lambda: order.append("b"))
-        yield from rt.spawn("c", cost=1.0, ins=["x"], outs=["z"],
-                            body=lambda: order.append("c"))
-        yield from rt.spawn("d", cost=1.0, ins=["y", "z"],
-                            body=lambda: order.append("d"))
+        yield rt.charge_spawn()
+        rt.spawn("a", cost=1.0, outs=["x"],
+                 body=lambda: order.append("a"))
+        yield rt.charge_spawn()
+        rt.spawn("b", cost=1.0, ins=["x"], outs=["y"],
+                 body=lambda: order.append("b"))
+        yield rt.charge_spawn()
+        rt.spawn("c", cost=1.0, ins=["x"], outs=["z"],
+                 body=lambda: order.append("c"))
+        yield rt.charge_spawn()
+        rt.spawn("d", cost=1.0, ins=["y", "z"],
+                 body=lambda: order.append("d"))
         yield from rt.taskwait()
 
     run_main(env, main())
@@ -226,7 +214,8 @@ def test_main_thread_helps_during_taskwait():
 
     def main():
         for i in range(3):
-            yield from rt.spawn(f"t{i}", cost=1.0)
+            yield rt.charge_spawn()
+            rt.spawn(f"t{i}", cost=1.0)
         yield from rt.taskwait()
 
     run_main(env, main())
@@ -241,7 +230,8 @@ def test_work_stealing_balances_queues():
     def main():
         # All four tasks land round-robin; stealing keeps both cores busy.
         for i in range(4):
-            yield from rt.spawn(f"t{i}", cost=1.0)
+            yield rt.charge_spawn()
+            rt.spawn(f"t{i}", cost=1.0)
         yield from rt.taskwait()
 
     run_main(env, main())
@@ -262,10 +252,12 @@ def test_sequential_taskwaits():
     env, rt = make_runtime(num_cores=2)
 
     def main():
-        yield from rt.spawn("a", cost=1.0)
+        yield rt.charge_spawn()
+        rt.spawn("a", cost=1.0)
         yield from rt.taskwait()
         first = env.now
-        yield from rt.spawn("b", cost=1.0)
+        yield rt.charge_spawn()
+        rt.spawn("b", cost=1.0)
         yield from rt.taskwait()
         assert env.now == pytest.approx(first + 1.0)
 
@@ -311,9 +303,11 @@ def test_waiter_table_bounded_under_taskwait_stress():
 
     def main():
         for i in range(30):
-            yield from rt.spawn(f"w{i}", cost=0.5, outs=[("h", i % 3)])
-            yield from rt.spawn(f"p{i}", cost=0.0, body=probe,
-                                ins=[("h", i % 3)])
+            yield rt.charge_spawn()
+            rt.spawn(f"w{i}", cost=0.5, outs=[("h", i % 3)])
+            yield rt.charge_spawn()
+            rt.spawn(f"p{i}", cost=0.0, body=probe,
+                     ins=[("h", i % 3)])
             if i % 3 == 0:
                 yield from rt.taskwait_with_deps(ins=[("h", i % 3)])
             if i % 5 == 0:
@@ -335,7 +329,8 @@ def test_generator_body_can_wait_on_events():
         seen.append(ctx.env.now)
 
     def main():
-        yield from rt.spawn("g", cost=1.0, body=body)
+        yield rt.charge_spawn()
+        rt.spawn("g", cost=1.0, body=body)
         yield from rt.taskwait()
 
     run_main(env, main())
@@ -346,10 +341,12 @@ def test_locality_scheduler_applies_ipc_boost():
     env, rt = make_runtime(num_cores=1)
 
     def main():
-        yield from rt.spawn("a", cost=1.0, outs=["blk"], affinity="blk",
-                            locality_factor=2.0)
-        yield from rt.spawn("b", cost=1.0, ins=["blk"], affinity="blk",
-                            locality_factor=2.0)
+        yield rt.charge_spawn()
+        rt.spawn("a", cost=1.0, outs=["blk"], affinity="blk",
+                 locality_factor=2.0)
+        yield rt.charge_spawn()
+        rt.spawn("b", cost=1.0, ins=["blk"], affinity="blk",
+                 locality_factor=2.0)
         yield from rt.taskwait()
 
     run_main(env, main())
@@ -363,11 +360,14 @@ def test_fifo_scheduler_no_front_push():
     order = []
 
     def main():
-        yield from rt.spawn("a", cost=1.0, outs=["x"],
-                            body=lambda: order.append("a"))
-        yield from rt.spawn("c", cost=1.0, body=lambda: order.append("c"))
-        yield from rt.spawn("b", cost=1.0, ins=["x"],
-                            body=lambda: order.append("b"))
+        yield rt.charge_spawn()
+        rt.spawn("a", cost=1.0, outs=["x"],
+                 body=lambda: order.append("a"))
+        yield rt.charge_spawn()
+        rt.spawn("c", cost=1.0, body=lambda: order.append("c"))
+        yield rt.charge_spawn()
+        rt.spawn("b", cost=1.0, ins=["x"],
+                 body=lambda: order.append("b"))
         yield from rt.taskwait()
 
     run_main(env, main())
@@ -380,11 +380,14 @@ def test_locality_scheduler_runs_successor_immediately():
     order = []
 
     def main():
-        yield from rt.spawn("a", cost=1.0, outs=["x"],
-                            body=lambda: order.append("a"))
-        yield from rt.spawn("c", cost=1.0, body=lambda: order.append("c"))
-        yield from rt.spawn("b", cost=1.0, ins=["x"],
-                            body=lambda: order.append("b"))
+        yield rt.charge_spawn()
+        rt.spawn("a", cost=1.0, outs=["x"],
+                 body=lambda: order.append("a"))
+        yield rt.charge_spawn()
+        rt.spawn("c", cost=1.0, body=lambda: order.append("c"))
+        yield rt.charge_spawn()
+        rt.spawn("b", cost=1.0, ins=["x"],
+                 body=lambda: order.append("b"))
         yield from rt.taskwait()
 
     run_main(env, main())
@@ -408,14 +411,41 @@ def test_spawn_charges_overhead():
     env = Environment()
     spec = CostSpec(task_spawn_overhead=0.5, task_dispatch_overhead=0.0,
                     noise_amplitude=0.0, noise_spike_rate=0.0)
-    rt = RankRuntime(env, num_cores=1, cost_spec=spec)
+    profiler = Profiler()
+    rt = RankRuntime(env, num_cores=1, cost_spec=spec, profiler=profiler)
+    tasks = []
 
     def main():
-        yield from rt.spawn("t", cost=0.0)
-        assert env.now == pytest.approx(0.5)
+        for i in range(4):
+            yield rt.charge_spawn()
+            tasks.append(rt.spawn(f"t{i}", cost=0.0))
+        # Four charges in the caller's own frame: 4 x 0.5 s.
+        assert env.now == pytest.approx(2.0)
         yield from rt.taskwait()
 
     run_main(env, main())
+    # Each task registers right after its own charge.
+    spawned = [profiler.tasks[t.tid].t_spawn for t in tasks]
+    assert spawned == pytest.approx([0.5, 1.0, 1.5, 2.0])
+
+
+def test_zero_overhead_charge_schedules_nothing():
+    env, rt = make_runtime(num_cores=1)
+    seen = []
+
+    def main():
+        seq, queued = env._seq, list(env._queue)
+        for i in range(16):
+            yield rt.charge_spawn()
+            rt.spawn(f"t{i}", cost=0.0, outs=[("h", i)])
+        # The burst scheduled no event (every schedule takes a sequence
+        # number) and the loop processed none: the heap is as it was.
+        seen.append((env._seq - seq, env._queue == queued, env.now))
+        yield from rt.taskwait()
+
+    run_main(env, main())
+    assert seen == [(0, True, 0.0)]
+    assert rt.stats.tasks_spawned == 16
 
 
 def test_dispatch_overhead_charged_per_task():
@@ -425,8 +455,10 @@ def test_dispatch_overhead_charged_per_task():
     rt = RankRuntime(env, num_cores=1, cost_spec=spec)
 
     def main():
-        yield from rt.spawn("a", cost=1.0)
-        yield from rt.spawn("b", cost=1.0)
+        yield rt.charge_spawn()
+        rt.spawn("a", cost=1.0)
+        yield rt.charge_spawn()
+        rt.spawn("b", cost=1.0)
         yield from rt.taskwait()
 
     run_main(env, main())
@@ -437,9 +469,12 @@ def test_per_phase_time_accumulates():
     env, rt = make_runtime(num_cores=1)
 
     def main():
-        yield from rt.spawn("s1", cost=1.0, phase="stencil")
-        yield from rt.spawn("s2", cost=2.0, phase="stencil")
-        yield from rt.spawn("p", cost=0.5, phase="pack")
+        yield rt.charge_spawn()
+        rt.spawn("s1", cost=1.0, phase="stencil")
+        yield rt.charge_spawn()
+        rt.spawn("s2", cost=2.0, phase="stencil")
+        yield rt.charge_spawn()
+        rt.spawn("p", cost=0.5, phase="pack")
         yield from rt.taskwait()
 
     run_main(env, main())
@@ -455,8 +490,10 @@ def test_taskwait_with_deps_waits_only_for_named_data():
     checkpoints = {}
 
     def main():
-        yield from rt.spawn("fast", cost=1.0, outs=["a"])
-        yield from rt.spawn("slow", cost=10.0, outs=["b"])
+        yield rt.charge_spawn()
+        rt.spawn("fast", cost=1.0, outs=["a"])
+        yield rt.charge_spawn()
+        rt.spawn("slow", cost=10.0, outs=["b"])
         yield from rt.taskwait_with_deps(ins=["a"])
         checkpoints["after-deps"] = env.now
         yield from rt.taskwait()
@@ -484,8 +521,10 @@ def test_taskwait_with_deps_chain():
     env, rt = make_runtime(num_cores=2)
 
     def main():
-        yield from rt.spawn("w1", cost=1.0, outs=["x"])
-        yield from rt.spawn("w2", cost=1.0, ins=["x"], outs=["y"])
+        yield rt.charge_spawn()
+        rt.spawn("w1", cost=1.0, outs=["x"])
+        yield rt.charge_spawn()
+        rt.spawn("w2", cost=1.0, ins=["x"], outs=["y"])
         yield from rt.taskwait_with_deps(ins=["y"])
         assert env.now == pytest.approx(2.0)
 

@@ -38,7 +38,8 @@ def test_fuzz_scheduler_respects_dependencies(seed):
         for i in range(12):
             # Even tasks form an inout chain on "h"; odd tasks are free.
             handles = {"inouts": ["h"]} if i % 2 == 0 else {}
-            yield from rt.spawn(
+            yield rt.charge_spawn()
+            rt.spawn(
                 f"t{i}", cost=1e-6,
                 body=lambda i=i: order.append(i), **handles,
             )

@@ -513,9 +513,9 @@ class SweepEngine:
             outcomes=run.outcomes(), wall_time=time.monotonic() - t0,
         )
 
-    def session(self, *, aging_rate=0.0) -> "EngineSession":
+    def session(self) -> "EngineSession":
         """Open an :class:`EngineSession` for incremental job admission."""
-        return EngineSession(self, aging_rate=aging_rate)
+        return EngineSession(self)
 
     @staticmethod
     def _as_graph(sweep):
@@ -895,17 +895,14 @@ class EngineSession:
     sees a spec); it stores completed runs to the cache and feeds the
     stats store, which it flushes on :meth:`close`.
 
-    Ready work is ordered by ``priority + aging_rate * age`` (highest
-    first, then by ticket), so a weighted-fair caller can hand tenants
-    different base priorities without starving anyone: every queued
-    job's effective priority grows linearly with its queue age.
+    Ready work launches highest ``priority`` first, then by ticket; a
+    fairness rule such as the serve broker's aging is the caller's.
 
     Thread-safe: submit/cancel/poll may race from different threads.
     """
 
-    def __init__(self, engine: SweepEngine, *, aging_rate=0.0):
+    def __init__(self, engine: SweepEngine):
         self.engine = engine
-        self.aging_rate = aging_rate
         self._lock = threading.RLock()
         self._launchable = []     # _Pending awaiting a slot
         self._running = []
@@ -993,7 +990,8 @@ class EngineSession:
         Returns ``True`` when the cancel took (or was already pending),
         ``False`` when the job is already terminal or unknown.  A run
         that completes before the terminate lands keeps its result —
-        the outcome then reads ``ok``, never ``canceled``.
+        the outcome then reads ``ok``, never ``canceled``.  A cancel that
+        took wakes :meth:`wait`: the next poll has work.
         """
         with self._lock:
             task = self._tickets.get(ticket)
@@ -1003,7 +1001,8 @@ class EngineSession:
                 self._withdraw(task, "canceled", "canceled while queued")
             else:
                 self._cancel_requested.add(ticket)
-            return True
+        self.wake()
+        return True
 
     # ------------------------------------------------------------------
     def poll(self) -> SessionStep:
@@ -1012,12 +1011,7 @@ class EngineSession:
         with self._lock:
             self._drain_telemetry()
             now = time.monotonic()
-            self._launchable.sort(
-                key=lambda t: (
-                    -(t.priority + self.aging_rate * (now - t.ready_at)),
-                    t.index,
-                )
-            )
+            self._launchable.sort(key=lambda t: (-t.priority, t.index))
             while True:
                 # A partitioned run claims ``slots`` pool slots; narrower
                 # tasks may backfill around a wide one that does not fit

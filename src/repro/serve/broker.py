@@ -16,9 +16,9 @@ The broker sits between the HTTP handlers and a resident
   A fingerprint already in the content-addressed
   :class:`~repro.exec.cache.ResultCache` never executes at all — the
   job is born ``done`` (the cache-hit fast path).
-* **Priority aging** — an execution's base priority is its submit
-  priority; the session grows effective priority linearly with queue
-  age, so no queued execution starves indefinitely.
+* **Priority aging** — an execution's submit priority grows by
+  ``aging_rate`` per second from its admission into the session (a
+  graph's nodes age with their execution), so nothing starves.
 
 Every kind runs on the one session, driven by the one scheduler
 thread: a run job is one submitted spec, and a pipeline or tune job is
@@ -68,6 +68,14 @@ _JOB_STATES = {"ok": "done", "failed": "failed", "canceled": "canceled"}
 
 #: Queue-wait histogram: power-of-two millisecond buckets up to ~17 min.
 WAIT_BUCKET_MAX_EXP = 20
+
+#: Queue-full ``Retry-After``: seconds per in-flight execution (at least 1).
+QUEUE_FULL_RETRY_S = 0.2
+
+#: Bound on one scheduler wait: an idle session's ``wait`` returns at once
+#: (nothing runs or is due), so an unbounded one would spin.  Submit,
+#: cancel and stop wake the scheduler long before.
+_IDLE_WAIT_S = 60.0
 
 
 class TokenBucket:
@@ -122,11 +130,10 @@ class _Execution:
 class Broker:
     """See the module docstring; one broker per server process."""
 
-    def __init__(self, *, engine, store, cache=None, queue_cap=64,
-                 quota_rate=5.0, quota_burst=10, aging_rate=0.05,
-                 poll_interval=0.02):
+    def __init__(self, *, engine, store, queue_cap=64, quota_rate=5.0,
+                 quota_burst=10, aging_rate=0.05):
         self.engine = engine
-        self.cache = cache if cache is not None else engine.cache
+        self.cache = engine.cache
         if self.cache is None:
             raise ValueError(
                 "the serve broker requires a ResultCache: results are "
@@ -137,9 +144,9 @@ class Broker:
         self.queue_cap = queue_cap
         self.quota_rate = quota_rate
         self.quota_burst = quota_burst
-        self.poll_interval = poll_interval
+        self.aging_rate = aging_rate
         self.telemetry = engine.telemetry
-        self.session = engine.session(aging_rate=aging_rate)
+        self.session = engine.session()
 
         self._lock = threading.RLock()
         self._buckets = {}               # tenant -> TokenBucket
@@ -190,15 +197,7 @@ class Broker:
             self._closing = True
         if drain_timeout is None:
             drain_timeout = self.engine.drain_timeout
-        deadline = time.monotonic() + max(0.0, drain_timeout or 0.0)
-        while time.monotonic() < deadline:
-            with self._lock:
-                if not self._inflight:
-                    break
-            time.sleep(self.poll_interval)
-        self._stop.set()
-        for thread in self._threads:
-            thread.join(timeout=5.0)
+        self._stop_scheduler(drain=max(0.0, drain_timeout or 0.0))
         self.session.close()
         with self._lock:
             # Survivors go back to the journal as queued: their
@@ -216,6 +215,16 @@ class Broker:
         self.store.compact()
         self.store.close()
         self._publish({"event": "server_stop", "reason": reason})
+
+    def _stop_scheduler(self, drain=0.0):
+        """Wake the scheduler thread and join it for ``drain`` seconds
+        (once closing, it returns when nothing is in flight); then stop,
+        wake and join it."""
+        for timeout in (drain, 5.0):
+            self.session.wake()
+            for thread in self._threads:
+                thread.join(timeout=timeout)
+            self._stop.set()
 
     def _recover(self):
         """Re-enqueue journaled queued/running work after a restart."""
@@ -336,10 +345,8 @@ class Broker:
                 raise ProtocolError(
                     "queue_full",
                     f"execution queue is at its cap ({self.queue_cap})",
-                    retry_after=max(
-                        1, math.ceil(len(self._inflight)
-                                     * self.poll_interval * 10)
-                    ),
+                    retry_after=max(1, math.ceil(
+                        len(self._inflight) * QUEUE_FULL_RETRY_S)),
                 )
             execution = _Execution(
                 fingerprint, kind, payload, job.id, priority, tenant,
@@ -549,6 +556,7 @@ class Broker:
         """Queue a new execution for admission into the session."""
         self._inflight[execution.fingerprint] = execution
         self._pending.append(execution)
+        self.session.wake()
 
     def _emit_submit(self, job, mode):
         if self.telemetry is not None:
@@ -570,8 +578,10 @@ class Broker:
     # ------------------------------------------------------------------
     def _scheduler_loop(self):
         while not self._stop.is_set():
-            self._scheduler_step()
-            time.sleep(self.poll_interval)
+            step = self._scheduler_step()
+            # A step that finished something may have admitted work.
+            if not (step.finished or self._stop.is_set()):
+                self.session.wait(step, _IDLE_WAIT_S)
 
     def _scheduler_step(self):
         with self._lock:
@@ -598,18 +608,22 @@ class Broker:
             for execution in list(self._inflight.values()):
                 if execution.graph is not None and execution.graph.done:
                     self._finish_graph(execution)
-            if not self._inflight and not self._pending:
+            if not self._inflight:
                 # An idle broker keeps no worker (nor the memory of its
                 # last run) alive; the next run forks afresh.
                 self.session.retire_idle()
+                if self._closing:
+                    self._stop.set()   # drained
+        return step
 
     def _admit(self, execution):
         """Enter one execution into the session: a run as one ticket, a
-        pipeline or tune as a :class:`GraphRun`."""
+        pipeline or tune as a :class:`GraphRun`, aged from now."""
+        priority = execution.priority - self.aging_rate * time.monotonic()
         if execution.kind == "run":
             execution.ticket = self.session.submit(
                 execution.payload, name=execution.primary,
-                priority=execution.priority, tenant=execution.tenant,
+                priority=priority, tenant=execution.tenant,
             )
             self._by_ticket[execution.ticket] = execution
             return
@@ -619,7 +633,7 @@ class Broker:
                 pipeline = tune_pipeline(pipeline)
             execution.graph = GraphRun(
                 self.session, JobGraph.from_pipeline(pipeline),
-                priority=execution.priority, tenant=execution.tenant,
+                priority=priority, tenant=execution.tenant,
             )
             execution.graph.start()
         except Exception as exc:   # a declaration the engine rejects

@@ -19,6 +19,9 @@ from .protocol import ERRORS, PROTOCOL_VERSION
 #: Default per-request timeout (seconds); ``wait`` passes its own.
 DEFAULT_TIMEOUT = 30.0
 
+#: Seconds between the status requests of :meth:`ServeClient.wait`.
+_WAIT_POLL_S = 0.2
+
 
 class ServeError(Exception):
     """A typed protocol error relayed from the server."""
@@ -134,7 +137,7 @@ class ServeClient:
     # ------------------------------------------------------------------
     # Conveniences
     # ------------------------------------------------------------------
-    def wait(self, job_id, *, timeout=300.0, poll=0.2) -> dict:
+    def wait(self, job_id, *, timeout=300.0) -> dict:
         """Poll until the job is terminal; returns its final view.
 
         Raises :class:`ServeError` (``not_ready``) on timeout — the job
@@ -151,7 +154,7 @@ class ServeClient:
                     f"job {job_id} still {view['state']} after "
                     f"{timeout}s",
                 )
-            time.sleep(poll)
+            time.sleep(_WAIT_POLL_S)
 
     def events(self, *, timeout=None):
         """Generator over the SSE stream's decoded event dicts.

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import queue
-import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .protocol import ProtocolError, envelope
@@ -228,38 +227,26 @@ class ServeServer(ThreadingHTTPServer):
         self.verbose = verbose
 
 
-def serve_forever(broker, *, host="127.0.0.1", port=8742, verbose=False,
-                  ready=None, should_stop=None, poll_interval=0.2):
-    """Run the HTTP front-end until ``should_stop()`` turns true.
+def serve_forever(broker, *, host="127.0.0.1", port=8742, verbose=False):
+    """Run the HTTP front-end until interrupted.
 
-    Binds, starts the broker threads, emits ``serve_start``, then polls
-    the listener.  On stop (or KeyboardInterrupt/SIGTERM translated to
-    one by the CLI) the broker drains per its ``drain_timeout`` and the
-    journal is compacted.  ``ready``, when given, is a
-    ``threading.Event`` set once the socket is accepting — tests and
-    the CLI's startup message key off it.  Returns the bound
-    ``(host, port)``.
+    Binds, starts the broker thread, emits ``serve_start``, then serves
+    until KeyboardInterrupt (the CLI translates SIGTERM to one).  On
+    stop the broker drains per its ``drain_timeout`` and the journal is
+    compacted.  Returns the bound ``(host, port)``.
     """
     server = ServeServer((host, port), broker, verbose=verbose)
     addr = server.server_address[:2]
     broker.start()
     if broker.telemetry is not None:
         broker.telemetry.emit("serve_start", addr=f"{addr[0]}:{addr[1]}")
-    if ready is not None:
-        ready.set()
     try:
-        if should_stop is None:
-            server.serve_forever(poll_interval=poll_interval)
-        else:
-            server.timeout = poll_interval
-            while not should_stop():
-                server.handle_request()
+        server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
         # Stop accepting first, then drain: a submit racing shutdown
         # gets connection-refused rather than a half-served job.
-        threading.Thread(target=server.shutdown, daemon=True).start()
         server.server_close()
         broker.shutdown()
     return addr

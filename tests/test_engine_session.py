@@ -150,23 +150,6 @@ def test_session_priority_orders_launches(tmp_path):
     session.close()
 
 
-def test_session_aging_prevents_starvation():
-    engine = SweepEngine(jobs=1)
-    # Enormous aging rate: one queued second outweighs any base priority.
-    session = engine.session(aging_rate=1000.0)
-    old = session.submit(small_spec(checksum_freq=2), priority=0.0)
-    time.sleep(0.15)
-    young = session.submit(small_spec(checksum_freq=3), priority=5.0)
-    started = []
-    deadline = time.monotonic() + 30
-    while session.active and time.monotonic() < deadline:
-        started.extend(session.poll().started)
-        time.sleep(0.01)
-    # The older low-priority job out-ages the younger high-priority one.
-    assert started[0] == old
-    session.close()
-
-
 def test_session_cancel_queued_and_running(tmp_path, monkeypatch):
     marker = tmp_path / "markers"
     marker.mkdir()

@@ -14,6 +14,7 @@ import os
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -108,11 +109,26 @@ def make_broker(tmp_path, *, runner=_marking_runner, jobs=2, timeout=None,
     )
     kwargs.setdefault("quota_rate", 1000.0)
     kwargs.setdefault("quota_burst", 1000)
-    broker = Broker(
-        engine=engine, store=JobStore(tmp_path / "serve"),
-        poll_interval=0.01, **kwargs,
+    return Broker(
+        engine=engine, store=JobStore(tmp_path / "serve"), **kwargs,
     )
-    return broker
+
+
+def wait_admitted(broker, count, timeout=10.0):
+    """Wait until the session holds ``count`` live tickets."""
+    deadline = time.monotonic() + timeout
+    while broker.session.active < count:
+        assert time.monotonic() < deadline, "work never admitted"
+        time.sleep(0.01)
+
+
+def finish_order(marker_dir, *specs):
+    """``specs`` in the order their runs finished (one marker each)."""
+    def finished_ns(spec):
+        (marker,) = Path(marker_dir).glob(f"exec-{spec.fingerprint()}-*")
+        return int(marker.name.rsplit("-", 1)[1])
+
+    return sorted(specs, key=finished_ns)
 
 
 def wait_terminal(broker, job_ids, timeout=30.0):
@@ -343,6 +359,98 @@ def test_an_idle_broker_keeps_no_worker_alive(tmp_path):
         broker.shutdown(drain_timeout=5.0)
 
 
+def test_an_idle_broker_uses_no_cpu(tmp_path):
+    import multiprocessing
+
+    broker = make_broker(tmp_path, runner=run_spec_dict, jobs=1)
+    broker.start()
+    try:
+        job = broker.submit(submit_body(small_spec()))
+        wait_terminal(broker, [job["job"]["id"]])
+        deadline = time.monotonic() + 10
+        while multiprocessing.active_children():
+            assert time.monotonic() < deadline, "idle worker kept alive"
+            time.sleep(0.02)
+        # The scheduler thread's own CPU clock: other threads of the
+        # test process do not count.
+        (thread,) = broker._threads
+        clock = time.pthread_getcpuclockid(thread.ident)
+        before = time.clock_gettime(clock)
+        time.sleep(1.0)
+        used = time.clock_gettime(clock) - before
+        assert used < 0.002, f"idle scheduler used {used * 1e3:.1f} ms/s"
+    finally:
+        broker.shutdown(drain_timeout=5.0)
+
+
+def test_an_older_run_outranks_a_younger_higher_priority_run(
+    tmp_path, marker_dir,
+):
+    """Aging is the broker's rule: at this rate, the old run's extra
+    queue time outweighs the young run's higher base priority."""
+    (marker_dir / "HOLD").touch()
+    broker = make_broker(tmp_path, runner=_holding_runner, jobs=1,
+                         aging_rate=1000.0)
+    broker.start()
+    holder, old, young = (small_spec(checksum_freq=f) for f in (2, 3, 4))
+    try:
+        ids = []
+        for count, (spec, priority) in enumerate(
+            ((holder, 0.0), (old, 0.0), (young, 5.0)), start=1,
+        ):
+            ids.append(broker.submit(
+                submit_body(spec, priority=priority)
+            )["job"]["id"])
+            wait_admitted(broker, count)
+            time.sleep(0.05)
+        (marker_dir / "HOLD").unlink()
+        assert {j.state for j in wait_terminal(broker, ids)} == {"done"}
+        assert finish_order(marker_dir, young, old, holder) == [
+            holder, old, young,
+        ]
+    finally:
+        broker.shutdown(drain_timeout=5.0)
+
+
+def test_a_pipeline_node_ages_from_its_execution_admission(
+    tmp_path, marker_dir,
+):
+    """A pipeline's second node enters the session after a younger run,
+    yet outranks it: every node of a graph ages from the admission of
+    its execution, not from its own readiness."""
+    from repro.pipeline import JobGraph
+
+    (marker_dir / "HOLD").touch()
+    broker = make_broker(tmp_path, runner=_holding_runner, jobs=1,
+                         aging_rate=1000.0)
+    pipeline = small_pipeline()
+    root, fork = (node.run for node in pipeline.nodes)
+    graph = JobGraph.from_pipeline(pipeline)
+    fork_rank = graph.critical_path_priorities(
+        broker.engine.predict_costs(graph)
+    )[1]
+    young = small_spec(checksum_freq=3)
+    broker.start()
+    try:
+        ids = [broker.submit(
+            submit_body(pipeline, kind="pipeline")
+        )["job"]["id"]]
+        wait_admitted(broker, 1)   # the root, held; the fork waits on it
+        time.sleep(0.05)
+        # Without aging, the young run's base priority wins.
+        ids.append(broker.submit(
+            submit_body(young, priority=fork_rank + 5.0)
+        )["job"]["id"])
+        wait_admitted(broker, 2)
+        (marker_dir / "HOLD").unlink()
+        assert {j.state for j in wait_terminal(broker, ids)} == {"done"}
+        assert finish_order(marker_dir, young, fork, root) == [
+            root, fork, young,
+        ]
+    finally:
+        broker.shutdown(drain_timeout=5.0)
+
+
 def test_quota_enforced_under_contention(tmp_path, marker_dir):
     broker = make_broker(
         tmp_path, quota_rate=0.001, quota_burst=3,
@@ -393,6 +501,23 @@ def test_queue_cap_backpressure(tmp_path, marker_dir):
         dup = broker.submit(submit_body(small_spec(checksum_freq=2),
                                         tenant="other"))
         assert dup["mode"] == "coalesced"
+    finally:
+        broker.shutdown(drain_timeout=0.0)
+
+
+@pytest.mark.parametrize("cap, retry_after", [(2, 1), (64, 13)])
+def test_queue_full_retry_after_grows_with_depth(
+    tmp_path, marker_dir, cap, retry_after,
+):
+    broker = make_broker(tmp_path, queue_cap=cap)
+    # Not started: every execution stays queued.
+    try:
+        for seed in range(cap):
+            broker.submit(submit_body(replace(small_spec(), sched_seed=seed)))
+        with pytest.raises(ProtocolError) as err:
+            broker.submit(submit_body(replace(small_spec(), sched_seed=cap)))
+        assert err.value.code == "queue_full"
+        assert err.value.retry_after == retry_after
     finally:
         broker.shutdown(drain_timeout=0.0)
 
@@ -488,9 +613,7 @@ def test_journal_replay_recovers_after_simulated_crash(
         raise AssertionError("no job reached running")
     # Simulated crash: kill the threads and worker processes without any
     # graceful shutdown — the journal is whatever was already on disk.
-    broker._stop.set()
-    for thread in broker._threads:
-        thread.join(timeout=5)
+    broker._stop_scheduler()
     broker.session.close()
     broker.store.close()
 
@@ -502,7 +625,7 @@ def test_journal_replay_recovers_after_simulated_crash(
     )
     broker2 = Broker(
         engine=engine, store=JobStore(tmp_path / "serve"),
-        poll_interval=0.01, quota_rate=1000.0, quota_burst=1000,
+        quota_rate=1000.0, quota_burst=1000,
     )
     # Recovery re-queued the interrupted execution rather than losing
     # or completing it blindly.
@@ -630,6 +753,51 @@ def test_cancel_withdraws_a_running_pipeline_from_the_pool(
             assert time.monotonic() < deadline, "canceled work kept running"
             time.sleep(0.02)
         assert broker.store.get(job_id).state == "canceled"
+    finally:
+        broker.shutdown(drain_timeout=0.0)
+
+
+def test_cancel_withdraws_a_running_run_from_the_pool(tmp_path, marker_dir):
+    broker = make_broker(tmp_path, runner=_sleeping_runner, jobs=1)
+    broker.start()
+    try:
+        job_id = broker.submit(submit_body(small_spec()))["job"]["id"]
+        deadline = time.monotonic() + 10
+        while broker.store.get(job_id).state != "running":
+            assert time.monotonic() < deadline, "job never started"
+            time.sleep(0.02)
+        broker.cancel(job_id)
+        deadline = time.monotonic() + 2.0
+        while (broker.metrics()["engine"]["busy_slots"]
+               or broker.queue_snapshot()["depth"]):
+            assert time.monotonic() < deadline, "canceled work kept running"
+            time.sleep(0.02)
+    finally:
+        broker.shutdown(drain_timeout=0.0)
+
+
+def test_cancel_of_a_pipeline_queued_in_the_session_frees_its_queue_slot(
+    tmp_path, marker_dir,
+):
+    """A graph whose only live node waits behind a busy slot ends at
+    once on cancel, so it no longer counts against ``queue_cap``."""
+    broker = make_broker(tmp_path, runner=_sleeping_runner, jobs=1)
+    broker.start()
+    try:
+        holder = broker.submit(submit_body(small_spec()))["job"]["id"]
+        deadline = time.monotonic() + 10
+        while broker.store.get(holder).state != "running":
+            assert time.monotonic() < deadline, "holder never started"
+            time.sleep(0.02)
+        job_id = broker.submit(
+            submit_body(small_pipeline(), kind="pipeline")
+        )["job"]["id"]
+        wait_admitted(broker, 2)
+        broker.cancel(job_id)
+        deadline = time.monotonic() + 2.0
+        while broker.queue_snapshot()["depth"] != 1:
+            assert time.monotonic() < deadline, "canceled graph kept its slot"
+            time.sleep(0.02)
     finally:
         broker.shutdown(drain_timeout=0.0)
 

@@ -69,7 +69,7 @@ class LiveServer:
         broker_kwargs.setdefault("quota_burst", 1000)
         self.broker = Broker(
             engine=self.engine, store=JobStore(tmp_path / "serve"),
-            poll_interval=0.01, **broker_kwargs,
+            **broker_kwargs,
         )
         self.server = ServeServer(("127.0.0.1", 0), self.broker)
         self.url = "http://127.0.0.1:%d" % self.server.server_address[1]
@@ -93,9 +93,7 @@ class LiveServer:
         """Tear down with no drain and no journal cleanup."""
         self.server.shutdown()
         self.server.server_close()
-        self.broker._stop.set()
-        for thread in self.broker._threads:
-            thread.join(timeout=5)
+        self.broker._stop_scheduler()
         self.broker.session.close()
         self.broker.store.close()
         self._thread.join(timeout=5)

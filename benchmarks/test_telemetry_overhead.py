@@ -21,8 +21,9 @@ from conftest import (
 )
 
 from repro import AmrConfig, RunSpec, sphere
-from repro.exec import RunStatsStore, Sweep, SweepEngine
+from repro.exec import RunStatsStore, SweepEngine
 from repro.obs import TelemetryBus
+from repro.pipeline import JobGraph
 
 PAIRS = 3 if QUICK else 5
 TSTEPS = 2 if QUICK else 4
@@ -58,7 +59,9 @@ def _sweep(specs, tmp, *, telemetry):
         engine = SweepEngine(
             jobs=1, stats=RunStatsStore(stats_path), telemetry=bus,
         )
-        report = engine.run(Sweep(specs, name="telemetry-overhead"))
+        report = engine.run(
+            JobGraph.from_specs(specs, name="telemetry-overhead")
+        )
         assert report.failed == 0
     finally:
         if bus is not None:

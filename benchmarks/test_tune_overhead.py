@@ -5,9 +5,10 @@ drives: the budget is **< 10% over a raw sweep of the identical
 specs**, enforced when ``REPRO_PERF_ENFORCE=1`` (the CI ``tune`` job)
 and recorded otherwise.  The comparator is exact — the same profiled
 baseline + candidate RunSpecs the tuner materializes, submitted as one
-:class:`~repro.exec.Sweep` on an identical engine — so the measured
-delta is purely the tuner's own work: space enumeration, strategy
-bookkeeping, attribution reads, and report assembly.
+flat job graph (:meth:`~repro.pipeline.JobGraph.from_specs`) on an
+identical engine — so the measured delta is purely the tuner's own work:
+space enumeration, strategy bookkeeping, attribution reads, and report
+assembly.
 
 The methodology is :func:`conftest.paired_overhead`; the result is
 written to ``benchmarks/results/BENCH_tune_overhead.json``.
@@ -21,7 +22,8 @@ from conftest import (
 )
 
 from repro import AmrConfig, RunSpec, sphere
-from repro.exec import Sweep, SweepEngine
+from repro.exec import SweepEngine
+from repro.pipeline import JobGraph
 from repro.tune import TuneSpec, enumerate_space, materialize, run_tune
 
 PAIRS = 3 if QUICK else 5
@@ -68,7 +70,7 @@ def _measure():
 
     def raw_sweep():
         report = SweepEngine(jobs=1).run(
-            Sweep(specs, name="tune-overhead-raw")
+            JobGraph.from_specs(specs, name="tune-overhead-raw")
         )
         assert report.failed == 0
 

@@ -43,7 +43,7 @@ __version__ = "1.0.0"
 
 from . import exec as exec_  # noqa: E402  (needs __version__ for fingerprints)
 from . import tune, verify  # noqa: E402
-from .exec import ResultCache, Sweep, SweepEngine, SweepReport
+from .exec import ResultCache, SweepEngine, SweepReport
 from .tune import TuneReport, TuneSpec, run_tune
 from .verify import AccessRaceError, AccessWitness, GoldenStore, fuzz_sweep
 
@@ -66,7 +66,6 @@ __all__ = [
     "RunSpec",
     "RuntimeStats",
     "Shape",
-    "Sweep",
     "SweepEngine",
     "SweepReport",
     "TuneReport",

@@ -33,10 +33,11 @@ def run_specs(specs, engine=None, labels=None, name="experiment"):
     pre-engine serial harness.  Any failed run aborts the experiment with
     a :class:`~repro.exec.SweepError`.  Results come back in input order.
     """
-    from ..exec import Sweep, SweepEngine
+    from ..exec import SweepEngine
+    from ..pipeline import JobGraph
 
     engine = engine or SweepEngine(jobs=1)
-    report = engine.run(Sweep(tuple(specs), name=name, labels=labels))
+    report = engine.run(JobGraph.from_specs(specs, name=name, labels=labels))
     report.raise_failures()
     return report.results
 

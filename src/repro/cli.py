@@ -939,7 +939,8 @@ def cmd_pipeline(args) -> int:
 def cmd_verify(args) -> int:
     from dataclasses import replace
 
-    from .exec import Sweep, SweepEngine
+    from .exec import SweepEngine
+    from .pipeline import JobGraph
     from .verify import (
         DEFAULT_GOLDENS_DIR,
         AccessRaceError,
@@ -959,7 +960,8 @@ def cmd_verify(args) -> int:
     # 1. Golden runs (one small config per variant) through the engine.
     names = sorted(specs)
     report = engine.run(
-        Sweep([specs[n] for n in names], name="goldens", labels=names)
+        JobGraph.from_specs([specs[n] for n in names], name="goldens",
+                            labels=names)
     )
     results = {}
     for name, outcome in zip(names, report.outcomes):

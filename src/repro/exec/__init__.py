@@ -10,6 +10,9 @@ cache keyed by spec fingerprint, a persistent run-duration stats store
 keyed by *normalized* spec signature (drives the duration predictions),
 per-run timeout and crash retry with exponential backoff, and structured
 progress reporting.  ``repro.bench`` and the CLI execute through it.
+Whatever the source — a list of specs, a labelled
+:meth:`~repro.pipeline.JobGraph.from_specs` sweep, a pipeline, or a
+serve-broker execution — work enters the engine one way: as a job graph.
 
     from repro.exec import ResultCache, RunStatsStore, SweepEngine
 
@@ -25,7 +28,6 @@ from .engine import (
     EngineSession,
     RunOutcome,
     SessionStep,
-    Sweep,
     SweepEngine,
     SweepError,
     SweepReport,
@@ -41,7 +43,6 @@ __all__ = [
     "RunOutcome",
     "RunStatsStore",
     "SessionStep",
-    "Sweep",
     "SweepEngine",
     "SweepError",
     "SweepReport",

@@ -33,8 +33,9 @@ the general one.  Both flow through one scheduler with one contract:
 
 One scheduler core does the executing: :class:`EngineSession` launches,
 reaps, times out, retries, cancels and finalizes every run, and
-:class:`GraphRun` is the one path that admits a job graph into it — for
-:meth:`SweepEngine.run` and the serve broker alike.  Timeout, retry and
+:class:`GraphRun` is the one way work enters it — for
+:meth:`SweepEngine.run` and the serve broker alike, where a single run
+is a one-node graph.  Timeout, retry and
 cancel therefore behave the same at every ``jobs`` count, and the
 scheduling loops block in :meth:`EngineSession.wait` instead of
 sleeping.  Traced and
@@ -78,35 +79,6 @@ def retry_jitter(fingerprint: str, attempt: int) -> float:
         f"{fingerprint}:{attempt}".encode("utf-8")
     ).digest()
     return int.from_bytes(digest[:8], "big") / 2.0**64
-
-
-@dataclass(frozen=True)
-class Sweep:
-    """An ordered collection of independent runs, optionally labelled."""
-
-    specs: tuple
-    name: str = "sweep"
-    labels: tuple = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "specs", tuple(self.specs))
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            if len(labels) != len(self.specs):
-                raise ValueError("labels must parallel specs")
-            object.__setattr__(self, "labels", labels)
-
-    def __len__(self):
-        return len(self.specs)
-
-    def __iter__(self):
-        return iter(self.specs)
-
-    def label(self, index: int) -> str:
-        if self.labels is not None:
-            return self.labels[index]
-        spec = self.specs[index]
-        return f"{spec.variant}@{spec.num_nodes}n"
 
 
 @dataclass
@@ -328,11 +300,12 @@ class _Pending:
 class SweepEngine:
     """Executes job graphs; see the module docstring for the contract.
 
-    ``run`` accepts a flat :class:`Sweep` (or iterable of specs) or a
-    :class:`~repro.pipeline.PipelineSpec`; both are lowered to the same
-    internal :class:`~repro.pipeline.JobGraph` and admitted into an
-    :class:`EngineSession`, which executes every run.  All constructor
-    parameters are keyword-only.
+    ``run`` accepts an iterable of specs, a
+    :class:`~repro.pipeline.PipelineSpec` or a
+    :class:`~repro.pipeline.JobGraph` (a labelled sweep is
+    :meth:`~repro.pipeline.JobGraph.from_specs`); each is lowered to a
+    job graph and admitted into an :class:`EngineSession`, which
+    executes every run.  All constructor parameters are keyword-only.
 
     Parameters
     ----------
@@ -528,9 +501,7 @@ class SweepEngine:
             return sweep
         if isinstance(sweep, PipelineSpec):
             return JobGraph.from_pipeline(sweep)
-        if not isinstance(sweep, Sweep):
-            sweep = Sweep(tuple(sweep))
-        return JobGraph.from_sweep(sweep)
+        return JobGraph.from_specs(sweep)
 
     # ------------------------------------------------------------------
     def predict_costs(self, graph) -> list:
@@ -576,9 +547,11 @@ class GraphRun:
     """One job graph admitted into an :class:`EngineSession`.
 
     Decides *when* a node enters the session (the moment its own
-    predecessors finish) and with which priority (critical-path-first),
-    and settles the nodes that never need a worker: cache hits, analysis
-    values, builder failures and blocked dependents.  The
+    predecessors finish) and with which priority (critical-path-first,
+    shifted so the head of the critical path starts at ``priority``: a
+    one-node graph keeps exactly the caller's priority), and settles
+    the nodes that never need a worker: cache hits, analysis values,
+    builder failures and blocked dependents.  The
     caller polls the session and hands each finished ticket in
     :attr:`live` to :meth:`route`.  One ticket per node is reserved up
     front, so on a private session a node's ticket is its index.
@@ -593,9 +566,11 @@ class GraphRun:
         self.session, self.engine = session, session.engine
         self.graph, self.tenant = graph, tenant
         self.costs = self.engine.predict_costs(graph)
-        self.priority = [
-            priority + p for p in graph.critical_path_priorities(self.costs)
-        ]
+        # Ranks shift down by the critical path, so the graph's head
+        # starts at ``priority``: one scale for graphs of any size.
+        ranks = graph.critical_path_priorities(self.costs)
+        top = max(ranks, default=0.0)
+        self.priority = [priority + rank - top for rank in ranks]
         self.first = session.reserve(len(graph))
         self.unsettled = len(graph)
         #: Tickets queued or running in the session for this graph.
@@ -874,14 +849,14 @@ class SessionStep:
 class EngineSession:
     """Incremental job admission into a live engine — its one scheduler.
 
-    Callers :meth:`submit` independent specs at any time, :meth:`poll`
-    advances launching and reaping without ever blocking on a run,
-    :meth:`wait` blocks until a poll may have something to do,
+    Work enters only through a :class:`GraphRun`, which admits a job
+    graph's nodes under tickets it :meth:`reserve`\\ s, at any time;
+    :meth:`poll` advances launching and reaping without ever blocking on
+    a run, :meth:`wait` blocks until a poll may have something to do,
     :meth:`cancel` withdraws queued work (and terminates running work),
-    and :meth:`close` winds the session down.  The serving
-    layer (:mod:`repro.serve`) runs its broker on one of these, and a
-    :class:`GraphRun` admits a job graph's nodes into one (under
-    tickets it :meth:`reserve`\\ s).
+    and :meth:`close` winds the session down.  :meth:`SweepEngine.run`
+    drives one private session, and the serving layer
+    (:mod:`repro.serve`) runs its broker on a resident one.
 
     This is the engine's only code that launches, reaps, times out,
     retries, cancels and finalizes a run.  Every run executes in a
@@ -890,15 +865,16 @@ class EngineSession:
     whose last attempt ended ``ok`` and hands them the next spec; it
     forks one, with the ``engine.runner`` and telemetry queue it captured
     when it opened, only when none is idle.  A session does no cache
-    lookups — the caller decides its own fast path (``run()`` looks up
-    at admission, the serve broker coalesces *before* the session ever
-    sees a spec); it stores completed runs to the cache and feeds the
-    stats store, which it flushes on :meth:`close`.
+    lookups — :class:`GraphRun` looks up each node at admission (and the
+    serve broker coalesces before that); the session stores completed
+    runs to the cache and feeds the stats store, which it flushes on
+    :meth:`close`.
 
     Ready work launches highest ``priority`` first, then by ticket; a
     fairness rule such as the serve broker's aging is the caller's.
 
-    Thread-safe: submit/cancel/poll may race from different threads.
+    Thread-safe: admission, cancel and poll may race from different
+    threads.
     """
 
     def __init__(self, engine: SweepEngine):
@@ -938,29 +914,12 @@ class EngineSession:
         )
 
     # ------------------------------------------------------------------
-    def submit(self, spec, *, name=None, priority=0.0, tenant=None) -> int:
-        """Enqueue one spec; returns a ticket for polling/cancelling.
-
-        ``tenant`` is attribution only: it rides on the session's job
-        telemetry records so one stream serving many tenants still
-        attributes every event — it never affects scheduling beyond the
-        caller-chosen ``priority``.
-        """
-        fingerprint = spec.fingerprint()   # outside the lock: it hashes
+    def reserve(self, count) -> int:
+        """Reserve ``count`` consecutive tickets; returns the first.
+        Raises :class:`RuntimeError` once the session is closed."""
         with self._lock:
             if self._closed:
                 raise RuntimeError("session is closed")
-            ticket = self.reserve(1)
-            name = name or f"job-{ticket}"
-            self._enqueue(_Pending(
-                ticket, spec, fingerprint, name, name, priority,
-                time.monotonic(), tenant=tenant,
-            ))
-            return ticket
-
-    def reserve(self, count) -> int:
-        """Reserve ``count`` consecutive tickets; returns the first."""
-        with self._lock:
             first = self._next_ticket
             self._next_ticket += count
             self._total = max(self._total, self._next_ticket)
@@ -973,7 +932,7 @@ class EngineSession:
 
     @property
     def active(self) -> int:
-        """Jobs submitted but not yet terminal."""
+        """Jobs queued or running: admitted but not yet terminal."""
         with self._lock:
             return len(self._tickets)
 
@@ -1137,7 +1096,7 @@ class EngineSession:
 
     # ------------------------------------------------------------------
     def _enqueue(self, task):
-        """Queue a task for a worker slot (``submit`` and graph admission)."""
+        """Queue a task for a worker slot (graph admission)."""
         task.slots = max(1, min(task.spec.pdes_workers or 1,
                                 self.engine.jobs))
         self._tickets[task.index] = task

@@ -72,23 +72,28 @@ class JobGraph:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_sweep(cls, sweep) -> "JobGraph":
-        """An edgeless graph: the existing flat-sweep contract.
+    def from_specs(cls, specs, *, name="sweep", labels=None) -> "JobGraph":
+        """An edgeless graph of independent runs: a flat sweep.
 
-        Node names must be unique (telemetry keys its per-job ledgers by
-        node name), so a label shared by several runs is suffixed with
-        the run's index; labels stay as given.
+        ``labels`` default to ``"<variant>@<N>n"``.  Node names must be
+        unique (telemetry keys its per-job ledgers by node name), so a
+        label shared by several runs is suffixed with the run's index;
+        labels stay as given.
         """
-        labels = [sweep.label(i) for i in range(len(sweep))]
+        specs = list(specs)
+        if labels is None:
+            labels = [f"{s.variant}@{s.num_nodes}n" for s in specs]
+        elif len(labels) != len(specs):
+            raise ValueError("labels must parallel specs")
         counts = Counter(labels)
         nodes = [
             JobNode(
                 index=i, label=label, spec=spec,
                 name=label if counts[label] == 1 else f"{label}#{i}",
             )
-            for i, (label, spec) in enumerate(zip(labels, sweep))
+            for i, (label, spec) in enumerate(zip(labels, specs))
         ]
-        return cls(nodes, [()] * len(nodes), name=sweep.name)
+        return cls(nodes, [()] * len(nodes), name=name)
 
     @classmethod
     def from_pipeline(cls, pipeline: PipelineSpec) -> "JobGraph":

@@ -21,13 +21,14 @@ The broker sits between the HTTP handlers and a resident
   graph's nodes age with their execution), so nothing starves.
 
 Every kind runs on the one session, driven by the one scheduler
-thread: a run job is one submitted spec, and a pipeline or tune job is
-one job graph (a tune lowered by :func:`~repro.tune.tune_pipeline`)
-admitted through a :class:`~repro.exec.engine.GraphRun`, so its nodes
-share the worker pool, the timeout/retry settings, ``busy_slots``, and
-cancel with every other job.  Each execution starts and finishes
-through the same :meth:`Broker._start`/:meth:`Broker._complete`, and
-admission treats every kind alike: tune and pipeline jobs draw quota
+thread, and enters it the one way: as a job graph admitted through a
+:class:`~repro.exec.engine.GraphRun` (a run as a one-node graph, a tune
+lowered by :func:`~repro.tune.tune_pipeline`), whose head starts at the
+execution's priority.  Every node shares the worker pool, the
+timeout/retry settings, ``busy_slots``, and cancel with every other
+job.  Each execution starts and finishes through the same
+:meth:`Broker._start`/:meth:`Broker._finish_graph`/:meth:`Broker._complete`,
+and admission treats every kind alike: tune and pipeline jobs draw quota
 tokens, count against ``queue_cap``, and coalesce by fingerprint.
 
 The :class:`~repro.exec.cache.ResultCache` is the broker's only result
@@ -64,7 +65,8 @@ from .protocol import (
 from .store import JobRecord
 
 #: Engine outcome status -> terminal job state.
-_JOB_STATES = {"ok": "done", "failed": "failed", "canceled": "canceled"}
+_JOB_STATES = {"ok": "done", "cached": "done", "failed": "failed",
+               "canceled": "canceled"}
 
 #: Queue-wait histogram: power-of-two millisecond buckets up to ~17 min.
 WAIT_BUCKET_MAX_EXP = 20
@@ -109,8 +111,7 @@ class _Execution:
     """One unique fingerprint's run: the unit coalescing attaches to."""
 
     __slots__ = ("fingerprint", "kind", "payload", "primary", "job_ids",
-                 "ticket", "graph", "state", "priority", "canceled",
-                 "tenant")
+                 "graph", "state", "priority", "canceled", "tenant")
 
     def __init__(self, fingerprint, kind, payload, primary, priority,
                  tenant):
@@ -119,8 +120,7 @@ class _Execution:
         self.payload = payload            # RunSpec | PipelineSpec | TuneSpec
         self.primary = primary            # primary job id (names the run)
         self.job_ids = [primary]
-        self.ticket = None                # run: session ticket
-        self.graph = None                 # pipeline/tune: its GraphRun
+        self.graph = None                 # its GraphRun, once admitted
         self.state = "queued"
         self.priority = priority
         self.canceled = False
@@ -151,7 +151,6 @@ class Broker:
         self._lock = threading.RLock()
         self._buckets = {}               # tenant -> TokenBucket
         self._inflight = {}              # fingerprint -> _Execution
-        self._by_ticket = {}             # session ticket -> _Execution
         self._pending = deque()          # executions awaiting admission
         self._subscribers = []
         self._tenant_counts = {}         # tenant -> {counter: n}
@@ -160,6 +159,10 @@ class Broker:
         self._executions_completed = 0
         self._coalesced_attaches = 0
         self._cache_fast_hits = 0
+        # Slots the session held when the scheduler last settled its
+        # executions: metrics read it, not the session, so a snapshot
+        # never shows a running execution without its slot.
+        self._busy_slots = 0
         self._closing = False
         self._stop = threading.Event()
         self._started_wall = time.time()
@@ -208,7 +211,6 @@ class Broker:
                     job.started_at = None
                     self.store.record(job)
             self._inflight.clear()
-            self._by_ticket.clear()
             self._pending.clear()
         if self.telemetry is not None:
             self.telemetry.emit("serve_stop", reason=reason)
@@ -416,13 +418,10 @@ class Broker:
                     execution.canceled = True
                     if execution.graph is not None:
                         execution.graph.cancel()
-                    elif execution.ticket is not None:
-                        self.session.cancel(execution.ticket)
-                        if self.session.outcome(execution.ticket) is not None:
+                        if execution.graph.done:
                             # Withdrawn while queued: poll() will never
                             # report it, so it completes here.
-                            del self._by_ticket[execution.ticket]
-                            self._complete(execution, "canceled")
+                            self._finish_graph(execution)
                     elif execution in self._pending:
                         self._pending.remove(execution)
                         del self._inflight[execution.fingerprint]
@@ -461,7 +460,7 @@ class Broker:
             hits = getattr(self.cache, "hits", 0)
             misses = getattr(self.cache, "misses", 0)
             lookups = hits + misses
-            busy = self.session.busy_slots
+            busy = self._busy_slots
             return envelope(
                 uptime=time.time() - self._started_wall,
                 jobs={
@@ -595,19 +594,12 @@ class Broker:
                     self._start(execution)
             for ticket, outcome in step.finished:
                 execution = self._owner(ticket)
-                if execution is None:
-                    continue
-                if execution.graph is not None:
+                if execution is not None:
                     execution.graph.route(ticket, outcome)
-                    continue
-                del self._by_ticket[ticket]
-                self._complete(
-                    execution, _JOB_STATES.get(outcome.status, "failed"),
-                    error=outcome.error, attempts=outcome.attempts,
-                )
             for execution in list(self._inflight.values()):
                 if execution.graph is not None and execution.graph.done:
                     self._finish_graph(execution)
+            self._busy_slots = self.session.busy_slots
             if not self._inflight:
                 # An idle broker keeps no worker (nor the memory of its
                 # last run) alive; the next run forks afresh.
@@ -617,23 +609,23 @@ class Broker:
         return step
 
     def _admit(self, execution):
-        """Enter one execution into the session: a run as one ticket, a
-        pipeline or tune as a :class:`GraphRun`, aged from now."""
+        """Enter one execution into the session as a :class:`GraphRun`
+        (a run as a one-node graph named by its primary job), aged from
+        now."""
         priority = execution.priority - self.aging_rate * time.monotonic()
-        if execution.kind == "run":
-            execution.ticket = self.session.submit(
-                execution.payload, name=execution.primary,
-                priority=priority, tenant=execution.tenant,
-            )
-            self._by_ticket[execution.ticket] = execution
-            return
         try:
-            pipeline = execution.payload
-            if execution.kind == "tune":
-                pipeline = tune_pipeline(pipeline)
+            if execution.kind == "run":
+                graph = JobGraph.from_specs(
+                    [execution.payload], labels=[execution.primary],
+                )
+            elif execution.kind == "tune":
+                graph = JobGraph.from_pipeline(
+                    tune_pipeline(execution.payload))
+            else:
+                graph = JobGraph.from_pipeline(execution.payload)
             execution.graph = GraphRun(
-                self.session, JobGraph.from_pipeline(pipeline),
-                priority=priority, tenant=execution.tenant,
+                self.session, graph, priority=priority,
+                tenant=execution.tenant,
             )
             execution.graph.start()
         except Exception as exc:   # a declaration the engine rejects
@@ -644,9 +636,6 @@ class Broker:
 
     def _owner(self, ticket):
         """The execution a session ticket belongs to (``None`` if gone)."""
-        execution = self._by_ticket.get(ticket)
-        if execution is not None:
-            return execution
         return next(
             (e for e in self._inflight.values()
              if e.graph is not None and ticket in e.graph.live),
@@ -707,11 +696,13 @@ class Broker:
             self._publish({"event": state, "job": job.view()})
 
     def _finish_graph(self, execution):
-        """A pipeline or tune graph is done: complete its execution.
+        """An execution's graph is done: complete the execution.
 
-        A tune's candidate failures are part of its report, not a job
-        failure; a pipeline fails listing ``"<node> <status>: <last
-        error line>"`` for every node that did not complete.
+        A run completes from its one outcome, with that outcome's error
+        and attempts.  A tune's candidate failures are part of its
+        report, not a job failure; a pipeline fails listing ``"<node>
+        <status>: <last error line>"`` for every node that did not
+        complete.
         """
         if execution.canceled:
             self._complete(execution, "canceled")
@@ -719,8 +710,12 @@ class Broker:
         if execution.state != "running":
             self._start(execution)   # settled without launching a run
         outcomes = execution.graph.outcomes()
-        state, payload, error = "done", None, None
-        if execution.kind == "tune":
+        state, payload, error, attempts = "done", None, None, 1
+        if execution.kind == "run":
+            (outcome,) = outcomes
+            state = _JOB_STATES.get(outcome.status, "failed")
+            error, attempts = outcome.error, outcome.attempts
+        elif execution.kind == "tune":
             try:
                 payload = finish_tune(
                     execution.payload, outcomes, self.telemetry,
@@ -744,4 +739,5 @@ class Broker:
                        if o.error else "")
                     for o in outcomes if not o.ok
                 )
-        self._complete(execution, state, payload=payload, error=error)
+        self._complete(execution, state, payload=payload, error=error,
+                       attempts=attempts)

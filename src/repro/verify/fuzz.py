@@ -137,7 +137,8 @@ def fuzz_sweep(spec, seeds=8, engine=None, reference=None,
         Optional :class:`~repro.core.RunResult` from another variant
         (e.g. MPI-only) whose checksums must agree to ``reference_rtol``.
     """
-    from ..exec import Sweep, SweepEngine
+    from ..exec import SweepEngine
+    from ..pipeline import JobGraph
 
     if spec.scheduler == "fuzz":
         raise ValueError(
@@ -151,7 +152,8 @@ def fuzz_sweep(spec, seeds=8, engine=None, reference=None,
 
     specs = [spec] + fuzz_specs(spec, seeds)
     labels = ["baseline"] + [f"seed{s}" for s in seeds]
-    report = engine.run(Sweep(specs, name="fuzz", labels=labels))
+    report = engine.run(JobGraph.from_specs(specs, name="fuzz",
+                                            labels=labels))
 
     out = FuzzReport(spec=spec, seeds=seeds)
     out.failures = [

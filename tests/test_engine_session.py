@@ -23,8 +23,10 @@ from repro.exec import (
     run_spec_dict,
     spec_signature,
 )
+from repro.exec.engine import GraphRun
 from repro.faults import noise_plan
 from repro.obs.telemetry import TelemetryBus, read_records, validate_file
+from repro.pipeline import JobGraph
 
 
 def small_spec(variant="mpi_only", **overrides):
@@ -40,6 +42,14 @@ def small_spec(variant="mpi_only", **overrides):
         config=AmrConfig(**cfg_kwargs), machine="laptop",
         variant=variant, ranks_per_node=2,
     )
+
+
+def admit(session, spec, *, priority=0.0, tenant=None):
+    """Admit ``spec`` as a one-node job graph; returns its ticket."""
+    run = GraphRun(session, JobGraph.from_specs([spec]),
+                   priority=priority, tenant=tenant)
+    run.start()
+    return run.first
 
 
 def _sleep_forever_runner(spec_dict):
@@ -73,7 +83,7 @@ def test_session_executes_and_matches_run(tmp_path):
 
     engine = SweepEngine(jobs=2, cache=ResultCache(tmp_path / "cache"))
     session = engine.session()
-    tickets = [session.submit(spec) for spec in specs]
+    tickets = [admit(session, spec) for spec in specs]
     pump(session, until=lambda: session.active == 0)
     outcomes = [session.outcome(t) for t in tickets]
     assert [o.status for o in outcomes] == ["ok", "ok", "ok"]
@@ -85,14 +95,15 @@ def test_session_executes_and_matches_run(tmp_path):
     session.close()
 
 
-def test_session_submit_keeps_the_trace(tmp_path):
-    # The serve broker's path: a traced spec submitted to a session comes
-    # back, and is cached, with the trace an in-process run records.
+def test_a_one_node_graph_keeps_the_trace(tmp_path):
+    # The serve broker's path for a run: a traced spec admitted to a
+    # session as a one-node graph comes back, and is cached, with the
+    # trace an in-process run records.
     spec = replace(small_spec(variant="tampi_dataflow"), trace=True)
     local = run_simulation(spec)
     engine = SweepEngine(jobs=1, cache=ResultCache(tmp_path / "cache"))
     session = engine.session()
-    ticket = session.submit(spec)
+    ticket = admit(session, spec)
     pump(session, until=lambda: session.active == 0)
     outcome = session.outcome(ticket)
     session.close()
@@ -120,7 +131,7 @@ def test_reap_caches_the_worker_dict_as_sent(tmp_path, monkeypatch):
     monkeypatch.setattr(RunResult, "to_dict", watched_to_dict)
     engine = SweepEngine(jobs=1, cache=ResultCache(tmp_path / "cache"))
     session = engine.session()
-    ticket = session.submit(spec)
+    ticket = admit(session, spec)
     pump(session, until=lambda: session.active == 0)
     outcome = session.outcome(ticket)
     session.close()
@@ -134,9 +145,9 @@ def test_reap_caches_the_worker_dict_as_sent(tmp_path, monkeypatch):
 def test_session_priority_orders_launches(tmp_path):
     engine = SweepEngine(jobs=1)
     session = engine.session()
-    low = session.submit(small_spec(checksum_freq=2), priority=0.0)
-    high = session.submit(small_spec(checksum_freq=3), priority=5.0)
-    mid = session.submit(small_spec(checksum_freq=4), priority=1.0)
+    low = admit(session, small_spec(checksum_freq=2), priority=0.0)
+    high = admit(session, small_spec(checksum_freq=3), priority=5.0)
+    mid = admit(session, small_spec(checksum_freq=4), priority=1.0)
     pump(session, until=lambda: session.active == 0)
     # jobs=1 launches strictly one at a time, highest priority first —
     # queue wait times therefore order by descending priority.
@@ -157,8 +168,8 @@ def test_session_cancel_queued_and_running(tmp_path, monkeypatch):
     (marker / "HOLD").touch()
     engine = SweepEngine(jobs=1, runner=_holding_runner)
     session = engine.session()
-    running = session.submit(small_spec(checksum_freq=2))
-    queued = session.submit(small_spec(checksum_freq=3))
+    running = admit(session, small_spec(checksum_freq=2))
+    queued = admit(session, small_spec(checksum_freq=3))
     pump(session, until=lambda: session.busy_slots == 1)
 
     # Queued: canceled immediately, no subprocess ever existed.
@@ -190,14 +201,14 @@ def test_session_close_cancels_and_emits_stream(tmp_path, monkeypatch):
         jobs=1, runner=_holding_runner, telemetry=TelemetryBus(stream),
     )
     session = engine.session()
-    first = session.submit(small_spec(checksum_freq=2), tenant="alice")
-    second = session.submit(small_spec(checksum_freq=3), tenant="bob")
+    first = admit(session, small_spec(checksum_freq=2), tenant="alice")
+    second = admit(session, small_spec(checksum_freq=3), tenant="bob")
     pump(session, until=lambda: session.busy_slots == 1)
     session.close()
     assert session.outcome(first).status == "canceled"
     assert session.outcome(second).status == "canceled"
     with pytest.raises(RuntimeError, match="closed"):
-        session.submit(small_spec())
+        admit(session, small_spec())
 
     assert validate_file(stream) > 0
     records = read_records(stream)
@@ -215,7 +226,7 @@ def test_session_close_flushes_the_stats_store(tmp_path):
     path = tmp_path / "stats.json"
     spec = small_spec()
     session = SweepEngine(jobs=1, stats=RunStatsStore(path)).session()
-    ticket = session.submit(spec)
+    ticket = admit(session, spec)
     pump(session, until=lambda: session.active == 0)
     assert session.outcome(ticket).status == "ok"
     session.close()
@@ -395,8 +406,9 @@ def test_queued_work_takes_the_slot_a_crash_freed_at_once(tmp_path,
     monkeypatch.setenv("REPRO_EXEC_TEST_DIR", str(tmp_path))
     session = SweepEngine(jobs=1, runner=_pid_logging_runner, retries=1,
                           backoff=2.0).session()
-    crashing = session.submit(replace(small_spec(), sched_seed=CRASH_ONCE))
-    queued = session.submit(replace(small_spec(), sched_seed=0))
+    crashing = admit(session,
+                     replace(small_spec(), sched_seed=CRASH_ONCE))
+    queued = admit(session, replace(small_spec(), sched_seed=0))
     deadline = time.monotonic() + 60
     while session.active and time.monotonic() < deadline:
         session.wait(session.poll())
@@ -435,13 +447,13 @@ def test_a_canceled_run_kills_its_worker(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_EXEC_TEST_DIR", str(tmp_path))
     (tmp_path / "HOLD").touch()
     session = SweepEngine(jobs=1, runner=_pid_logging_runner).session()
-    first = session.submit(replace(small_spec(), sched_seed=0))
+    first = admit(session, replace(small_spec(), sched_seed=0))
     pump(session, until=lambda: session.active == 0)
-    held = session.submit(replace(small_spec(), sched_seed=HOLD))
+    held = admit(session, replace(small_spec(), sched_seed=HOLD))
     pump(session, until=lambda: len(_attempts(tmp_path)) == 2)
     session.cancel(held)
     pump(session, until=lambda: session.outcome(held) is not None)
-    last = session.submit(replace(small_spec(), sched_seed=1))
+    last = admit(session, replace(small_spec(), sched_seed=1))
     pump(session, until=lambda: session.active == 0)
     session.close()
     assert [session.outcome(t).status for t in (first, held, last)] == [
@@ -513,10 +525,10 @@ def test_request_shutdown_from_a_thread_wakes_the_loop():
 _KILLED_ENGINE = """
 import os, signal, sys
 sys.path.insert(0, sys.argv[1])
-from test_engine_session import small_spec
+from test_engine_session import admit, small_spec
 from repro.exec import SweepEngine
 session = SweepEngine(jobs=2).session()
-tickets = [session.submit(small_spec(checksum_freq=c)) for c in (2, 3)]
+tickets = [admit(session, small_spec(checksum_freq=c)) for c in (2, 3)]
 while session.active:
     session.wait(session.poll(), 0.05)
 print(*(proc.pid for proc, _ in session._idle), flush=True)

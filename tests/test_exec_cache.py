@@ -155,12 +155,13 @@ def test_version_bump_changes_fingerprint_and_misses(
 def test_sweep_engine_parallel_matches_serial_on_fuzz_seeds(spec):
     """A fuzz-seed sweep is the worst case for worker-process isolation
     (every run perturbs the schedule); jobs=1 and jobs>1 must agree."""
-    from repro.exec import Sweep, SweepEngine
+    from repro.exec import SweepEngine
+    from repro.pipeline import JobGraph
     from repro.verify import fuzz_specs, invariants
 
     specs = [spec] + fuzz_specs(spec, range(3))
-    serial = SweepEngine(jobs=1).run(Sweep(specs, name="fuzz"))
-    parallel = SweepEngine(jobs=2).run(Sweep(specs, name="fuzz"))
+    serial = SweepEngine(jobs=1).run(JobGraph.from_specs(specs, name="fuzz"))
+    parallel = SweepEngine(jobs=2).run(JobGraph.from_specs(specs, name="fuzz"))
     assert not serial.failed and not parallel.failed
     for a, b in zip(serial.outcomes, parallel.outcomes):
         assert a.fingerprint == b.fingerprint

@@ -10,11 +10,11 @@ from repro import AmrConfig, RunSpec, run_simulation, sphere
 from repro.bench import weak_scaling
 from repro.exec import (
     ResultCache,
-    Sweep,
     SweepEngine,
     SweepError,
     run_spec_dict,
 )
+from repro.pipeline import JobGraph
 
 
 def small_config(num_ranks=2, **overrides):
@@ -84,7 +84,7 @@ def test_parallel_equals_serial_weak_scaling():
 
 def test_outcomes_preserve_input_order():
     specs = small_sweep()
-    report = SweepEngine(jobs=3).run(Sweep(specs, name="order"))
+    report = SweepEngine(jobs=3).run(JobGraph.from_specs(specs, name="order"))
     assert [o.spec for o in report.outcomes] == specs
     assert [o.index for o in report.outcomes] == [0, 1, 2]
 
@@ -235,8 +235,8 @@ def test_partitioned_run_through_the_pool_matches_serial():
     cfg = small_config(num_ranks=4, npx=2, npy=2, init_x=1, init_y=1)
     spec = RunSpec(config=cfg, machine="laptop", variant="mpi_only",
                    ranks_per_node=4)
-    sweep = Sweep([spec, replace(spec, pdes_workers=2)],
-                  labels=["serial", "partitioned"])
+    sweep = JobGraph.from_specs([spec, replace(spec, pdes_workers=2)],
+                                labels=["serial", "partitioned"])
     report = SweepEngine(jobs=2).run(sweep)
     outs = {}
     for o in report.outcomes:
@@ -256,7 +256,7 @@ def test_partitioned_run_wider_than_the_pool_still_completes():
     specs = [replace(spec, pdes_workers=8),
              replace(spec, pdes_workers=2, scheduler="fifo")]
     report = SweepEngine(jobs=2).run(
-        Sweep(specs, labels=["wide", "narrow"])
+        JobGraph.from_specs(specs, labels=["wide", "narrow"])
     )
     assert report.failed == 0
 
@@ -273,7 +273,7 @@ def test_pending_slot_widths_bin_pack():
     specs = [replace(spec, pdes_workers=2, sched_seed=i) for i in range(3)]
     events = []
     report = SweepEngine(jobs=4, progress=events.append).run(
-        Sweep(specs, labels=["a", "b", "c"])
+        JobGraph.from_specs(specs, labels=["a", "b", "c"])
     )
     assert report.failed == 0
     concurrent = peak = 0

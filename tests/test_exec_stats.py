@@ -256,7 +256,6 @@ def test_profiled_run_feeds_the_plain_spec_history(tmp_path):
 
 
 def test_predict_costs_prefers_history_over_fallback(tmp_path):
-    from repro.exec import Sweep
     from repro.pipeline import JobGraph
 
     spec = base_spec()
@@ -264,7 +263,7 @@ def test_predict_costs_prefers_history_over_fallback(tmp_path):
     stats = RunStatsStore(tmp_path / "stats.json")
     stats.record(spec_signature(spec), 2.5)
     engine = SweepEngine(jobs=1, stats=stats)
-    graph = JobGraph.from_sweep(Sweep([spec, other]))
+    graph = JobGraph.from_specs([spec, other])
     costs = engine.predict_costs(graph)
     assert costs[0] == 2.5
     # The cold node gets a fallback estimate rescaled to measured

@@ -451,6 +451,34 @@ def test_a_pipeline_node_ages_from_its_execution_admission(
         broker.shutdown(drain_timeout=5.0)
 
 
+def test_a_graph_starts_at_its_execution_priority(tmp_path, marker_dir):
+    """A pipeline's head starts at the pipeline's own priority, not above
+    it by the graph's predicted cost: an older run of equal priority
+    still goes first."""
+    (marker_dir / "HOLD").touch()
+    broker = make_broker(tmp_path, runner=_holding_runner, jobs=1,
+                         aging_rate=0.0)
+    pipeline = small_pipeline()
+    root = pipeline.nodes[0].run
+    holder, old = (small_spec(checksum_freq=f) for f in (3, 4))
+    broker.start()
+    try:
+        ids = []
+        for count, body in enumerate((
+            submit_body(holder), submit_body(old),
+            submit_body(pipeline, kind="pipeline"),
+        ), start=1):
+            ids.append(broker.submit(body)["job"]["id"])
+            wait_admitted(broker, count)
+        (marker_dir / "HOLD").unlink()
+        assert {j.state for j in wait_terminal(broker, ids)} == {"done"}
+        assert finish_order(marker_dir, root, old, holder) == [
+            holder, old, root,
+        ]
+    finally:
+        broker.shutdown(drain_timeout=5.0)
+
+
 def test_quota_enforced_under_contention(tmp_path, marker_dir):
     broker = make_broker(
         tmp_path, quota_rate=0.001, quota_burst=3,
@@ -878,6 +906,39 @@ def test_metrics_and_queue_snapshot_shape(tmp_path, marker_dir):
         assert snapshot["queued"] == [] and snapshot["running"] == []
     finally:
         broker.shutdown(drain_timeout=5.0)
+
+
+def test_metrics_never_show_a_running_execution_without_its_slot(
+    tmp_path, marker_dir,
+):
+    """The scheduler reaps outside the broker lock; metrics report the
+    slots it saw when it last settled its executions, so no snapshot
+    shows an execution running on fewer slots than it holds."""
+    broker = make_broker(tmp_path, jobs=1)
+    poll, snapshots = broker.session.poll, []
+
+    def watched_poll():
+        step = poll()
+        with broker._lock:
+            snapshots.append((
+                broker.metrics()["engine"]["busy_slots"],
+                len(broker.queue_snapshot()["running"]),
+            ))
+        return step
+
+    broker.session.poll = watched_poll
+    try:
+        job_id = broker.submit(submit_body(small_spec()))["job"]["id"]
+        deadline = time.monotonic() + 30
+        while not broker.store.get(job_id).terminal:
+            assert time.monotonic() < deadline, "run never finished"
+            broker.session.wait(broker._scheduler_step(), 0.5)
+        assert broker.store.get(job_id).state == "done"
+        assert (1, 1) in snapshots
+        assert all(busy >= running for busy, running in snapshots), (
+            snapshots)
+    finally:
+        broker.shutdown(drain_timeout=0.0)
 
 
 def test_shutdown_rejects_new_submits(tmp_path, marker_dir):

@@ -8,9 +8,10 @@ from dataclasses import replace
 import pytest
 
 from repro import AmrConfig, RunSpec, sphere
-from repro.exec import ResultCache, RunStatsStore, Sweep, SweepEngine
+from repro.exec import ResultCache, RunStatsStore, SweepEngine
 from repro.exec.engine import RunOutcome, run_spec_dict
 from repro.pipeline import (
+    JobGraph,
     PipelineNode,
     PipelineSpec,
     register_generator,
@@ -177,7 +178,7 @@ class TestConcurrency:
         specs = small_sweep(6)
         with TelemetryBus(path) as bus:
             report = SweepEngine(jobs=4, telemetry=bus).run(
-                Sweep(specs, name="tel4")
+                JobGraph.from_specs(specs, name="tel4")
             )
         assert report.failed == 0
         count = validate_file(path)
@@ -203,7 +204,7 @@ class TestConcurrency:
             path = tmp_path / f"tel{i}.jsonl"
             with TelemetryBus(path) as bus:
                 SweepEngine(jobs=4, telemetry=bus).run(
-                    Sweep(specs, name="det")
+                    JobGraph.from_specs(specs, name="det")
                 )
             digests.append(
                 json.dumps(EngineReport.from_file(path).normalized(),
@@ -341,10 +342,10 @@ class TestNeutrality:
 
     def test_results_byte_identical_with_telemetry_on(self, tmp_path):
         specs = small_sweep(3)
-        plain = SweepEngine(jobs=2).run(Sweep(specs, name="n"))
+        plain = SweepEngine(jobs=2).run(JobGraph.from_specs(specs, name="n"))
         with TelemetryBus(tmp_path / "tel.jsonl") as bus:
             instrumented = SweepEngine(jobs=2, telemetry=bus).run(
-                Sweep(specs, name="n")
+                JobGraph.from_specs(specs, name="n")
             )
 
         def blob(report):
@@ -393,7 +394,9 @@ class TestRunOutcomeFields:
         cfg = small_config(num_ranks=4, npx=2, npy=2, init_x=1, init_y=1)
         spec = RunSpec(config=cfg, machine="laptop", variant="mpi_only",
                        ranks_per_node=4, pdes_workers=2)
-        report = SweepEngine(jobs=2).run(Sweep([spec], labels=["wide"]))
+        report = SweepEngine(jobs=2).run(
+            JobGraph.from_specs([spec], labels=["wide"])
+        )
         (outcome,) = report.outcomes
         assert outcome.status == "ok"
         assert outcome.slots == 2
@@ -412,10 +415,10 @@ class TestEngineReportExports:
         specs = small_sweep(4)
         with TelemetryBus(path) as bus:
             SweepEngine(jobs=2, cache=cache, telemetry=bus).run(
-                Sweep(specs, name="export")
+                JobGraph.from_specs(specs, name="export")
             )
             SweepEngine(jobs=2, cache=cache, telemetry=bus).run(
-                Sweep(specs, name="export")
+                JobGraph.from_specs(specs, name="export")
             )
         return path
 

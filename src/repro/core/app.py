@@ -25,6 +25,7 @@ from ..amr.comm_plan import EXCHANGE_TAG_BASE, build_all_rank_plans
 from ..amr.ids import HI, LO
 from ..amr.mesh import MeshStructure, PlanBoard, apply_plan, plan_refinement
 from ..amr.objects import MovingObject
+from ..simx.events import DONE
 from ..verify.witness import READ, WRITE
 
 #: Tag offsets inside the exchange tag space.
@@ -118,12 +119,18 @@ class BaseRankProgram:
     # Cost helpers
     # ------------------------------------------------------------------
     def charge(self, seconds):
-        """Consume CPU time on the calling thread (with system noise)."""
-        if seconds > 0:
+        """What the calling thread yields to consume ``seconds`` of CPU
+        time (with system noise): the stretched delay, or for no time
+        :data:`~repro.simx.events.DONE`.  The busy interval is recorded
+        up front, ending where the sleep will.
+        """
+        if seconds <= 0:
+            return DONE
+        delay = self.rt.noise.stretch(seconds)
+        if self.profiler is not None:
             t0 = self.env.now
-            yield self.env.timeout(self.rt.noise.stretch(seconds))
-            if self.profiler is not None:
-                self.profiler.inline_busy(self.rank, t0, self.env.now)
+            self.profiler.inline_busy(self.rank, t0, t0 + delay)
+        return delay
 
     def stencil_cost(self, nvars) -> float:
         return self.cost.stencil_time(
@@ -318,7 +325,7 @@ class BaseRankProgram:
             + self.cost.refine_change_overhead * my_changes
         )
         control *= self.refine_control_factor()
-        yield from self.charge(control)
+        yield self.charge(control)
 
         # Move coarsen children to their designated consolidator rank.
         yield from self.transfer_blocks(moves_of[self.rank], _COARSEN_TAG)
@@ -413,7 +420,7 @@ class BaseRankProgram:
         send_reqs = []
         for bid, dst, idx in outgoing:
             block = self.blocks[bid]
-            yield from self.charge(self.copy_cost(nbytes))  # pack
+            yield self.charge(self.copy_cost(nbytes))  # pack
             payload = block.data if block.is_real else block.surrogate
             req = yield from self.comm.isend(
                 dst, tag_base + idx, nbytes=nbytes, payload=payload
@@ -422,7 +429,7 @@ class BaseRankProgram:
 
         for bid, req in recv_reqs:
             yield req.event
-            yield from self.charge(self.copy_cost(nbytes))  # unpack
+            yield self.charge(self.copy_cost(nbytes))  # unpack
             self.blocks[bid] = self._block_from_payload(bid, req.data)
 
         yield from self.comm.waitall([r for _b, r in send_reqs])

@@ -90,7 +90,6 @@ class _Sim:
         for program in self.programs:
             program.rt.close()
         self.world.close()
-        self.env.close()
 
 
 def _build_simulation(rs, machine, local_ranks=None, partition=None):

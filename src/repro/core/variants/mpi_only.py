@@ -53,7 +53,7 @@ class MpiOnlyProgram(BaseRankProgram):
                 for gi, mgroup in enumerate(groups):
                     payload = []
                     for t in mgroup:
-                        yield from self.charge(self.copy_cost(t.nbytes))
+                        yield self.charge(self.copy_cost(t.nbytes))
                         payload.append(self.make_face_payload(t, vs))
                     req = yield from self.comm.isend(
                         peer,
@@ -65,7 +65,7 @@ class MpiOnlyProgram(BaseRankProgram):
 
             # 3. Intra-process exchanges while MPI transfers are in flight.
             for t in dplan.local:
-                yield from self.charge(self.copy_cost(t.nbytes))
+                yield self.charge(self.copy_cost(t.nbytes))
                 self.copy_local_face(t, vs)
 
             # 4. Drain receives with Waitany, unpacking as messages land.
@@ -78,7 +78,7 @@ class MpiOnlyProgram(BaseRankProgram):
                     mgroup
                 )
                 for t, plane in zip(mgroup, planes):
-                    yield from self.charge(self.copy_cost(t.nbytes))
+                    yield self.charge(self.copy_cost(t.nbytes))
                     self.apply_face_payload(t, plane, vs)
 
             # 5. Sends must finish before the buffers are reused.
@@ -91,7 +91,7 @@ class MpiOnlyProgram(BaseRankProgram):
         nvars = cfg.group_size(group)
         cost = self.stencil_cost(nvars)
         for bid in sorted(self.blocks):
-            yield from self.charge(cost)
+            yield self.charge(cost)
             self.apply_stencil(bid, vs)
             self.count_stencil_flops(nvars)
 
@@ -102,7 +102,7 @@ class MpiOnlyProgram(BaseRankProgram):
         blocks = [self.blocks[b] for b in sorted(self.blocks)]
         for group in range(cfg.num_groups):
             vs = cfg.group_slice(group)
-            yield from self.charge(
+            yield self.charge(
                 self.checksum_cost(cfg.group_size(group)) * max(len(blocks), 1)
             )
             total[vs] = local_checksum(blocks, vs)
@@ -112,8 +112,8 @@ class MpiOnlyProgram(BaseRankProgram):
     def refine_data_ops(self, splits, consolidations):
         nbytes = self.cfg.block_bytes()
         for bid in splits:
-            yield from self.charge(self.copy_cost(nbytes))
+            yield self.charge(self.copy_cost(nbytes))
             self.do_split(bid)
         for parent in consolidations:
-            yield from self.charge(self.copy_cost(nbytes))
+            yield self.charge(self.copy_cost(nbytes))
             self.do_consolidate(parent)

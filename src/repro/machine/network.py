@@ -89,11 +89,11 @@ class NetworkSpec:
 
     def send_cpu_time(self, nbytes: int) -> float:
         """CPU time charged to the sender for posting a message."""
-        return self.send_overhead + nbytes * self.byte_overhead
+        return float(self.send_overhead + nbytes * self.byte_overhead)
 
     def recv_cpu_time(self, nbytes: int) -> float:
         """CPU time charged to the receiver for matching a message."""
-        return self.recv_overhead + nbytes * self.byte_overhead
+        return float(self.recv_overhead + nbytes * self.byte_overhead)
 
     def collective_time(self, nbytes: int, nranks: int) -> float:
         """Time of a tree-based collective over ``nranks`` participants.

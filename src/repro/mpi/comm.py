@@ -365,7 +365,7 @@ class RankComm:
             nbytes = payload_nbytes(payload)
         env = self.env
         t0 = env.now
-        yield env.timeout(self.world.network.send_cpu_time(nbytes))
+        yield self.world.network.send_cpu_time(nbytes)
         req = Request(env, "send")
         self.world._post_send(self.rank, dest, tag, nbytes, payload, req)
         self._trace("Isend", t0)
@@ -382,7 +382,7 @@ class RankComm:
             raise ValueError(f"invalid source rank {source}")
         env = self.env
         t0 = env.now
-        yield env.timeout(world.network.recv_cpu_time(nbytes))
+        yield world.network.recv_cpu_time(nbytes)
         req = Request(env, "recv")
         channel = world._channels[(source << 16) | self.rank]
         unexpected = channel.unexpected
@@ -391,7 +391,7 @@ class RankComm:
                 del unexpected[k]
                 scan = k * world.network.match_scan_cost
                 if scan > 0:  # walking this source's unexpected messages
-                    yield env.timeout(scan)
+                    yield float(scan)
                 req._complete(payload)
                 break
         else:
@@ -443,9 +443,8 @@ class RankComm:
     # Collectives (generators: use with ``yield from``)
     # ------------------------------------------------------------------
     def _collective(self, kind, value, nbytes):
-        env = self.env
-        t0 = env.now
-        yield env.timeout(self.world.network.send_cpu_time(nbytes))
+        t0 = self.env.now
+        yield self.world.network.send_cpu_time(nbytes)
         event = self.world._enter_collective(self.rank, kind, value, nbytes)
         result = yield event
         self._trace(kind.capitalize(), t0)

@@ -69,7 +69,7 @@ def chrome_trace_events(profiler, variant="") -> list:
             "tid": 0,
             "args": {},
         })
-    for rank, spans in profiler.inline.items():
+    for rank, spans in sorted(profiler.inline.items()):
         for t0, t1 in spans:
             events.append({
                 "name": "inline",

@@ -159,6 +159,11 @@ class Broker:
         self._executions_completed = 0
         self._coalesced_attaches = 0
         self._cache_fast_hits = 0
+        # Cache misses of run admissions.  Every run the broker admits
+        # already missed the cache at submit (or recovery); admission
+        # looks it up again only to settle a run another process
+        # finished meanwhile, so its miss is a re-check, not a new miss.
+        self._cache_rechecks = 0
         # Slots the session held when the scheduler last settled its
         # executions: metrics read it, not the session, so a snapshot
         # never shows a running execution without its slot.
@@ -458,7 +463,7 @@ class Broker:
             for job in self.store.all_jobs():
                 by_state[job.state] = by_state.get(job.state, 0) + 1
             hits = getattr(self.cache, "hits", 0)
-            misses = getattr(self.cache, "misses", 0)
+            misses = getattr(self.cache, "misses", 0) - self._cache_rechecks
             lookups = hits + misses
             busy = self._busy_slots
             return envelope(
@@ -628,6 +633,8 @@ class Broker:
                 tenant=execution.tenant,
             )
             execution.graph.start()
+            if execution.kind == "run" and not execution.graph.done:
+                self._cache_rechecks += 1
         except Exception as exc:   # a declaration the engine rejects
             if execution.graph is not None:
                 execution.graph.cancel()

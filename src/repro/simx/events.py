@@ -95,16 +95,22 @@ class Event:
         return f"<{type(self).__name__} {state} at {id(self):#x}>"
 
 
+#: An event that has already happened (succeeded with ``None``).  A
+#: process that yields it goes straight on, touching neither the clock
+#: nor the event heap.  It belongs to no environment, so one serves all.
+DONE = Event(None)
+DONE._ok = True
+DONE._value = None
+DONE.callbacks = None
+
+
 class Timeout(Event):
     """An event that fires after a fixed simulated delay.
 
-    Timeouts dominate the event mix (every CPU charge is one), so the
-    kernel free-lists them: a processed Timeout that no simulation code
-    still references is reinitialized in place by
-    :meth:`~repro.simx.kernel.Environment.timeout` instead of allocated
-    fresh.  Reuse is only attempted when the object's refcount proves the
-    kernel holds the sole reference, so holding on to a Timeout (e.g. to
-    read its ``value`` later) always remains safe.
+    Use one to hang a callback on a point in time, or to wait on a delay
+    inside a condition.  A process that only waits yields the delay as a
+    ``float`` instead, which schedules the same heap entry without the
+    event (see :class:`~repro.simx.process.Process`).
     """
 
     __slots__ = ("delay",)
@@ -117,13 +123,6 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         env._schedule_event(self, delay)
-
-    def _reinit(self, delay, value):
-        """Reset a recycled Timeout for its next firing (free-list path)."""
-        self.callbacks = []
-        self.delay = delay
-        self._value = value
-        self.defused = False
 
     def __repr__(self):
         return f"<Timeout delay={self.delay}>"

@@ -4,7 +4,9 @@ The :class:`Environment` owns the virtual clock and the event heap.  It is
 intentionally SimPy-like so the rest of the stack (simulated MPI, the
 tasking runtime, the miniAMR port) reads like ordinary process-oriented
 simulation code, while remaining dependency-free and fully deterministic:
-simultaneous events are processed in (priority, schedule-order).
+simultaneous events are processed in (priority, schedule-order).  A
+process that waits only on time (every simulated CPU charge) yields a
+``float`` delay, and the heap then holds its resume, not an event.
 """
 
 from __future__ import annotations
@@ -12,15 +14,10 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from itertools import count
 from math import inf, nextafter
-from sys import getrefcount
+from types import MethodType
 
 from .events import NORMAL, AllOf, AnyOf, Event, Timeout
 from .process import Process
-
-#: Upper bound on the Timeout free list (bounds idle memory; in steady
-#: state the pool holds roughly one Timeout per concurrently sleeping
-#: process).
-_TIMEOUT_POOL_CAP = 1024
 
 
 class Environment:
@@ -28,7 +25,8 @@ class Environment:
 
     def __init__(self, initial_time=0.0, metrics=None):
         self._now = float(initial_time)
-        self._queue = []  # heap of (time, priority, seq, event)
+        # Heap of (time, priority, seq, event or a process's _resume).
+        self._queue = []
         self._seq = 0
         #: Optional :class:`repro.obs.MetricsRegistry` the processed-event
         #: count is flushed into (None = no accounting).
@@ -36,7 +34,6 @@ class Environment:
         # The event loop counts processed events here; flush_metrics()
         # folds the count into the registry at run end.
         self._events_processed = 0
-        self._timeout_pool = []
         #: The run's task numbering (:class:`repro.tasking.Task` ids,
         #: from 1).  Owned by the run, so ids never depend on what ran
         #: before in the process.
@@ -88,21 +85,10 @@ class Environment:
     def timeout(self, delay, value=None):
         """Create an event that fires after ``delay`` simulated seconds.
 
-        Recycles a free-listed :class:`Timeout` when one is available —
-        scheduling order (and thus determinism) is identical either way,
-        because the recycled path consumes the same sequence number the
-        fresh path would.
+        A process that only needs to wait yields the delay itself (a
+        ``float``), which takes the same sequence number and allocates
+        no event; see :class:`~repro.simx.process.Process`.
         """
-        pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise ValueError(f"negative delay {delay}")
-            to = pool.pop()
-            to._reinit(delay, value)
-            seq = self._seq + 1
-            self._seq = seq
-            heappush(self._queue, (self._now + delay, NORMAL, seq, to))
-            return to
         return Timeout(self, delay, value)
 
     def process(self, generator, name=None):
@@ -116,14 +102,6 @@ class Environment:
     def any_of(self, events):
         """Event that triggers when any of ``events`` has succeeded."""
         return AnyOf(self, events)
-
-    def close(self):
-        """Drop the Timeout free list.
-
-        Each pooled Timeout references this environment back; without
-        them a finished run's environment is freed by refcounting alone.
-        """
-        self._timeout_pool.clear()
 
     # ------------------------------------------------------------------
     # Execution
@@ -139,21 +117,27 @@ class Environment:
         None).  Re-raises the exception of any failed event whose failure
         nobody handled.  Returns the number of events processed.
 
+        A heap entry holds an event, or the bound ``_resume`` of a
+        process that starts or ends a sleep, which is called directly and
+        counts as one processed event.
+
         Every mode of :meth:`run` and :meth:`run_window` goes through
         here.  At paper-scale world sizes this executes millions of
         iterations, so it works on local bindings: every attribute load
         per event counts.
         """
         queue = self._queue
-        pool = self._timeout_pool
         pop = heappop
-        refcount = getrefcount
+        method = MethodType
         processed = 0
         try:
             while queue and queue[0][0] < horizon:
                 when, _prio, _seq, event = pop(queue)
                 self._now = when
                 processed += 1
+                if type(event) is method:  # a process starting or waking
+                    event()
+                    continue
                 callbacks = event.callbacks
                 event.callbacks = None
                 for cb in callbacks:
@@ -162,14 +146,6 @@ class Environment:
                     raise event._value
                 if event is stop:
                     break
-                # Free-list the Timeout when this frame holds the only
-                # reference (refcount 2: the local + getrefcount's arg).
-                if (
-                    type(event) is Timeout
-                    and refcount(event) == 2
-                    and len(pool) < _TIMEOUT_POOL_CAP
-                ):
-                    pool.append(event)
         finally:
             self._events_processed += processed
         return processed

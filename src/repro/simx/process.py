@@ -1,28 +1,22 @@
 """Generator-backed simulation processes.
 
-A process wraps a Python generator.  Each ``yield`` must produce an
-:class:`~repro.simx.events.Event`; the process resumes when the event
+A process wraps a Python generator.  Each ``yield`` produces either an
+:class:`~repro.simx.events.Event`, and the process resumes when the event
 triggers, receiving the event's value (or having its failure exception
-thrown in).  A process is itself an event that triggers when the generator
-returns (success, with the return value) or raises (failure).
+thrown in); or a ``float`` of simulated seconds (>= 0), and the process
+sleeps that long, then resumes receiving ``None``.  A sleep takes the
+sequence number ``env.timeout`` would but allocates no event: the heap
+entry is the process's own bound ``_resume``, which the event loop calls.
+A process starts the same way.  A process is itself an event that
+triggers when the generator returns (success, with the return value) or
+raises (failure).
 """
 
 from __future__ import annotations
 
-from .events import URGENT, Event
+from heapq import heappush
 
-
-class Initialize(Event):
-    """Immediate event that starts a freshly created process."""
-
-    __slots__ = ()
-
-    def __init__(self, env, process):
-        super().__init__(env)
-        self.callbacks.append(process._resume)
-        self._ok = True
-        self._value = None
-        env._schedule_event(self, priority=URGENT)
+from .events import DONE, NORMAL, URGENT, Event
 
 
 class Process(Event):
@@ -36,20 +30,21 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        Initialize(env, self)
+        env._schedule_event(self._resume, priority=URGENT)
 
     @property
     def is_alive(self):
         """True while the generator has not terminated."""
         return not self.triggered
 
-    def _resume(self, event):
-        # Runs once per processed event the process waits on: feed the
-        # event's outcome into the generator, then park on whatever it
-        # yields next (looping while that is already processed).  A
-        # non-event yield is answered with a TypeError thrown back in; a
-        # generator that catches it goes on from what it yields or
-        # returns next, like after any other resume.
+    def _resume(self, event=DONE):
+        # Runs once per processed event the process waits on (with no
+        # argument at the start and after a sleep): feed the outcome into
+        # the generator, then park on whatever it yields next (looping
+        # while that is an event already processed).  Any other yield is
+        # answered with a TypeError (a ValueError for a delay below zero)
+        # thrown back in; a generator that catches it goes on from what
+        # it yields or returns next, like after any other resume.
         generator = self._generator
         while True:
             try:
@@ -59,9 +54,22 @@ class Process(Event):
                     event.defused = True
                     target = generator.throw(event._value)
                 while not isinstance(target, Event):
-                    target = generator.throw(TypeError(
-                        f"process {self.name!r} yielded non-event {target!r}"
-                    ))
+                    if isinstance(target, float) and target >= 0:
+                        env = self.env
+                        seq = env._seq + 1
+                        env._seq = seq
+                        heappush(
+                            env._queue,
+                            (env._now + target, NORMAL, seq, self._resume),
+                        )
+                        return
+                    target = generator.throw(
+                        ValueError(f"process {self.name!r} yielded "
+                                   f"negative delay {target!r}")
+                        if isinstance(target, float) else
+                        TypeError(f"process {self.name!r} yielded "
+                                  f"non-event {target!r}")
+                    )
             except StopIteration as exc:
                 self.succeed(exc.value)
                 return

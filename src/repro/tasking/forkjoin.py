@@ -56,10 +56,9 @@ class ForkJoinTeam:
         waits for all of them — the implicit barrier.
         """
         rt = self.runtime
-        env = rt.env
         overhead = rt.cost_spec.forkjoin_overhead(self.num_threads)
         if overhead > 0:
-            yield env.timeout(overhead / 2)
+            yield overhead / 2
 
         chunks = self.static_chunks(len(costs))
         for t, (start, stop) in enumerate(chunks):
@@ -85,7 +84,7 @@ class ForkJoinTeam:
         yield from rt.taskwait()
 
         if overhead > 0:
-            yield env.timeout(overhead / 2)
+            yield overhead / 2
 
 
 def _chunk_body(bodies, start, stop):

@@ -25,11 +25,10 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import repeat
 
 from ..machine.costmodel import CostSpec, NoiseModel
-from ..simx.events import Event
+from ..simx.events import DONE
 from .deps import DependencyTracker
 from .task import Task, TaskState, normalize_accesses
 
@@ -158,21 +157,16 @@ class RankRuntime:
         self._last_affinity = [None] * num_cores
         self._outstanding = 0
         self._rr = 0
-        #: ``charge_spawn()`` returns the event a thread yields to pay one
+        #: ``charge_spawn()`` returns what a thread yields to pay one
         #: task's creation cost, right before :meth:`spawn` and in its own
-        #: frame: ``env.timeout(task_spawn_overhead)``, or at zero
-        #: overhead an event already processed, which the yielding process
-        #: takes straight back without touching the event heap.  Both are
-        #: C-level callables, so the charge adds no Python frame per task.
+        #: frame: ``task_spawn_overhead`` as a float sleep, or at zero
+        #: overhead :data:`~repro.simx.events.DONE`, which the yielding
+        #: process takes straight back without touching the event heap.
+        #: A C-level callable, so the charge adds no Python frame per task.
         overhead = self.cost_spec.task_spawn_overhead
-        if overhead > 0:
-            self.charge_spawn = partial(env.timeout, overhead)
-        else:
-            charged = Event(env)
-            charged._ok = True
-            charged._value = None
-            charged.callbacks = None
-            self.charge_spawn = repeat(charged).__next__
+        self.charge_spawn = repeat(
+            float(overhead) if overhead > 0 else DONE
+        ).__next__
         # Read on every task: pulled out of the dataclass once.
         self._dispatch_overhead = self.cost_spec.task_dispatch_overhead
         #: Immediate-successor policy flag (checked once per completion).
@@ -500,7 +494,7 @@ class RankRuntime:
             cost = cost / task.locality_factor
         total = self.noise.stretch(cost + self._dispatch_overhead)
         if total > 0:
-            yield env.timeout(total)
+            yield total
 
         if task.body is not None:
             witness = self.witness

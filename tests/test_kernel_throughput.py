@@ -10,6 +10,8 @@ performance ledger, ``benchmarks/ledger/``.
 """
 
 import dataclasses
+import hashlib
+import json
 import time
 
 from repro.core.driver import execute
@@ -21,6 +23,14 @@ from repro.verify import default_golden_specs
 #: mismatch three layers up.
 EXPECTED_EVENTS = 5667
 EXPECTED_TASKS = 2592
+
+#: sha256 of the profiled mpi_only golden run's inline busy intervals,
+#: by rank, each rank's in recording order.  A CPU charge records its
+#: interval when it starts; this pins that it reads the same as the
+#: interval the clock showed when the charge ended.
+EXPECTED_INLINE_SHA256 = (
+    "7cf6c35acd67b231ae89e83e22ab6e1c90ed64b9c7a53717f22ec168aa50d437"
+)
 
 #: Deliberately ~2 orders of magnitude below the slowest observed CI
 #: hardware (the reference host retires > 1M events/sec on this world).
@@ -39,6 +49,15 @@ def test_tiny_world_event_and_task_counts_are_pinned():
     tasks = sum(rs.tasks_executed for rs in res.runtime_stats)
     assert events == EXPECTED_EVENTS
     assert tasks == EXPECTED_TASKS
+
+
+def test_inline_busy_intervals_are_pinned():
+    spec = dataclasses.replace(
+        default_golden_specs()["mpi_only_small"], profile=True
+    )
+    inline = execute(spec).profiler.inline
+    blob = json.dumps(sorted(inline.items()))
+    assert hashlib.sha256(blob.encode()).hexdigest() == EXPECTED_INLINE_SHA256
 
 
 def test_tiny_world_meets_loose_throughput_floor():

@@ -46,6 +46,32 @@ def test_send_recv_payload():
     assert received == [{"x": 1}]
 
 
+def test_integer_cpu_costs_still_charge():
+    """A machine read from JSON may carry integer costs; every CPU charge
+    must still be a float delay a process can sleep on."""
+    env, world = make_world(network=NetworkSpec(
+        send_overhead=0, recv_overhead=1, byte_overhead=0, match_scan_cost=2,
+    ))
+    got = []
+
+    def sender(comm):
+        for tag in (1, 2):
+            yield from send(comm, dest=1, tag=tag, payload=tag)
+        yield from comm.barrier()
+
+    def receiver(comm):
+        yield env.timeout(10.0)  # both messages wait as unexpected
+        req = yield from comm.recv(source=0, tag=2)
+        got.append((req.data, env.now))
+        yield from comm.barrier()
+
+    env.process(sender(world.comm(0)))
+    env.process(receiver(world.comm(1)))
+    env.run()
+    # Posting costs 1 s, and the match scans one earlier message: 2 s.
+    assert got == [(2, 13.0)]
+
+
 def test_isend_irecv_numpy_roundtrip():
     env, world = make_world()
     out = []

@@ -908,6 +908,20 @@ def test_metrics_and_queue_snapshot_shape(tmp_path, marker_dir):
         broker.shutdown(drain_timeout=5.0)
 
 
+def test_a_new_served_run_counts_one_cache_miss(tmp_path, marker_dir):
+    """Submit looks the run up, and admission re-checks it; only the
+    first lookup counts as a miss."""
+    broker = make_broker(tmp_path, jobs=1)
+    broker.start()
+    try:
+        job_id = broker.submit(submit_body(small_spec()))["job"]["id"]
+        wait_terminal(broker, [job_id])
+        cache = broker.metrics()["cache"]
+        assert (cache["hits"], cache["misses"]) == (0, 1)
+    finally:
+        broker.shutdown(drain_timeout=5.0)
+
+
 def test_metrics_never_show_a_running_execution_without_its_slot(
     tmp_path, marker_dir,
 ):

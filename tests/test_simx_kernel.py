@@ -4,8 +4,12 @@ import math
 
 import pytest
 
+from types import SimpleNamespace
+
+from repro.core.app import BaseRankProgram
 from repro.obs import MetricsRegistry
 from repro.simx import (
+    DONE,
     AllOf,
     AnyOf,
     Environment,
@@ -384,6 +388,115 @@ def test_process_that_returns_after_the_non_event_error_succeeds():
     env.run()
     assert proc.ok and proc.value == "recovered"
     assert not proc.is_alive
+
+
+@pytest.mark.parametrize("bad", ["x", 1])
+def test_yield_of_a_non_float_delay_raises(bad):
+    """Only a float is a sleep: a string, or an int delay, is refused
+    like any other non-event."""
+    env = Environment()
+
+    def proc(env):
+        yield bad
+
+    env.process(proc(env))
+    with pytest.raises(TypeError, match="non-event"):
+        env.run()
+
+
+def test_negative_float_sleep_throws_value_error_in():
+    env = Environment()
+    seen = []
+
+    def proc(env):
+        try:
+            yield -1.0
+        except ValueError as exc:
+            seen.append((str(exc), env.now, env._seq))
+        yield 2.0
+        return "done"
+
+    p = env.process(proc(env))
+    assert env.run(until=p) == "done"
+    assert seen == [("process 'proc' yielded negative delay -1.0", 0.0, 1)]
+    assert env.now == 2.0
+
+
+def _mixed_world(sleep):
+    """Two processes that wait on sleeps, timeouts, a plain event and an
+    already-processed event; ``sleep(env, d)`` is the wait under test.
+    Returns the ``(name, now, _seq)`` trace of every resume."""
+    env = Environment()
+    trace = []
+    gate = env.event()
+
+    def sleeper(env):
+        yield sleep(env, 0.5)
+        trace.append(("a", env.now, env._seq))
+        yield env.timeout(0.25, value="t")
+        trace.append(("a", env.now, env._seq))
+        yield sleep(env, 0.0)
+        trace.append(("a", env.now, env._seq))
+        gate.succeed("open")
+        yield sleep(env, 1.0 / 3.0)
+        trace.append(("a", env.now, env._seq))
+
+    def waiter(env):
+        yield sleep(env, 0.75)
+        trace.append(("b", env.now, env._seq))
+        value = yield gate
+        trace.append(("b", value, env.now, env._seq))
+        yield DONE
+        yield sleep(env, 0.1)
+        trace.append(("b", env.now, env._seq))
+
+    env.process(sleeper(env))
+    env.process(waiter(env))
+    env.run()
+    return trace, env._seq, env._events_processed
+
+
+def test_float_sleeps_keep_the_timeout_schedule():
+    with_events = _mixed_world(lambda env, d: env.timeout(d))
+    with_floats = _mixed_world(lambda env, d: d)
+    assert with_floats == with_events
+    assert len(with_floats[0]) == 7
+
+
+def test_a_float_sleep_counts_as_a_processed_event():
+    registry = MetricsRegistry()
+    env = Environment(metrics=registry)
+
+    def proc(env):
+        yield 1.0
+        yield 2.0
+
+    env.process(proc(env))
+    env.run()
+    env.flush_metrics()
+    # The initialize event, two sleeps, and the process's own completion.
+    assert registry.value("kernel.events") == 4
+    assert env.now == 3.0
+
+
+def test_charge_of_no_time_touches_neither_clock_nor_heap():
+    env = Environment()
+    program = SimpleNamespace(env=env, profiler=None)
+    seen = []
+
+    def proc(env):
+        yield 1.0
+        before = (env._seq, list(env._queue))
+        yield BaseRankProgram.charge(program, 0)
+        yield BaseRankProgram.charge(program, -1.0)
+        seen.append((before, (env._seq, list(env._queue)), env.now))
+
+    env.process(proc(env))
+    env.timeout(5.0)  # keeps the heap non-empty while ``proc`` charges
+    env.run()
+    (before, after, now), = seen
+    assert before[1] and after == before
+    assert now == 1.0
 
 
 def test_nested_process_wait():

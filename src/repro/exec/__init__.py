@@ -27,7 +27,6 @@ from .cache import CacheEntry, ResultCache
 from .engine import (
     EngineSession,
     RunOutcome,
-    SessionStep,
     SweepEngine,
     SweepError,
     SweepReport,
@@ -42,7 +41,6 @@ __all__ = [
     "ResultCache",
     "RunOutcome",
     "RunStatsStore",
-    "SessionStep",
     "SweepEngine",
     "SweepError",
     "SweepReport",

@@ -36,9 +36,10 @@ reaps, times out, retries, cancels and finalizes every run, and
 :class:`GraphRun` is the one way work enters it — for
 :meth:`SweepEngine.run` and the serve broker alike, where a single run
 is a one-node graph.  Timeout, retry and
-cancel therefore behave the same at every ``jobs`` count, and the
-scheduling loops block in :meth:`EngineSession.wait` instead of
-sleeping.  Traced and
+cancel therefore behave the same at every ``jobs`` count.  The session
+hands each finished run back to the graph that queued it, so a
+scheduling loop only polls and blocks in :meth:`EngineSession.wait`
+instead of sleeping.  Traced and
 profiled runs are no exception: their :class:`~repro.obs.Tracer` and
 :class:`~repro.obs.ProfileReport` serialize with the result, so they
 flow through the pool and the cache like any other run (under their own
@@ -254,10 +255,10 @@ class _Pending:
     __slots__ = ("index", "spec", "fingerprint", "label", "name",
                  "priority", "ready_at", "attempts", "not_before",
                  "started", "first_started", "deadline", "proc", "conn",
-                 "wall_time", "slots", "wids", "tenant", "predicted")
+                 "wall_time", "slots", "wids", "graph", "predicted")
 
     def __init__(self, index, spec, fingerprint, label, name, priority,
-                 ready_at, tenant=None, predicted=None):
+                 ready_at, graph, predicted=None):
         self.index = index
         self.spec = spec
         self.fingerprint = fingerprint
@@ -280,9 +281,9 @@ class _Pending:
         #: Worker ids claimed while executing (``wids[0]`` names the run's
         #: worker in outcomes and telemetry); ``None`` between attempts.
         self.wids = None
-        #: Tenant attribution for serve-session telemetry (``None`` for
-        #: plain sweeps).
-        self.tenant = tenant
+        #: The :class:`GraphRun` that queued this run; the session hands
+        #: it the run's terminal outcome.
+        self.graph = graph
         #: Predicted host seconds (job-graph nodes only; telemetry).
         self.predicted = predicted
 
@@ -443,10 +444,10 @@ class SweepEngine:
     def run(self, sweep) -> SweepReport:
         """Execute a sweep or pipeline; outcomes come back in node order.
 
-        Drives one :class:`GraphRun` over a private session: polls it,
-        routes every finished ticket back into the graph, waits on the
-        session while nothing finished, and — on :meth:`request_shutdown`
-        — drains in-flight runs and blocks the rest.
+        Drives one :class:`GraphRun` over a private session: polls it
+        (the poll hands each finished run to the graph) and waits until
+        the next poll has work, and — on :meth:`request_shutdown` —
+        drains in-flight runs and blocks the rest.
         """
         graph = self._as_graph(sweep)
         self._shutdown = False
@@ -468,16 +469,13 @@ class SweepEngine:
                 if self._shutdown:
                     run.drain(self.drain_timeout)
                     break
-                step = session.poll()
-                for ticket, outcome in step.finished:
-                    run.route(ticket, outcome)
+                due = session.poll()
                 if not session.active and not run.done:
                     raise RuntimeError(
                         f"job graph {graph.name!r}: no runnable work but "
                         f"{run.unsettled} node(s) unfinished"
                     )
-                if not step.finished:  # else routing may have admitted work
-                    session.wait(step)
+                session.wait(due)
         finally:
             self._session = None
             session.close()
@@ -551,10 +549,11 @@ class GraphRun:
     shifted so the head of the critical path starts at ``priority``: a
     one-node graph keeps exactly the caller's priority), and settles
     the nodes that never need a worker: cache hits, analysis values,
-    builder failures and blocked dependents.  The
-    caller polls the session and hands each finished ticket in
-    :attr:`live` to :meth:`route`.  One ticket per node is reserved up
-    front, so on a private session a node's ticket is its index.
+    builder failures and blocked dependents.  The session hands each run
+    this graph queued back to it when the run ends, inside
+    :meth:`EngineSession.poll`, so the caller only polls and waits.  One
+    ticket per node is reserved up front, so on a private session a
+    node's ticket is its index.
 
     A generator returning a list of specs is a *fan-out*: its children
     take later tickets and run like run nodes, and the node settles with
@@ -562,9 +561,9 @@ class GraphRun:
     ``ok``) — a failed child is data for the successors, not a blocker.
     """
 
-    def __init__(self, session, graph, *, priority=0.0, tenant=None):
+    def __init__(self, session, graph, *, priority=0.0):
         self.session, self.engine = session, session.engine
-        self.graph, self.tenant = graph, tenant
+        self.graph = graph
         self.costs = self.engine.predict_costs(graph)
         # Ranks shift down by the critical path, so the graph's head
         # starts at ``priority``: one scale for graphs of any size.
@@ -577,6 +576,8 @@ class GraphRun:
         self.live = set()
         #: Canceled or draining: nothing new is admitted.
         self.stopped = False
+        #: A run of this graph has launched its first attempt.
+        self.started = False
         self._remaining = [len(p) for p in graph.preds]
         self._results = {}       # node index -> payload for dependents
         self._fingerprints = {}  # node index -> fingerprint for hashing
@@ -596,12 +597,14 @@ class GraphRun:
     def start(self):
         """Admit every root in node order; admission cascades through
         cached and analytic chains synchronously."""
-        for index, preds in enumerate(self.graph.preds):
-            if not preds:
-                self._admit(index)
+        with self.session._lock:  # a poll may route into this graph
+            for index, preds in enumerate(self.graph.preds):
+                if not preds:
+                    self._admit(index)
 
-    def route(self, ticket, outcome):
-        """A ticket this graph queued reached a terminal outcome."""
+    def _route(self, ticket, outcome):
+        """A ticket this graph queued reached a terminal outcome (called
+        by :meth:`EngineSession.poll`, under the session lock)."""
         self.live.discard(ticket)
         if ticket in self._parent:
             index, position = self._parent.pop(ticket)
@@ -613,10 +616,11 @@ class GraphRun:
     def cancel(self):
         """Admit nothing more and withdraw every live ticket (running
         ones terminate at the next poll and still route here)."""
-        self.stopped = True
-        for ticket in list(self.live):
-            self.session.cancel(ticket)
-        self.live = {t for t in self.live if not self.session.outcome(t)}
+        with self.session._lock:  # a poll routes into ``live``
+            self.stopped = True
+            for ticket in list(self.live):
+                self.session.cancel(ticket)
+            self.live = {t for t in self.live if not self.session.outcome(t)}
 
     def drain(self, timeout):
         """Graceful shutdown of a graph that owns its session: in-flight
@@ -626,7 +630,7 @@ class GraphRun:
         self.stopped = True
         session = self.session
         deadline = time.monotonic() + max(0.0, timeout or 0.0)
-        step = None
+        due = 0.0  # the first pass polls without waiting
         while True:
             for task in list(session._launchable):
                 session._withdraw(
@@ -642,16 +646,13 @@ class GraphRun:
                         f"after {timeout}s drain",
                     )
                 break
-            if step is not None:
-                # After the withdrawal above: a retry the last poll
-                # requeued must not hold the drain up.
-                session.wait(step, deadline - time.monotonic())
-            step = session.poll()
-            for ticket, outcome in step.finished:
-                self.route(ticket, outcome)
+            # After the withdrawal above: a retry the last poll
+            # requeued must not hold the drain up.
+            session.wait(due, deadline - time.monotonic())
+            due = session.poll()
         for index in range(len(self.graph)):
             if session.outcome(self.first + index) is None:
-                self._settle(self._outcome(
+                session._settle(self._outcome(
                     index, "blocked", error="blocked: engine shutdown",
                 ), blocker="<shutdown>")
 
@@ -663,9 +664,6 @@ class GraphRun:
             fingerprint=self._fingerprints.get(index), label=node.label,
             name=node.name, status=status, **fields,
         )
-
-    def _settle(self, outcome, **fields):
-        return self.session._settle(outcome, tenant=self.tenant, **fields)
 
     def _finish(self, index, outcome):
         """A node is terminal: wake its dependents or block them."""
@@ -680,8 +678,10 @@ class GraphRun:
                 s = stack.pop()
                 if self.session.outcome(self.first + s) is None:
                     self.unsettled -= 1
-                    self._settle(self._outcome(s, "blocked", error=error),
-                                 blocker=blocker)
+                    self.session._settle(
+                        self._outcome(s, "blocked", error=error),
+                        blocker=blocker,
+                    )
                     stack.extend(graph.succs[s])
         elif not (self.stopped or self.engine._shutdown):
             for s in graph.succs[index]:
@@ -708,9 +708,8 @@ class GraphRun:
             if cache is not None:
                 entry = cache.get_entry(nfp)
                 if entry is not None and entry.kind == "analysis":
-                    return self._finish(index, self._settle(self._outcome(
-                        index, "cached", result=entry.value,
-                    )))
+                    return self._finish(index, self.session._settle(
+                        self._outcome(index, "cached", result=entry.value)))
             try:
                 spec = node.builder(
                     dict(node.params or {}),
@@ -725,7 +724,7 @@ class GraphRun:
                     # every cache setting, or warm and cold runs differ.
                     json.dumps(spec)
             except Exception:
-                return self._finish(index, self._settle(self._outcome(
+                return self._finish(index, self.session._settle(self._outcome(
                     index, "failed", error=traceback.format_exc(),
                     attempts=1, wall_time=time.monotonic() - ready_at,
                 )))
@@ -741,13 +740,13 @@ class GraphRun:
                          "params": node.params or {}, "deps": deps},
                         spec, wall_time=wall,
                     )
-                return self._finish(index, self._settle(self._outcome(
+                return self._finish(index, self.session._settle(self._outcome(
                     index, "ok", result=spec, attempts=1, wall_time=wall,
                 )))
         fingerprint = self._fingerprints[index] = spec.fingerprint()
         outcome = self._run(_Pending(
             self.first + index, spec, fingerprint, node.label, node.name,
-            self.priority[index], ready_at, tenant=self.tenant,
+            self.priority[index], ready_at, self,
             predicted=self.costs[index],
         ))
         if outcome is not None:
@@ -760,7 +759,7 @@ class GraphRun:
         if cache is not None:
             entry = cache.get_entry(task.fingerprint)
             if entry is not None and entry.kind == "result":
-                outcome = self._settle(self.session._outcome(
+                outcome = self.session._settle(self.session._outcome(
                     task, "cached", result=entry.value,
                 ))
                 if stats is not None:
@@ -780,8 +779,7 @@ class GraphRun:
         for k, spec in enumerate(specs):
             children[k] = self._run(_Pending(
                 first + k, spec, spec.fingerprint(), f"{node.label}[{k}]",
-                f"{node.name}[{k}]", self.priority[index], ready_at,
-                tenant=self.tenant,
+                f"{node.name}[{k}]", self.priority[index], ready_at, self,
             ))
             if children[k] is None:
                 self._parent[first + k] = (index, k)
@@ -801,7 +799,7 @@ class GraphRun:
             blob.encode("utf-8")
         ).hexdigest()
         cached = children and all(c.status == "cached" for c in children)
-        self._finish(index, self._settle(self._outcome(
+        self._finish(index, self.session._settle(self._outcome(
             index, "cached" if cached else "ok", result=children,
             attempts=sum(c.attempts for c in children),
             wall_time=time.monotonic() - ready_at,
@@ -832,31 +830,18 @@ def _node_fingerprint(node, dep_fingerprints) -> str:
 # ----------------------------------------------------------------------
 # The scheduler core: EngineSession
 # ----------------------------------------------------------------------
-@dataclass
-class SessionStep:
-    """What one :meth:`EngineSession.poll` call advanced."""
-
-    #: Tickets whose first subprocess attempt launched this step.
-    started: list = field(default_factory=list)
-    #: ``(ticket, RunOutcome)`` pairs that reached a terminal state.
-    finished: list = field(default_factory=list)
-    #: Monotonic time the next poll has work by: the nearest attempt
-    #: deadline or launch (in the past when one may launch now);
-    #: ``None`` when only a running attempt's end can bring any.
-    due: float = None
-
-
 class EngineSession:
     """Incremental job admission into a live engine — its one scheduler.
 
     Work enters only through a :class:`GraphRun`, which admits a job
     graph's nodes under tickets it :meth:`reserve`\\ s, at any time;
     :meth:`poll` advances launching and reaping without ever blocking on
-    a run, :meth:`wait` blocks until a poll may have something to do,
-    :meth:`cancel` withdraws queued work (and terminates running work),
-    and :meth:`close` winds the session down.  :meth:`SweepEngine.run`
-    drives one private session, and the serving layer
-    (:mod:`repro.serve`) runs its broker on a resident one.
+    a run and hands each finished run to its graph, :meth:`wait` blocks
+    until a poll may have something to do, :meth:`cancel` withdraws
+    queued work (and terminates running work), and :meth:`close` winds
+    the session down.  :meth:`SweepEngine.run` drives one private
+    session, and the serving layer (:mod:`repro.serve`) runs its broker
+    on a resident one.
 
     This is the engine's only code that launches, reaps, times out,
     retries, cancels and finalizes a run.  Every run executes in a
@@ -964,9 +949,16 @@ class EngineSession:
         return True
 
     # ------------------------------------------------------------------
-    def poll(self) -> SessionStep:
-        """Advance the session one step; never blocks on a run."""
-        step = SessionStep()
+    def poll(self):
+        """Advance the session one step; never blocks on a run.
+
+        Hands each run that ended to the :class:`GraphRun` that queued
+        it, under the session lock, so its successors are admitted before
+        this returns.  Returns ``due`` for :meth:`wait`: the monotonic
+        time the next poll has work by (in the past when a task may
+        launch now), or ``None`` when only a running attempt's end can
+        bring any.
+        """
         with self._lock:
             self._drain_telemetry()
             now = time.monotonic()
@@ -986,32 +978,33 @@ class EngineSession:
                     break
                 self._launchable.remove(task)
                 self._launch(task)
-                if task.attempts == 1:
-                    step.started.append(task.index)
+            finished = []
             for task in list(self._running):
                 outcome = self._reap(task)
                 if outcome is not None:
-                    step.finished.append((task.index, outcome))
+                    finished.append((task, outcome))
+            for task, outcome in finished:
+                task.graph._route(task.index, outcome)
             # A task that does not fit waits for a running attempt to
             # end, which wakes wait() by itself; counting it would spin.
             used = sum(t.slots for t in self._running)
-            step.due = min(
+            return min(
                 [t.deadline for t in self._running if t.deadline is not None]
                 + [t.not_before for t in self._launchable
                    if self._fits(t, used)],
                 default=None,
             )
-        return step
 
     def _fits(self, task, used) -> bool:
         """Whether ``task`` may launch beside ``used`` claimed slots."""
         return used + task.slots <= self.engine.jobs or not self._running
 
-    def wait(self, step, timeout=None):
+    def wait(self, due, timeout=None):
         """Block until a running worker answers or exits, :meth:`wake` is
-        called, or ``step.due`` (of the last :meth:`poll`) or ``timeout``
-        seconds pass — whichever comes first.  With nothing running and
-        nothing due, returns at once: no wait could end on its own."""
+        called, or ``due`` (what the last :meth:`poll` returned) or
+        ``timeout`` seconds pass — whichever comes first.  With nothing
+        running and nothing due, returns at once: no wait could end on its
+        own."""
         # Imported here, so a process that imports the engine but never
         # runs it does not load the module (~0.5 MB resident).
         from multiprocessing.connection import wait
@@ -1021,7 +1014,7 @@ class EngineSession:
             for task in self._running:
                 waitables += (task.conn, task.proc.sentinel)
         now = time.monotonic()
-        bounds = [] if step.due is None else [step.due]
+        bounds = [] if due is None else [due]
         if timeout is not None:
             bounds.append(now + timeout)
         if len(waitables) == 1 and not bounds:
@@ -1103,7 +1096,7 @@ class EngineSession:
         self._launchable.append(task)
         self._record(
             "job_queued", node=task.name, run=task.fingerprint,
-            slots=task.slots, predicted=task.predicted, tenant=task.tenant,
+            slots=task.slots, predicted=task.predicted,
         )
 
     def _launch(self, task):
@@ -1119,9 +1112,10 @@ class EngineSession:
         self._record(
             "job_launched", node=task.name, run=task.fingerprint,
             wid=task.wid, slots=task.slots, attempt=task.attempts,
-            predicted=task.predicted, tenant=task.tenant,
+            predicted=task.predicted,
         )
         if task.attempts == 1:
+            task.graph.started = True
             self._progress("start", self._outcome(task, "running"))
         task.deadline = (
             task.started + engine.timeout if engine.timeout else None
@@ -1227,7 +1221,7 @@ class EngineSession:
         self._launchable.append(task)
         self._record(
             "job_retry", node=task.name, run=task.fingerprint,
-            attempt=task.attempts, reason=reason, tenant=task.tenant,
+            attempt=task.attempts, reason=reason,
         )
         self._progress("retry", self._outcome(task, "retrying",
                                               error=reason))
@@ -1273,11 +1267,10 @@ class EngineSession:
         self._release(task)
         if status == "ok" and self.engine.stats is not None:
             self.engine.stats.record(spec_signature(task.spec), exec_time)
-        return self._settle(outcome, tenant=task.tenant,
-                            predicted=task.predicted, blocker=blocker)
+        return self._settle(outcome, predicted=task.predicted,
+                            blocker=blocker)
 
-    def _settle(self, outcome, *, tenant=None, predicted=None,
-                blocker=None):
+    def _settle(self, outcome, *, predicted=None, blocker=None):
         """Record a terminal outcome: bookkeeping, progress, telemetry.
 
         Executed runs arrive through :meth:`_finalize`; job-graph
@@ -1291,7 +1284,7 @@ class EngineSession:
         if status != "canceled":
             self._progress(status, outcome)
         job = dict(node=outcome.name or outcome.label,
-                   run=outcome.fingerprint, tenant=tenant)
+                   run=outcome.fingerprint)
         if status == "cached":
             self._record("job_cached", **job)
         elif status == "blocked":

@@ -88,8 +88,8 @@ RECORD_TYPES = {
     "tune_round": ("tune", "round", "tier", "evaluated"),
     "tune_prune": ("tune", "candidate", "reason"),
     "tune_stop": ("tune", "evaluations", "pruned", "best"),
-    # -- serve layer (repro.serve broker; ``tenant`` rides on job records
-    # too, as an optional context field) ---------------------------------
+    # -- serve layer (repro.serve broker; job records carry no tenant,
+    # these carry it with the same ``run`` fingerprint) ------------------
     "serve_start": ("addr",),
     "serve_stop": ("reason",),
     "serve_submit": ("job", "tenant", "mode"),   # new | coalesced | cached

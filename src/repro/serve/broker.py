@@ -26,7 +26,10 @@ thread, and enters it the one way: as a job graph admitted through a
 lowered by :func:`~repro.tune.tune_pipeline`), whose head starts at the
 execution's priority.  Every node shares the worker pool, the
 timeout/retry settings, ``busy_slots``, and cancel with every other
-job.  Each execution starts and finishes through the same
+job.  The session hands each finished run to its graph inside ``poll``,
+off the broker lock, so a successor's cache lookup or generator build
+never blocks a submit.  Each execution starts (once its graph launched
+a run or settled) and finishes through the same
 :meth:`Broker._start`/:meth:`Broker._finish_graph`/:meth:`Broker._complete`,
 and admission treats every kind alike: tune and pipeline jobs draw quota
 tokens, count against ``queue_cap``, and coalesce by fingerprint.
@@ -582,27 +585,24 @@ class Broker:
     # ------------------------------------------------------------------
     def _scheduler_loop(self):
         while not self._stop.is_set():
-            step = self._scheduler_step()
-            # A step that finished something may have admitted work.
-            if not (step.finished or self._stop.is_set()):
-                self.session.wait(step, _IDLE_WAIT_S)
+            due = self._scheduler_step()
+            if not self._stop.is_set():
+                self.session.wait(due, _IDLE_WAIT_S)
 
     def _scheduler_step(self):
         with self._lock:
             while self._pending:
                 self._admit(self._pending.popleft())
-        step = self.session.poll()
+        due = self.session.poll()   # routes finished runs, off our lock
         with self._lock:
-            for ticket in step.started:
-                execution = self._owner(ticket)
-                if execution is not None and execution.state != "running":
-                    self._start(execution)
-            for ticket, outcome in step.finished:
-                execution = self._owner(ticket)
-                if execution is not None:
-                    execution.graph.route(ticket, outcome)
             for execution in list(self._inflight.values()):
-                if execution.graph is not None and execution.graph.done:
+                graph = execution.graph
+                if graph is None:
+                    continue
+                if execution.state != "running" and (
+                        graph.started or graph.done):
+                    self._start(execution)
+                if graph.done:
                     self._finish_graph(execution)
             self._busy_slots = self.session.busy_slots
             if not self._inflight:
@@ -611,7 +611,7 @@ class Broker:
                 self.session.retire_idle()
                 if self._closing:
                     self._stop.set()   # drained
-        return step
+        return due
 
     def _admit(self, execution):
         """Enter one execution into the session as a :class:`GraphRun`
@@ -628,10 +628,8 @@ class Broker:
                     tune_pipeline(execution.payload))
             else:
                 graph = JobGraph.from_pipeline(execution.payload)
-            execution.graph = GraphRun(
-                self.session, graph, priority=priority,
-                tenant=execution.tenant,
-            )
+            execution.graph = GraphRun(self.session, graph,
+                                       priority=priority)
             execution.graph.start()
             if execution.kind == "run" and not execution.graph.done:
                 self._cache_rechecks += 1
@@ -640,14 +638,6 @@ class Broker:
                 execution.graph.cancel()
             self._start(execution)
             self._complete(execution, "failed", error=str(exc))
-
-    def _owner(self, ticket):
-        """The execution a session ticket belongs to (``None`` if gone)."""
-        return next(
-            (e for e in self._inflight.values()
-             if e.graph is not None and ticket in e.graph.live),
-            None,
-        )
 
     def _live_jobs(self, execution):
         """The attached jobs of an execution that are not yet terminal."""
@@ -714,8 +704,6 @@ class Broker:
         if execution.canceled:
             self._complete(execution, "canceled")
             return
-        if execution.state != "running":
-            self._start(execution)   # settled without launching a run
         outcomes = execution.graph.outcomes()
         state, payload, error, attempts = "done", None, None, 1
         if execution.kind == "run":

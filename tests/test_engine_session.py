@@ -26,7 +26,7 @@ from repro.exec import (
 from repro.exec.engine import GraphRun
 from repro.faults import noise_plan
 from repro.obs.telemetry import TelemetryBus, read_records, validate_file
-from repro.pipeline import JobGraph
+from repro.pipeline import JobGraph, PipelineNode, PipelineSpec
 
 
 def small_spec(variant="mpi_only", **overrides):
@@ -44,10 +44,9 @@ def small_spec(variant="mpi_only", **overrides):
     )
 
 
-def admit(session, spec, *, priority=0.0, tenant=None):
+def admit(session, spec, *, priority=0.0):
     """Admit ``spec`` as a one-node job graph; returns its ticket."""
-    run = GraphRun(session, JobGraph.from_specs([spec]),
-                   priority=priority, tenant=tenant)
+    run = GraphRun(session, JobGraph.from_specs([spec]), priority=priority)
     run.start()
     return run.first
 
@@ -201,8 +200,8 @@ def test_session_close_cancels_and_emits_stream(tmp_path, monkeypatch):
         jobs=1, runner=_holding_runner, telemetry=TelemetryBus(stream),
     )
     session = engine.session()
-    first = admit(session, small_spec(checksum_freq=2), tenant="alice")
-    second = admit(session, small_spec(checksum_freq=3), tenant="bob")
+    first = admit(session, small_spec(checksum_freq=2))
+    second = admit(session, small_spec(checksum_freq=3))
     pump(session, until=lambda: session.busy_slots == 1)
     session.close()
     assert session.outcome(first).status == "canceled"
@@ -217,9 +216,27 @@ def test_session_close_cancels_and_emits_stream(tmp_path, monkeypatch):
     assert records[0]["graph"] == "session"
     assert types[-1] == "engine_stop"
     assert records[-1]["canceled"] == 2
-    # Tenant attribution rides on the session's job records.
-    queued = [r for r in records if r["type"] == "job_queued"]
-    assert {r.get("tenant") for r in queued} == {"alice", "bob"}
+
+
+def test_a_session_routes_a_finished_run_to_its_graph():
+    # The caller only polls and waits: the poll hands a's outcome to its
+    # graph, which admits b.
+    chain = PipelineSpec(name="chain", nodes=(
+        PipelineNode("a", run=small_spec()),
+        PipelineNode("b", run=small_spec(checksum_freq=3), after=("a",)),
+    ))
+    session = SweepEngine(jobs=1).session()
+    try:
+        run = GraphRun(session, JobGraph.from_pipeline(chain))
+        run.start()
+        deadline = time.monotonic() + 10
+        while not run.done:
+            assert time.monotonic() < deadline, "b was never admitted"
+            due = session.poll()
+            session.wait(due, 0.5)
+        assert [o.status for o in run.outcomes()] == ["ok", "ok"]
+    finally:
+        session.close()
 
 
 def test_session_close_flushes_the_stats_store(tmp_path):

@@ -21,6 +21,7 @@ import pytest
 
 from repro import AmrConfig, RunSpec, sphere
 from repro.exec import ResultCache, SweepEngine, run_spec_dict
+from repro.pipeline import register_generator
 from repro.serve import (
     Broker,
     JobRecord,
@@ -86,6 +87,17 @@ def _sleeping_runner(spec_dict):
     """Outlives any test timeout; the engine must kill it."""
     time.sleep(60)
     return run_spec_dict(spec_dict)
+
+
+_SLOW_NODE_STARTED = threading.Event()
+
+
+@register_generator("test.serve_slow_analysis")
+def _slow_analysis(params, deps):
+    """An analysis node that takes 1.5 s to build in the broker."""
+    _SLOW_NODE_STARTED.set()
+    time.sleep(1.5)
+    return {"done": True}
 
 
 def executions(marker_dir, fingerprint=None) -> int:
@@ -918,6 +930,34 @@ def test_a_new_served_run_counts_one_cache_miss(tmp_path, marker_dir):
         wait_terminal(broker, [job_id])
         cache = broker.metrics()["cache"]
         assert (cache["hits"], cache["misses"]) == (0, 1)
+    finally:
+        broker.shutdown(drain_timeout=5.0)
+
+
+def test_a_slow_successor_node_does_not_block_submit(tmp_path, marker_dir):
+    """A successor's generator builds while the session routes, off the
+    broker lock, so a submit meanwhile answers at once."""
+    from repro.pipeline import PipelineNode, PipelineSpec
+
+    pipeline = PipelineSpec(name="slow-successor", nodes=(
+        PipelineNode("root", run=small_spec()),
+        PipelineNode("slow", generator="test.serve_slow_analysis",
+                     after=("root",)),
+    ))
+    _SLOW_NODE_STARTED.clear()
+    broker = make_broker(tmp_path, jobs=1)
+    broker.start()
+    try:
+        first = broker.submit(
+            submit_body(pipeline, kind="pipeline"))["job"]["id"]
+        assert _SLOW_NODE_STARTED.wait(30), "the slow node never built"
+        t0 = time.monotonic()
+        second = broker.submit(
+            submit_body(small_spec(checksum_freq=3)))["job"]["id"]
+        elapsed = time.monotonic() - t0
+        assert elapsed < 0.5, f"submit blocked for {elapsed:.2f}s"
+        assert [j.state for j in wait_terminal(broker, [first, second])] == [
+            "done", "done"]
     finally:
         broker.shutdown(drain_timeout=5.0)
 

@@ -15,10 +15,6 @@ import numpy as np
 from .ids import BlockId, LO
 
 
-def _plane_axes(axis):
-    return tuple(a for a in range(3) if a != axis)
-
-
 class Block:
     """One mesh block: id plus payload."""
 

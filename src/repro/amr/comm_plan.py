@@ -11,9 +11,10 @@ identical message groupings and tags independently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
-from .ids import HI, LO, face_quadrant
+from .ids import face_quadrant
 from .mesh import MeshStructure
 
 #: Tag sub-space stride per direction (Section IV-A: distinct tag space per
@@ -46,6 +47,10 @@ class FaceTransfer(NamedTuple):
     nbytes: int
 
 
+#: Sort key of a transfer list: ``(dst, side, src)``.
+_DST_SIDE_SRC = itemgetter(1, 3, 0)
+
+
 @dataclass
 class DirectionPlan:
     """All transfers of one rank for one direction (axis)."""
@@ -55,46 +60,34 @@ class DirectionPlan:
     sends: dict  # peer rank -> [FaceTransfer] (deterministic order)
     recvs: dict  # peer rank -> [FaceTransfer]
 
-    def total_send_bytes(self) -> int:
-        return sum(t.nbytes for ts in self.sends.values() for t in ts)
-
-
-def _transfer_sort_key(t: FaceTransfer):
-    return (t.dst, t.side, t.src)
-
 
 def build_global_transfers(structure: MeshStructure, config, nvars: int):
-    """Every face transfer of the current mesh, grouped per (axis)."""
+    """Every face transfer of the current mesh, grouped per (axis) and
+    sorted by ``(dst, side, src)``; built with no constructor frame."""
     per_axis = {0: [], 1: [], 2: []}
     nbytes = {
         (axis, cross): config.face_bytes(axis, nvars, cross)
         for axis in (0, 1, 2)
         for cross in (False, True)
     }
+    new = tuple.__new__
     for dst in sorted(structure.active):
-        for axis in (0, 1, 2):
-            for side in (LO, HI):
-                for src, rel_dst in structure.face_neighbors(dst, axis, side):
-                    if rel_dst == "same":
-                        rel, quadrant = "same", ()
-                        cross = False
-                    elif rel_dst == "finer":
-                        # Source is finer than destination: it restricts
-                        # its face; the quarter lands in the quadrant the
-                        # finer block occupies on our coarse face.
-                        rel = "finer"
-                        quadrant = face_quadrant(src, axis)
-                        cross = True
-                    else:  # source coarser: sends our quadrant of its face
-                        rel = "coarser"
-                        quadrant = face_quadrant(dst, axis)
-                        cross = True
-                    per_axis[axis].append(
-                        FaceTransfer(src, dst, axis, side, rel, quadrant,
-                                     nbytes[axis, cross])
-                    )
-    for axis in per_axis:
-        per_axis[axis].sort(key=_transfer_sort_key)
+        for axis, side, src, rel in structure.all_neighbors(dst):
+            if rel == "same":
+                quadrant = ()
+            elif rel == "finer":
+                # Source is finer than destination: it restricts its face;
+                # the quarter lands in the quadrant the finer block
+                # occupies on our coarse face.
+                quadrant = face_quadrant(src, axis)
+            else:  # source coarser: sends our quadrant of its face
+                quadrant = face_quadrant(dst, axis)
+            per_axis[axis].append(new(FaceTransfer, (
+                src, dst, axis, side, rel, quadrant,
+                nbytes[axis, rel != "same"],
+            )))
+    for transfers in per_axis.values():
+        transfers.sort(key=_DST_SIDE_SRC)
     return per_axis
 
 

@@ -9,6 +9,7 @@ siblings back into their parent.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import NamedTuple
 
 #: Axis indices.
@@ -21,6 +22,10 @@ LO, HI = 0, 1
 FACES = tuple((axis, side) for axis in (X, Y, Z) for side in (LO, HI))
 #: The two in-plane axes of each face normal, in increasing order.
 _PLANE_AXES = ((Y, Z), (X, Z), (X, Y))
+#: Child offsets (di, dj, dk) in octant order (z fastest).
+OCTANTS = tuple(product((0, 1), repeat=3))
+#: Builds an id with no Python constructor frame: ``_new(BlockId, fields)``.
+_new = tuple.__new__
 
 
 class BlockId(NamedTuple):
@@ -45,20 +50,16 @@ class BlockId(NamedTuple):
         return (self.i, self.j, self.k)
 
     def parent(self) -> "BlockId":
-        if self.level == 0:
+        level, i, j, k = self
+        if level == 0:
             raise ValueError("root blocks have no parent")
-        return BlockId(self.level - 1, self.i // 2, self.j // 2, self.k // 2)
+        return _new(BlockId, (level - 1, i >> 1, j >> 1, k >> 1))
 
     def children(self):
         """The 8 children, in octant order (z fastest)."""
-        level = self.level + 1
-        base = (self.i * 2, self.j * 2, self.k * 2)
-        return [
-            BlockId(level, base[0] + di, base[1] + dj, base[2] + dk)
-            for di in (0, 1)
-            for dj in (0, 1)
-            for dk in (0, 1)
-        ]
+        level, i, j, k = self
+        return [_new(BlockId, (level + 1, 2 * i + di, 2 * j + dj, 2 * k + dk))
+                for di, dj, dk in OCTANTS]
 
     def octant(self) -> int:
         """Index of this block within its sibling group (0..7)."""
@@ -90,10 +91,11 @@ class Grid:
 
     def bounds(self, bid: BlockId):
         """Axis-aligned bounding box ((x0,x1),(y0,y1),(z0,z1)) in [0,1]³."""
-        dims = self.dims_at(bid.level)
-        return tuple(
-            (c / d, (c + 1) / d) for c, d in zip(bid.coords, dims)
-        )
+        level, i, j, k = bid
+        rx, ry, rz = self.root_dims
+        dx, dy, dz = rx << level, ry << level, rz << level
+        return ((i / dx, (i + 1) / dx), (j / dy, (j + 1) / dy),
+                (k / dz, (k + 1) / dz))
 
     def face_coord(self, bid: BlockId, axis: int, side: int):
         """Same-level neighbor coordinates across a face, or None at the
@@ -131,18 +133,23 @@ class Grid:
         shift = max_level - bid.level
         if shift < 0:
             raise ValueError("bid.level exceeds max_level")
-        fi, fj, fk = (c << shift for c in bid.coords)
-        return (_morton3(fi, fj, fk), bid.level)
+        return (_morton3(bid.i << shift, bid.j << shift, bid.k << shift),
+                bid.level)
+
+
+#: ``_SPREAD[b]``: the 8 bits of ``b`` with two zero bits between each.
+_SPREAD = tuple(sum((b >> t & 1) << 3 * t for t in range(8))
+                for b in range(256))
 
 
 def _part1by2(n: int) -> int:
     """Spread the bits of ``n`` so there are two zero bits between each."""
     result = 0
-    bit = 0
+    shift = 0
     while n:
-        result |= (n & 1) << (3 * bit)
-        n >>= 1
-        bit += 1
+        result |= _SPREAD[n & 0xFF] << shift
+        n >>= 8
+        shift += 24
     return result
 
 

@@ -14,7 +14,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ids import FACES, BlockId, Grid
+from .ids import FACES, OCTANTS, BlockId, Grid
+
+_new = tuple.__new__
+#: Per face, in ``FACES`` order: axis, side, the (di, dj, dk) step to the
+#: same-level slot, and the offsets of the slot's 4 children touching it.
+_FACE_WALK = tuple(
+    (axis, side, tuple((2 * side - 1) * (a == axis) for a in range(3)),
+     tuple(o for o in OCTANTS if o[axis] == 1 - side))
+    for axis, side in FACES
+)
 
 
 class MeshStructure:
@@ -72,36 +81,40 @@ class MeshStructure:
         self.owner[bid] = rank
 
     def face_neighbors(self, bid: BlockId, axis: int, side: int):
-        """Active neighbors across one face.
-
-        Returns a list of ``(neighbor_id, relation)`` with relation in
-        ``{"same", "coarser", "finer"}`` — one same-level or coarser
-        neighbor, four finer ones, or an empty list at the domain boundary.
-        """
-        slot = self.grid.face_coord(bid, axis, side)
-        if slot is None:
-            return []
-        if slot in self.active:
-            return [(slot, "same")]
-        if slot.level > 0:
-            parent = slot.parent()
-            if parent in self.active:
-                return [(parent, "coarser")]
-        finer = self.grid.finer_face_neighbors(slot, axis, side)
-        present = [(c, "finer") for c in finer if c in self.active]
-        if len(present) == len(finer):
-            return present
-        raise RuntimeError(
-            f"mesh inconsistent at {bid} face ({axis},{side}): "
-            f"slot {slot} neither active, coarser-covered, nor fully refined"
-        )
+        """``(neighbor_id, relation)`` pairs across one face, read off
+        :meth:`all_neighbors`."""
+        return [(n, rel) for a, s, n, rel in self.all_neighbors(bid)
+                if a == axis and s == side]
 
     def all_neighbors(self, bid: BlockId):
-        """(axis, side, neighbor, relation) over all six faces."""
+        """``(axis, side, neighbor, relation)`` over the six faces in
+        ``FACES`` order: one same-level or coarser neighbor, four finer
+        ones, or none at the domain boundary.  One walk per block, and ids
+        are built without a constructor frame."""
+        active = self.active
+        level, bi, bj, bk = bid
+        rx, ry, rz = self.grid.root_dims
+        dx, dy, dz = rx << level, ry << level, rz << level
         result = []
-        for axis, side in FACES:
-            for nbid, rel in self.face_neighbors(bid, axis, side):
-                result.append((axis, side, nbid, rel))
+        for axis, side, (si, sj, sk), offsets in _FACE_WALK:
+            i, j, k = bi + si, bj + sj, bk + sk
+            if not (0 <= i < dx and 0 <= j < dy and 0 <= k < dz):
+                continue
+            slot = _new(BlockId, (level, i, j, k))
+            if slot in active:
+                result.append((axis, side, slot, "same"))
+                continue
+            parent = _new(BlockId, (level - 1, i >> 1, j >> 1, k >> 1))
+            if level and parent in active:
+                result.append((axis, side, parent, "coarser"))
+                continue
+            finer = [_new(BlockId, (level + 1, 2 * i + di, 2 * j + dj,
+                                    2 * k + dk)) for di, dj, dk in offsets]
+            if not active.issuperset(finer):
+                raise RuntimeError(
+                    f"mesh inconsistent at {bid} face ({axis},{side}): slot "
+                    f"{slot} neither active, coarser-covered, nor refined")
+            result.extend((axis, side, c, "finer") for c in finer)
         return result
 
     def open_faces(self, bid: BlockId):
@@ -199,11 +212,19 @@ def plan_refinement(
 
 
 def _enforce_group_coarsening(structure, delta):
-    """A block may only coarsen when all 8 siblings exist and agree."""
-    for bid in list(delta):
-        if delta[bid] != -1:
+    """A block may only coarsen when all 8 siblings exist and agree.
+
+    A check changes only its own group's entries, so each group is
+    checked once."""
+    checked = set()
+    for bid, d in delta.items():
+        if d != -1:
             continue
-        siblings = bid.sibling_group()
+        parent = bid.parent()
+        if parent in checked:
+            continue
+        checked.add(parent)
+        siblings = parent.children()
         if not all(s in structure.active and delta.get(s) == -1
                    for s in siblings):
             for s in siblings:

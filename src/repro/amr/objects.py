@@ -67,6 +67,7 @@ class MovingObject:
 
     def __init__(self, spec: ObjectSpec):
         self.spec = spec
+        self._solid = spec.shape.solid
         self.center = list(spec.center)
         self.size = list(spec.size)
         self.move = list(spec.move)
@@ -121,11 +122,22 @@ class MovingObject:
         raise ValueError(f"unhandled shape {shape}")  # pragma: no cover
 
     def refine_trigger(self, bounds) -> bool:
-        """Whether a block with ``bounds`` must be refined for this object."""
+        """Whether a block with ``bounds`` must be refined for this object.
+
+        Every shape lies within ``center ± |size|``, so a box past that
+        (by a 1e-9 relative margin) on any axis returns at once.  Exact:
+        there :meth:`classify` reads OUTSIDE, as rounding is monotonic and
+        an ellipse term ``((lo - c) / size) ** 2`` exceeds 1."""
+        for a in (0, 1, 2):
+            lo, hi = bounds[a]
+            c = self.center[a]
+            reach = abs(self.size[a]) * (1 + 1e-9)
+            if lo - c > reach or c - hi > reach:
+                return False
         cls = self.classify(bounds)
         if cls is Classification.SURFACE:
             return True
-        return self.spec.shape.solid and cls is Classification.INSIDE
+        return self._solid and cls is Classification.INSIDE
 
     # ------------------------------------------------------------------
     # Shape primitives

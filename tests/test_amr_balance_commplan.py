@@ -22,7 +22,8 @@ from repro.amr import (
     sfc_order,
     sphere,
 )
-from repro.amr.comm_plan import DIRECTION_TAG_STRIDE
+from repro.amr.comm_plan import DIRECTION_TAG_STRIDE, FaceTransfer
+from repro.amr.ids import face_quadrant
 
 
 def config(**kw):
@@ -171,6 +172,45 @@ def test_finer_transfer_has_four_siblings_per_coarse_face():
         by_dst_side.setdefault((t.dst, t.side), set()).add(t.quadrant)
     for quadrants in by_dst_side.values():
         assert quadrants == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+
+def _reference_transfers(s, cfg, nvars):
+    """Per-face ``face_neighbors``, the ``FaceTransfer`` constructor and a
+    sort on ``(dst, side, src)``."""
+    per_axis = {0: [], 1: [], 2: []}
+    for dst in sorted(s.active):
+        for axis in (0, 1, 2):
+            for side in (0, 1):
+                for src, rel in s.face_neighbors(dst, axis, side):
+                    if rel == "same":
+                        quadrant = ()
+                    elif rel == "finer":
+                        quadrant = face_quadrant(src, axis)
+                    else:
+                        quadrant = face_quadrant(dst, axis)
+                    per_axis[axis].append(FaceTransfer(
+                        src, dst, axis, side, rel, quadrant,
+                        cfg.face_bytes(axis, nvars, rel != "same"),
+                    ))
+    for transfers in per_axis.values():
+        transfers.sort(key=lambda t: (t.dst, t.side, t.src))
+    return per_axis
+
+
+def test_global_transfers_match_the_per_face_reference():
+    cfg = config()
+    s = MeshStructure(cfg)
+    objects = [MovingObject(sphere(center=(0.05, 0.05, 0.05), radius=0.08))]
+    for _ in range(2):
+        apply_plan(s, plan_refinement(s, objects))
+    assert {b.level for b in s.active} == {0, 1, 2}
+    got = build_global_transfers(s, cfg, cfg.num_vars)
+    expected = _reference_transfers(s, cfg, cfg.num_vars)
+    assert got == expected
+    for axis in (0, 1, 2):
+        assert all(type(t) is FaceTransfer for t in got[axis])
+    assert {t.rel for ts in got.values() for t in ts} == {
+        "same", "finer", "coarser"}
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from repro.amr.ids import (
     LO,
     BlockId,
     Grid,
+    _part1by2,
     face_quadrant,
 )
 
@@ -109,6 +110,19 @@ def test_morton_parent_sorts_before_children():
     keys = [grid.morton_key(c, 3) for c in parent.children()]
     pkey = grid.morton_key(parent, 3)
     assert pkey < min(keys)
+
+
+def _part1by2_bitwise(n):
+    """Reference: bit ``t`` of ``n`` moves to bit ``3 * t``."""
+    return sum(((n >> t) & 1) << (3 * t) for t in range(n.bit_length()))
+
+
+def test_part1by2_matches_bitwise_reference():
+    for n in range(4096):
+        assert _part1by2(n) == _part1by2_bitwise(n)
+    for n in (2**20, 2**20 + 12345, 2**40 - 1, 2**40, 2**40 + 2**33 + 7,
+              2**63 + 1):
+        assert _part1by2(n) == _part1by2_bitwise(n)
 
 
 def test_morton_key_rejects_too_deep():

@@ -5,15 +5,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.amr import (
+    FACES,
     AmrConfig,
     BlockId,
     MeshStructure,
     MovingObject,
     PlanBoard,
+    RefinePlan,
     apply_plan,
     plan_refinement,
     sphere,
 )
+from repro.amr.mesh import _enforce_group_coarsening
 
 
 def config(**kw):
@@ -73,6 +76,103 @@ def test_face_neighbors_same_level():
 def test_face_neighbors_domain_boundary():
     s = MeshStructure(config())
     assert s.face_neighbors(BlockId(0, 0, 0, 0), 0, 0) == []
+
+
+def _three_level_mesh():
+    """Levels 0, 1 and 2 in one corner, 2:1 balanced."""
+    s = MeshStructure(config(max_refine_level=2))
+    objects = [MovingObject(sphere(center=(0.05, 0.05, 0.05), radius=0.08))]
+    for _ in range(2):
+        apply_plan(s, plan_refinement(s, objects))
+    return s
+
+
+def _face_reference(s, bid, axis, side):
+    """One face's neighbors the per-face way: the same-level slot, its
+    parent, or the slot's four children that touch the face."""
+    slot = s.grid.face_coord(bid, axis, side)
+    if slot is None:
+        return []
+    if slot in s.active:
+        return [(slot, "same")]
+    if slot.level > 0 and slot.parent() in s.active:
+        return [(slot.parent(), "coarser")]
+    finer = s.grid.finer_face_neighbors(slot, axis, side)
+    if not all(c in s.active for c in finer):
+        raise RuntimeError("mesh inconsistent")
+    return [(c, "finer") for c in finer]
+
+
+def test_all_neighbors_is_the_six_face_lists_concatenated():
+    s = _three_level_mesh()
+    assert {b.level for b in s.active} == {0, 1, 2}
+    rels = set()
+    boundary = 0
+    for bid in s.active:
+        expected = []
+        for axis, side in FACES:
+            face = _face_reference(s, bid, axis, side)
+            assert s.face_neighbors(bid, axis, side) == face
+            expected += [(axis, side, nbid, rel) for nbid, rel in face]
+            boundary += s.grid.face_coord(bid, axis, side) is None
+        assert s.all_neighbors(bid) == expected
+        rels.update(rel for _a, _s, _n, rel in expected)
+    assert rels == {"same", "coarser", "finer"}
+    assert boundary > 0
+
+
+def test_all_neighbors_raises_where_a_slot_is_partly_refined():
+    s = _three_level_mesh()
+    s.active.discard(next(b for b in sorted(s.active) if b.level == 2))
+    raised = 0
+    for bid in sorted(s.active):
+        try:
+            expected = [
+                (axis, side, nbid, rel)
+                for axis, side in FACES
+                for nbid, rel in _face_reference(s, bid, axis, side)
+            ]
+        except RuntimeError:
+            with pytest.raises(RuntimeError, match="mesh inconsistent"):
+                s.all_neighbors(bid)
+            raised += 1
+        else:
+            assert s.all_neighbors(bid) == expected
+    assert raised
+
+
+def _one_refined_group(max_refine_level=1):
+    """Root (0,0,0,0) split into its 8 children; every level-1 block -1."""
+    s = MeshStructure(config(max_refine_level=max_refine_level))
+    apply_plan(s, RefinePlan(refine={BlockId(0, 0, 0, 0)}))
+    delta = {b: -1 if b.level else 0 for b in s.active}
+    return s, delta
+
+
+def test_group_coarsening_keeps_a_group_that_agrees():
+    s, delta = _one_refined_group()
+    _enforce_group_coarsening(s, delta)
+    group = BlockId(0, 0, 0, 0).children()
+    assert all(delta[b] == -1 for b in group)
+    assert sum(1 for d in delta.values() if d == -1) == 8
+
+
+def test_group_coarsening_cancels_the_group_when_one_sibling_disagrees():
+    s, delta = _one_refined_group()
+    group = BlockId(0, 0, 0, 0).children()
+    delta[group[5]] = 0
+    _enforce_group_coarsening(s, delta)
+    assert all(delta[b] == 0 for b in group)
+
+
+def test_group_coarsening_cancels_a_group_with_a_refined_sibling():
+    s, _ = _one_refined_group(max_refine_level=2)
+    group = BlockId(0, 0, 0, 0).children()
+    apply_plan(s, RefinePlan(refine={group[7]}))
+    delta = {b: -1 if b.level else 0 for b in s.active}
+    _enforce_group_coarsening(s, delta)
+    assert all(delta[b] == 0 for b in group[:7])
+    assert all(delta[b] == -1 for b in group[7].children())
 
 
 def test_open_faces_at_corner():

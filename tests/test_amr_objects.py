@@ -1,5 +1,8 @@
 """Tests for moving objects, intersection classification, and movement."""
 
+import math
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -205,3 +208,54 @@ def test_property_spheroid_classification_consistent(cx, cy, cz, r, x0, w):
         assert inside_count == len(probes)
     elif cls is OUTSIDE:
         assert inside_count == 0
+
+
+# ----------------------------------------------------------------------
+# refine_trigger: the extent exit agrees with the classify-based rule
+# ----------------------------------------------------------------------
+def _classify_rule(o, bounds):
+    cls = o.classify(bounds)
+    return cls is SURFACE or (o.spec.shape.solid and cls is INSIDE)
+
+
+def _edge_boxes(o, rng):
+    """Boxes whose edge on one axis sits at ``center ± size`` exactly, at
+    the extent exit's threshold, or one ``nextafter`` to either side of
+    either, with the other axes straddling the centre."""
+    for axis in range(3):
+        c, s = o.center[axis], o.size[axis]
+        for edge in (c - s, c + s, c - s * (1 + 1e-9), c + s * (1 + 1e-9)):
+            for x in (math.nextafter(edge, -1.0), edge,
+                      math.nextafter(edge, 2.0)):
+                width = rng.uniform(1e-3, 0.2)
+                for lo, hi in ((x, x + width), (x - width, x)):
+                    bounds = []
+                    for a in range(3):
+                        if a == axis:
+                            bounds.append((lo, hi))
+                        else:
+                            w = rng.uniform(0.0, o.size[a])
+                            bounds.append((o.center[a] - w, o.center[a] + w))
+                    yield tuple(bounds)
+
+
+def test_refine_trigger_matches_classify_for_every_shape():
+    rng = random.Random(20)
+    checked = 0
+    for shape in Shape:
+        for _ in range(4):
+            o = obj(shape,
+                    center=tuple(rng.uniform(0.2, 0.8) for _ in range(3)),
+                    size=tuple(rng.uniform(0.02, 0.3) for _ in range(3)))
+            boxes = list(_edge_boxes(o, rng))
+            for _ in range(300):
+                box = []
+                for _a in range(3):
+                    lo = rng.uniform(0.0, 1.0)
+                    box.append((lo, lo + rng.uniform(1e-3, 0.3)))
+                boxes.append(tuple(box))
+            for bounds in boxes:
+                assert o.refine_trigger(bounds) == _classify_rule(o, bounds), (
+                    shape, o.center, o.size, bounds)
+                checked += 1
+    assert checked == 16 * 4 * (3 * 4 * 3 * 2 + 300)

@@ -31,7 +31,6 @@ from .comm_plan import (
     FaceTransfer,
     build_all_rank_plans,
     build_global_transfers,
-    build_rank_plan,
     direction_tag,
     group_nbytes,
     message_groups,
@@ -92,7 +91,6 @@ __all__ = [
     "apply_plan",
     "build_all_rank_plans",
     "build_global_transfers",
-    "build_rank_plan",
     "consolidate_blocks",
     "cross_level_face_fraction",
     "direction_tag",

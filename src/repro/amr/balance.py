@@ -97,22 +97,6 @@ class MovePlan:
     def is_empty(self) -> bool:
         return not self.moves
 
-    def outgoing(self, rank: int):
-        """Moves leaving ``rank``, in deterministic order."""
-        return sorted(
-            (bid, dst)
-            for bid, (src, dst) in self.moves.items()
-            if src == rank
-        )
-
-    def incoming(self, rank: int):
-        """Moves arriving at ``rank``, in deterministic order."""
-        return sorted(
-            (bid, src)
-            for bid, (src, dst) in self.moves.items()
-            if dst == rank
-        )
-
     def __len__(self):
         return len(self.moves)
 

@@ -91,36 +91,12 @@ def build_global_transfers(structure: MeshStructure, config, nvars: int):
     return per_axis
 
 
-def build_rank_plan(structure, config, nvars, rank, global_transfers=None):
-    """Slice the global transfer list into one rank's DirectionPlans."""
-    if global_transfers is None:
-        global_transfers = build_global_transfers(structure, config, nvars)
-    plans = []
-    owner = structure.owner
-    for axis in (0, 1, 2):
-        local = []
-        sends = {}
-        recvs = {}
-        for t in global_transfers[axis]:
-            src_rank = owner[t.src]
-            dst_rank = owner[t.dst]
-            if src_rank == rank and dst_rank == rank:
-                local.append(t)
-            elif src_rank == rank:
-                sends.setdefault(dst_rank, []).append(t)
-            elif dst_rank == rank:
-                recvs.setdefault(src_rank, []).append(t)
-        plans.append(
-            DirectionPlan(axis=axis, local=local, sends=sends, recvs=recvs)
-        )
-    return plans
-
-
 def build_all_rank_plans(structure, config, nvars):
     """One pass over the global transfers → ``{rank: [DirectionPlan x3]}``.
 
-    Equivalent to calling :func:`build_rank_plan` per rank but O(transfers)
-    instead of O(ranks × transfers); used by the per-epoch plan cache.
+    O(transfers): each transfer lands in its source's ``local`` list, or
+    in its source's ``sends`` and its destination's ``recvs``; used by the
+    per-epoch plan cache.
     """
     global_transfers = build_global_transfers(structure, config, nvars)
     ranks = range(structure.config.num_ranks)

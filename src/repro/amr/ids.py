@@ -61,10 +61,6 @@ class BlockId(NamedTuple):
         return [_new(BlockId, (level + 1, 2 * i + di, 2 * j + dj, 2 * k + dk))
                 for di, dj, dk in OCTANTS]
 
-    def octant(self) -> int:
-        """Index of this block within its sibling group (0..7)."""
-        return ((self.i & 1) << 2) | ((self.j & 1) << 1) | (self.k & 1)
-
     def sibling_group(self):
         """All 8 blocks sharing this block's parent."""
         if self.level == 0:
@@ -84,10 +80,6 @@ class Grid:
     def dims_at(self, level: int):
         """Grid slots per dimension at ``level``."""
         return tuple(d << level for d in self.root_dims)
-
-    def contains(self, bid: BlockId) -> bool:
-        dims = self.dims_at(bid.level)
-        return all(0 <= c < d for c, d in zip(bid.coords, dims))
 
     def bounds(self, bid: BlockId):
         """Axis-aligned bounding box ((x0,x1),(y0,y1),(z0,z1)) in [0,1]³."""
@@ -109,20 +101,6 @@ class Grid:
         if axis == Y:
             return BlockId(level, bid.i, c, bid.k)
         return BlockId(level, bid.i, bid.j, c)
-
-    def finer_face_neighbors(self, neighbor_slot: BlockId, axis: int,
-                             side: int):
-        """The 4 children of ``neighbor_slot`` touching our shared face.
-
-        ``side`` is the face side *on the original block*; the children we
-        want sit on the opposite side of the neighbor slot.
-        """
-        touching = []
-        want = 0 if side == HI else 1  # child coord parity on that axis
-        for child in neighbor_slot.children():
-            if (child.coords[axis] & 1) == want:
-                touching.append(child)
-        return touching
 
     def morton_key(self, bid: BlockId, max_level: int):
         """Space-filling-curve sort key (Morton order at ``max_level``).

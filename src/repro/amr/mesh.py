@@ -165,10 +165,6 @@ class RefinePlan:
     def is_empty(self) -> bool:
         return not self.refine and not self.coarsen_parents
 
-    def block_delta(self) -> int:
-        """Net change in the number of active blocks."""
-        return 7 * len(self.refine) - 7 * len(self.coarsen_parents)
-
 
 def plan_refinement(
     structure: MeshStructure, objects, uniform: bool = False

@@ -75,11 +75,23 @@ class MovingObject:
 
     # ------------------------------------------------------------------
     def advance(self, timesteps: int = 1):
-        """Advance position and size by ``timesteps`` steps."""
-        for _ in range(timesteps):
+        """Advance position and size by ``timesteps`` steps.
+
+        Raises :class:`ValueError` when ``grow`` would take a size to 0 or
+        below: no shape has such a size (the ellipse tests divide by it,
+        and a negative one inverts the box tests).
+        """
+        for step in range(1, timesteps + 1):
             for a in range(3):
+                size = self.size[a] + self.grow[a]
+                if size <= 0:
+                    raise ValueError(
+                        f"{self.spec.shape.name} object shrinks to size "
+                        f"{size!r} on axis {a} at step {step} of "
+                        f"advance({timesteps}) (grow {self.grow[a]!r})"
+                    )
                 self.center[a] += self.move[a]
-                self.size[a] += self.grow[a]
+                self.size[a] = size
                 if self.spec.bounce:
                     # Reflect when the object's extent crosses the domain.
                     if self.center[a] - self.size[a] < 0.0 and self.move[a] < 0:

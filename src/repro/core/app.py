@@ -88,9 +88,17 @@ class BaseRankProgram:
         self.comm = comm
         self.rt = runtime
         self.env = comm.env
-        self.cost = shared.spec.cost
+        self.cost = cost = shared.spec.cost
         self.numa = shared.machine.placement(rank).spans_numa
         self.profiler = runtime.profiler
+        # Bound once: every inline charge and face copy reads them.  The
+        # runtime has already layered any fault injector onto its noise,
+        # so faults stretch inline charges too.
+        self._stretch = runtime.noise.stretch
+        bw = cost.copy_bandwidth
+        if self.numa:
+            bw /= cost.numa_penalty
+        self._copy_bandwidth = bw
 
         self.blocks = {}
         for bid in shared.structure.blocks_of_rank(rank):
@@ -126,7 +134,7 @@ class BaseRankProgram:
         """
         if seconds <= 0:
             return DONE
-        delay = self.rt.noise.stretch(seconds)
+        delay = self._stretch(seconds)
         if self.profiler is not None:
             t0 = self.env.now
             self.profiler.inline_busy(self.rank, t0, t0 + delay)
@@ -141,7 +149,8 @@ class BaseRankProgram:
         )
 
     def copy_cost(self, nbytes) -> float:
-        return self.cost.copy_time(nbytes, numa=self.numa)
+        # The division CostSpec.copy_time makes, with its bandwidth bound.
+        return nbytes / self._copy_bandwidth
 
     def checksum_cost(self, nvars) -> float:
         nbytes = self.cfg.cells_per_block * nvars * 8
@@ -207,9 +216,10 @@ class BaseRankProgram:
     # ------------------------------------------------------------------
     def make_face_payload(self, transfer, vslice):
         """Extract (and restrict if needed) the source face of a transfer."""
-        self.touch_block(READ, transfer.src, vslice)
+        if self.rt.witness is not None:
+            self.touch_block(READ, transfer.src, vslice)
         src = self.blocks[transfer.src]
-        if not src.is_real:
+        if src.data is None:  # synthetic: no face to copy
             return None
         src_side = LO if transfer.side == HI else HI
         if transfer.rel == "same":
@@ -227,9 +237,10 @@ class BaseRankProgram:
         # Touched even when synthetic payloads skip the array write: the
         # algorithm's access pattern is the same, so the witness stays
         # useful in synthetic mode.
-        self.touch_block(WRITE, transfer.dst, vslice)
+        if self.rt.witness is not None:
+            self.touch_block(WRITE, transfer.dst, vslice)
         dst = self.blocks[transfer.dst]
-        if not dst.is_real or plane is None:
+        if dst.data is None or plane is None:
             return
         if transfer.rel == "same":
             dst.insert_ghost(transfer.axis, transfer.side, vslice, plane)

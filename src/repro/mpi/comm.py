@@ -107,6 +107,8 @@ class World:
         #: jitter, loss retransmissions) to every point-to-point message.
         self.faults = faults
         self.size = machine.num_ranks
+        #: Each rank's node (``machine.node_of``, read once per message).
+        self._node_of = [machine.node_of(r) for r in range(self.size)]
         #: Directed channels, keyed by the packed int ``(src << 16) | dst``
         #: instead of a pair: one small-int hash per message rather than a
         #: tuple allocation + tuple hash on the hottest send path.
@@ -142,7 +144,8 @@ class World:
         """
         env = self.env
         now = env._now
-        same_node = self.machine.same_node(src, dst)
+        node_of = self._node_of
+        same_node = node_of[src] == node_of[dst]
         nic_free = self._nic_free
         free = nic_free[src]
         inject_start = free if free > now else now
@@ -344,31 +347,29 @@ class RankComm:
     def __init__(self, world: World, rank: int):
         self.world = world
         self.rank = rank
-
-    @property
-    def env(self):
-        return self.world.env
+        self.env = world.env
 
     def _trace(self, name, t0):
-        world = self.world
-        if world.profiler is not None:
-            world.profiler.mpi_call(self.rank, name, t0, world.env.now)
+        """Record one call (callers test ``world.profiler`` first)."""
+        self.world.profiler.mpi_call(self.rank, name, t0, self.env._now)
 
     # ------------------------------------------------------------------
     # Point-to-point (generators: use with ``yield from``)
     # ------------------------------------------------------------------
     def isend(self, dest, tag, nbytes=None, payload=None):
         """Non-blocking send; returns a :class:`Request`."""
-        if not 0 <= dest < self.world.size:
+        world = self.world
+        if not 0 <= dest < world.size:
             raise ValueError(f"invalid destination rank {dest}")
         if nbytes is None:
             nbytes = payload_nbytes(payload)
         env = self.env
-        t0 = env.now
-        yield self.world.network.send_cpu_time(nbytes)
+        t0 = env._now
+        yield world.network.send_cpu_time(nbytes)
         req = Request(env, "send")
-        self.world._post_send(self.rank, dest, tag, nbytes, payload, req)
-        self._trace("Isend", t0)
+        world._post_send(self.rank, dest, tag, nbytes, payload, req)
+        if world.profiler is not None:
+            self._trace("Isend", t0)
         return req
 
     def irecv(self, source, tag, nbytes=0):
@@ -381,7 +382,7 @@ class RankComm:
         if not 0 <= source < world.size:
             raise ValueError(f"invalid source rank {source}")
         env = self.env
-        t0 = env.now
+        t0 = env._now
         yield world.network.recv_cpu_time(nbytes)
         req = Request(env, "recv")
         channel = world._channels[(source << 16) | self.rank]
@@ -396,15 +397,17 @@ class RankComm:
                 break
         else:
             channel.posted.append((tag, req))
-        self._trace("Irecv", t0)
+        if world.profiler is not None:
+            self._trace("Irecv", t0)
         return req
 
     def recv(self, source, tag, nbytes=0):
         """Blocking receive; returns the completed :class:`Request`."""
-        t0 = self.env.now
+        t0 = self.env._now
         req = yield from self.irecv(source, tag, nbytes)
         yield req.event
-        self._trace("Recv", t0)
+        if self.world.profiler is not None:
+            self._trace("Recv", t0)
         return req
 
     # ------------------------------------------------------------------
@@ -412,11 +415,12 @@ class RankComm:
     # ------------------------------------------------------------------
     def waitall(self, requests):
         """Block until every request in ``requests`` completes."""
-        t0 = self.env.now
+        t0 = self.env._now
         pending = [r for r in requests if r is not None and not r.completed]
         if pending:
             yield self.env.all_of([r.event for r in pending])
-        self._trace("Waitall", t0)
+        if self.world.profiler is not None:
+            self._trace("Waitall", t0)
 
     def waitany(self, requests):
         """Block until some request completes; returns (index, request).
@@ -424,18 +428,20 @@ class RankComm:
         Entries that are ``None`` are skipped (consumed slots), matching the
         ``MPI_Waitany`` idiom in miniAMR's communicate loop.
         """
-        t0 = self.env.now
+        t0 = self.env._now
         live = [(i, r) for i, r in enumerate(requests) if r is not None]
         if not live:
             raise ValueError("waitany on empty request list")
         for i, r in live:
             if r.completed:
-                self._trace("Waitany", t0)
+                if self.world.profiler is not None:
+                    self._trace("Waitany", t0)
                 return i, r
         yield self.env.any_of([r.event for _i, r in live])
         for i, r in live:
             if r.completed:
-                self._trace("Waitany", t0)
+                if self.world.profiler is not None:
+                    self._trace("Waitany", t0)
                 return i, r
         raise RuntimeError("waitany: no request completed")  # pragma: no cover
 
@@ -443,11 +449,13 @@ class RankComm:
     # Collectives (generators: use with ``yield from``)
     # ------------------------------------------------------------------
     def _collective(self, kind, value, nbytes):
-        t0 = self.env.now
-        yield self.world.network.send_cpu_time(nbytes)
-        event = self.world._enter_collective(self.rank, kind, value, nbytes)
+        world = self.world
+        t0 = self.env._now
+        yield world.network.send_cpu_time(nbytes)
+        event = world._enter_collective(self.rank, kind, value, nbytes)
         result = yield event
-        self._trace(kind.capitalize(), t0)
+        if world.profiler is not None:
+            self._trace(kind.capitalize(), t0)
         return result
 
     def barrier(self):

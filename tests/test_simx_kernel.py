@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from types import SimpleNamespace
@@ -540,3 +541,33 @@ def test_run_until_untriggered_event_after_exhaustion_raises():
     env.process(proc(env))
     with pytest.raises(RuntimeError, match="ended before"):
         env.run(until=ev)
+
+
+def test_a_float_subclass_sleeps_like_the_float():
+    """``numpy.float64`` is a float: it sleeps exactly as the equal float
+    does (same wake times, sequence numbers and event count), and the
+    clock stays a plain float."""
+    as_float = _mixed_world(lambda env, d: d)
+    as_numpy = _mixed_world(lambda env, d: np.float64(d))
+    assert as_numpy == as_float
+    assert all(type(row[-2]) is float for row in as_numpy[0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, np.float64("nan"),
+                                 np.float64(-1e-6)])
+def test_a_nan_or_negative_float_subclass_sleep_throws_value_error_in(bad):
+    env = Environment()
+    seen = []
+
+    def proc(env):
+        try:
+            yield bad
+        except ValueError as exc:
+            seen.append((str(exc), env.now, env._seq))
+        yield np.float64(1e-6)
+        return "done"
+
+    p = env.process(proc(env))
+    assert env.run(until=p) == "done"
+    assert seen == [(f"process 'proc' yielded negative delay {bad!r}", 0.0, 1)]
+    assert env.now == 1e-6

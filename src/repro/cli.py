@@ -978,7 +978,9 @@ def cmd_verify(args) -> int:
         for name in sorted(results):
             drift = store.compare(name, specs[name], results[name])
             problems += drift
-            print(f"golden {name}: {'ok' if not drift else 'DRIFT'}")
+            status = "DRIFT" if name in store else (
+                f"MISSING ({store.path(name).resolve()})")
+            print(f"golden {name}: {status if drift else 'ok'}")
 
     # 2. Schedule-perturbation fuzz on the data-flow run; the MPI-only
     #    result doubles as the cross-variant reference.

@@ -56,6 +56,7 @@ import socket
 import threading
 import time
 import traceback
+from collections import Counter
 from dataclasses import dataclass, field
 
 from ..core import RunResult, RunSpec, run_simulation
@@ -473,7 +474,7 @@ class SweepEngine:
                 if not session.active and not run.done:
                     raise RuntimeError(
                         f"job graph {graph.name!r}: no runnable work but "
-                        f"{run.unsettled} node(s) unfinished"
+                        f"{run.outcomes().count(None)} node(s) unfinished"
                     )
                 session.wait(due)
         finally:
@@ -551,7 +552,9 @@ class GraphRun:
     the nodes that never need a worker: cache hits, analysis values,
     builder failures and blocked dependents.  The session hands each run
     this graph queued back to it when the run ends, inside
-    :meth:`EngineSession.poll`, so the caller only polls and waits.  One
+    :meth:`EngineSession.poll`, so the caller only polls and waits.  The
+    graph keeps its nodes' outcomes (:meth:`outcomes`), and only its
+    session's driving thread calls it (see :class:`EngineSession`).  One
     ticket per node is reserved up front, so on a private session a
     node's ticket is its index.
 
@@ -571,7 +574,6 @@ class GraphRun:
         top = max(ranks, default=0.0)
         self.priority = [priority + rank - top for rank in ranks]
         self.first = session.reserve(len(graph))
-        self.unsettled = len(graph)
         #: Tickets queued or running in the session for this graph.
         self.live = set()
         #: Canceled or draining: nothing new is admitted.
@@ -579,7 +581,7 @@ class GraphRun:
         #: A run of this graph has launched its first attempt.
         self.started = False
         self._remaining = [len(p) for p in graph.preds]
-        self._results = {}       # node index -> payload for dependents
+        self._outcomes = [None] * len(graph)  # node index -> RunOutcome
         self._fingerprints = {}  # node index -> fingerprint for hashing
         self._fans = {}          # fan-out index -> (ready_at, children)
         self._parent = {}        # queued child ticket -> (index, position)
@@ -587,24 +589,22 @@ class GraphRun:
     @property
     def done(self) -> bool:
         """Every node settled — or, once stopped, nothing left live."""
-        return self.unsettled == 0 or (self.stopped and not self.live)
+        return None not in self._outcomes or (
+            self.stopped and not self.live)
 
     def outcomes(self) -> list:
         """Node outcomes in node order (``None`` while unsettled)."""
-        return [self.session.outcome(self.first + i)
-                for i in range(len(self.graph))]
+        return list(self._outcomes)
 
     def start(self):
         """Admit every root in node order; admission cascades through
         cached and analytic chains synchronously."""
-        with self.session._lock:  # a poll may route into this graph
-            for index, preds in enumerate(self.graph.preds):
-                if not preds:
-                    self._admit(index)
+        for index, preds in enumerate(self.graph.preds):
+            if not preds:
+                self._admit(index)
 
     def _route(self, ticket, outcome):
-        """A ticket this graph queued reached a terminal outcome (called
-        by :meth:`EngineSession.poll`, under the session lock)."""
+        """A ticket this graph queued ended (:meth:`EngineSession.poll`)."""
         self.live.discard(ticket)
         if ticket in self._parent:
             index, position = self._parent.pop(ticket)
@@ -613,14 +613,18 @@ class GraphRun:
         else:
             self._finish(ticket - self.first, outcome)
 
+    def _withdrawn(self, ticket, outcome):
+        """Keep a withdrawn ticket's node outcome; admit or block nothing."""
+        self.live.discard(ticket)
+        if ticket not in self._parent:
+            self._outcomes[ticket - self.first] = outcome
+
     def cancel(self):
-        """Admit nothing more and withdraw every live ticket (running
-        ones terminate at the next poll and still route here)."""
-        with self.session._lock:  # a poll routes into ``live``
-            self.stopped = True
-            for ticket in list(self.live):
-                self.session.cancel(ticket)
-            self.live = {t for t in self.live if not self.session.outcome(t)}
+        """Admit nothing more and withdraw every live ticket (queued ones
+        at once, running ones at the next poll, which routes them here)."""
+        self.stopped = True
+        for ticket in list(self.live):
+            self.session.cancel(ticket)
 
     def drain(self, timeout):
         """Graceful shutdown of a graph that owns its session: in-flight
@@ -650,9 +654,9 @@ class GraphRun:
             # requeued must not hold the drain up.
             session.wait(due, deadline - time.monotonic())
             due = session.poll()
-        for index in range(len(self.graph)):
-            if session.outcome(self.first + index) is None:
-                session._settle(self._outcome(
+        for index, outcome in enumerate(self._outcomes):
+            if outcome is None:
+                self._outcomes[index] = session._settle(self._outcome(
                     index, "blocked", error="blocked: engine shutdown",
                 ), blocker="<shutdown>")
 
@@ -667,8 +671,7 @@ class GraphRun:
 
     def _finish(self, index, outcome):
         """A node is terminal: wake its dependents or block them."""
-        self.unsettled -= 1
-        self._results[index] = outcome.result
+        self._outcomes[index] = outcome
         graph = self.graph
         if not outcome.ok:
             blocker = graph.nodes[index].name
@@ -676,9 +679,8 @@ class GraphRun:
             stack = list(graph.succs[index])
             while stack:
                 s = stack.pop()
-                if self.session.outcome(self.first + s) is None:
-                    self.unsettled -= 1
-                    self.session._settle(
+                if self._outcomes[s] is None:
+                    self._outcomes[s] = self.session._settle(
                         self._outcome(s, "blocked", error=error),
                         blocker=blocker,
                     )
@@ -686,9 +688,7 @@ class GraphRun:
         elif not (self.stopped or self.engine._shutdown):
             for s in graph.succs[index]:
                 self._remaining[s] -= 1
-                if self._remaining[s] == 0 and (
-                    self.session.outcome(self.first + s) is None
-                ):
+                if self._remaining[s] == 0 and self._outcomes[s] is None:
                     self._admit(s)
 
     def _admit(self, index):
@@ -713,7 +713,7 @@ class GraphRun:
             try:
                 spec = node.builder(
                     dict(node.params or {}),
-                    {self.graph.nodes[p].name: self._results[p]
+                    {self.graph.nodes[p].name: self._outcomes[p].result
                      for p in preds},
                 )
                 fan_out = isinstance(spec, list) and all(
@@ -858,17 +858,18 @@ class EngineSession:
     Ready work launches highest ``priority`` first, then by ticket; a
     fairness rule such as the serve broker's aging is the caller's.
 
-    Thread-safe: admission, cancel and poll may race from different
-    threads.
+    One thread drives a session: only the caller of :meth:`poll` calls it
+    and its :class:`GraphRun`\\ s, so neither takes a lock; :meth:`wake`
+    alone is safe from any thread or signal handler.  The session keeps
+    no outcome: it hands each to its graph, counting them by status.
     """
 
     def __init__(self, engine: SweepEngine):
         self.engine = engine
-        self._lock = threading.RLock()
         self._launchable = []     # _Pending awaiting a slot
         self._running = []
         self._tickets = {}        # ticket -> live _Pending
-        self._outcomes = {}       # ticket -> terminal RunOutcome
+        self._counts = Counter()  # terminal outcomes by status
         self._cancel_requested = set()
         self._free_wids = list(range(engine.jobs))
         self._runner = engine.runner
@@ -880,11 +881,10 @@ class EngineSession:
         self._next_ticket = 0
         self._closed = False
         self._started_t = time.monotonic()
-        # Stream identity: ``run()`` names its graph, size and predicted
-        # makespan here before anything is recorded; ``engine_start`` is
-        # written with the session's first record.
+        # Stream identity (its size: the tickets reserved): ``run()``
+        # names its graph and predicted makespan before anything is
+        # recorded; ``engine_start`` is written with the first record.
         self._graph = "session"
-        self._total = 0
         self._predicted = None
         self._opened = False
         # Cache counters are cumulative per ResultCache instance; the
@@ -902,30 +902,21 @@ class EngineSession:
     def reserve(self, count) -> int:
         """Reserve ``count`` consecutive tickets; returns the first.
         Raises :class:`RuntimeError` once the session is closed."""
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("session is closed")
-            first = self._next_ticket
-            self._next_ticket += count
-            self._total = max(self._total, self._next_ticket)
-            return first
-
-    def outcome(self, ticket):
-        """The terminal :class:`RunOutcome`, or ``None`` while live."""
-        with self._lock:
-            return self._outcomes.get(ticket)
+        if self._closed:
+            raise RuntimeError("session is closed")
+        first = self._next_ticket
+        self._next_ticket += count
+        return first
 
     @property
     def active(self) -> int:
         """Jobs queued or running: admitted but not yet terminal."""
-        with self._lock:
-            return len(self._tickets)
+        return len(self._tickets)
 
     @property
     def busy_slots(self) -> int:
         """Worker slots currently claimed by running jobs."""
-        with self._lock:
-            return sum(t.slots for t in self._running)
+        return sum(t.slots for t in self._running)
 
     # ------------------------------------------------------------------
     def cancel(self, ticket) -> bool:
@@ -934,18 +925,15 @@ class EngineSession:
         Returns ``True`` when the cancel took (or was already pending),
         ``False`` when the job is already terminal or unknown.  A run
         that completes before the terminate lands keeps its result —
-        the outcome then reads ``ok``, never ``canceled``.  A cancel that
-        took wakes :meth:`wait`: the next poll has work.
+        the outcome then reads ``ok``, never ``canceled``.
         """
-        with self._lock:
-            task = self._tickets.get(ticket)
-            if task is None:
-                return False
-            if task in self._launchable:
-                self._withdraw(task, "canceled", "canceled while queued")
-            else:
-                self._cancel_requested.add(ticket)
-        self.wake()
+        task = self._tickets.get(ticket)
+        if task is None:
+            return False
+        if task in self._launchable:
+            self._withdraw(task, "canceled", "canceled while queued")
+        else:
+            self._cancel_requested.add(ticket)
         return True
 
     # ------------------------------------------------------------------
@@ -953,47 +941,45 @@ class EngineSession:
         """Advance the session one step; never blocks on a run.
 
         Hands each run that ended to the :class:`GraphRun` that queued
-        it, under the session lock, so its successors are admitted before
-        this returns.  Returns ``due`` for :meth:`wait`: the monotonic
-        time the next poll has work by (in the past when a task may
-        launch now), or ``None`` when only a running attempt's end can
-        bring any.
+        it, so its successors are admitted before this returns.  Returns
+        ``due`` for :meth:`wait`: the monotonic time the next poll has
+        work by (in the past when a task may launch now), or ``None``
+        when only a running attempt's end can bring any.
         """
-        with self._lock:
-            self._drain_telemetry()
-            now = time.monotonic()
-            self._launchable.sort(key=lambda t: (-t.priority, t.index))
-            while True:
-                # A partitioned run claims ``slots`` pool slots; narrower
-                # tasks may backfill around a wide one that does not fit
-                # yet (``not self._running`` guarantees progress for a
-                # task wider than what ever frees up).
-                used = sum(t.slots for t in self._running)
-                task = next(
-                    (t for t in self._launchable
-                     if t.not_before <= now and self._fits(t, used)),
-                    None,
-                )
-                if task is None:
-                    break
-                self._launchable.remove(task)
-                self._launch(task)
-            finished = []
-            for task in list(self._running):
-                outcome = self._reap(task)
-                if outcome is not None:
-                    finished.append((task, outcome))
-            for task, outcome in finished:
-                task.graph._route(task.index, outcome)
-            # A task that does not fit waits for a running attempt to
-            # end, which wakes wait() by itself; counting it would spin.
+        self._drain_telemetry()
+        now = time.monotonic()
+        self._launchable.sort(key=lambda t: (-t.priority, t.index))
+        while True:
+            # A partitioned run claims ``slots`` pool slots; narrower
+            # tasks may backfill around a wide one that does not fit
+            # yet (``not self._running`` guarantees progress for a
+            # task wider than what ever frees up).
             used = sum(t.slots for t in self._running)
-            return min(
-                [t.deadline for t in self._running if t.deadline is not None]
-                + [t.not_before for t in self._launchable
-                   if self._fits(t, used)],
-                default=None,
+            task = next(
+                (t for t in self._launchable
+                 if t.not_before <= now and self._fits(t, used)),
+                None,
             )
+            if task is None:
+                break
+            self._launchable.remove(task)
+            self._launch(task)
+        finished = []
+        for task in list(self._running):
+            outcome = self._reap(task)
+            if outcome is not None:
+                finished.append((task, outcome))
+        for task, outcome in finished:
+            task.graph._route(task.index, outcome)
+        # A task that does not fit waits for a running attempt to
+        # end, which wakes wait() by itself; counting it would spin.
+        used = sum(t.slots for t in self._running)
+        return min(
+            [t.deadline for t in self._running if t.deadline is not None]
+            + [t.not_before for t in self._launchable
+               if self._fits(t, used)],
+            default=None,
+        )
 
     def _fits(self, task, used) -> bool:
         """Whether ``task`` may launch beside ``used`` claimed slots."""
@@ -1009,10 +995,9 @@ class EngineSession:
         # runs it does not load the module (~0.5 MB resident).
         from multiprocessing.connection import wait
 
-        with self._lock:
-            waitables = [self._wake_r]
-            for task in self._running:
-                waitables += (task.conn, task.proc.sentinel)
+        waitables = [self._wake_r]
+        for task in self._running:
+            waitables += (task.conn, task.proc.sentinel)
         now = time.monotonic()
         bounds = [] if due is None else [due]
         if timeout is not None:
@@ -1029,10 +1014,9 @@ class EngineSession:
     def retire_idle(self):
         """Stop and join the idle workers (the next launch forks anew);
         joined, their CPU time counts in ``RUSAGE_CHILDREN``."""
-        with self._lock:
-            for worker in self._idle:
-                self._kill(*worker)
-            self._idle.clear()
+        for worker in self._idle:
+            self._kill(*worker)
+        self._idle.clear()
 
     def wake(self):
         """Make :meth:`wait` return now; safe from any thread, a signal
@@ -1050,42 +1034,37 @@ class EngineSession:
         stopped and joined.  Writes the ``engine_stop`` record and
         flushes the engine's stats store.  Idempotent.
         """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            for task in self._launchable + self._running:
-                self._withdraw(task, "canceled", "canceled: session closed")
-            self.retire_idle()
-            self._wake_r.close()
-            self._wake_w.close()
-            self._drain_telemetry()
-            if self._tel_queue is not None:
-                self._tel_queue.close()
-                self._tel_queue = None
-            counts = {"ok": 0, "cached": 0, "failed": 0, "blocked": 0,
-                      "canceled": 0}
-            for outcome in self._outcomes.values():
-                counts[outcome.status] += 1
-            cache = self.engine.cache
-            self._record(
-                "engine_stop", graph=self._graph,
-                reason="shutdown" if self.engine._shutdown else None,
-                makespan=time.monotonic() - self._started_t,
-                executed=counts["ok"], cached=counts["cached"],
-                failed=counts["failed"], blocked=counts["blocked"],
-                canceled=counts["canceled"],
-                cache_hits=(
-                    None if cache is None
-                    else getattr(cache, "hits", 0) - self._cache0[0]
-                ),
-                cache_misses=(
-                    None if cache is None
-                    else getattr(cache, "misses", 0) - self._cache0[1]
-                ),
-            )
-            if self.engine.stats is not None:
-                self.engine.stats.flush()
+        if self._closed:
+            return
+        self._closed = True
+        for task in self._launchable + self._running:
+            self._withdraw(task, "canceled", "canceled: session closed")
+        self.retire_idle()
+        self._wake_r.close()
+        self._wake_w.close()
+        self._drain_telemetry()
+        if self._tel_queue is not None:
+            self._tel_queue.close()
+            self._tel_queue = None
+        counts, cache = self._counts, self.engine.cache
+        self._record(
+            "engine_stop", graph=self._graph,
+            reason="shutdown" if self.engine._shutdown else None,
+            makespan=time.monotonic() - self._started_t,
+            executed=counts["ok"], cached=counts["cached"],
+            failed=counts["failed"], blocked=counts["blocked"],
+            canceled=counts["canceled"],
+            cache_hits=(
+                None if cache is None
+                else getattr(cache, "hits", 0) - self._cache0[0]
+            ),
+            cache_misses=(
+                None if cache is None
+                else getattr(cache, "misses", 0) - self._cache0[1]
+            ),
+        )
+        if self.engine.stats is not None:
+            self.engine.stats.flush()
 
     # ------------------------------------------------------------------
     def _enqueue(self, task):
@@ -1233,7 +1212,8 @@ class EngineSession:
             self._launchable.remove(task)
         else:
             self._stop_attempt(task)
-        return self._finalize(task, status, error=error, blocker=blocker)
+        task.graph._withdrawn(task.index, self._finalize(
+            task, status, error=error, blocker=blocker))
 
     @staticmethod
     def _kill(proc, conn):
@@ -1278,7 +1258,7 @@ class EngineSession:
         builder failures, blocked) directly.
         """
         index, status = outcome.index, outcome.status
-        self._outcomes[index] = outcome
+        self._counts[status] += 1
         self._tickets.pop(index, None)
         self._cancel_requested.discard(index)
         if status != "canceled":
@@ -1311,7 +1291,7 @@ class EngineSession:
         progress({
             "event": event,
             "index": outcome.index,
-            "total": self._total,
+            "total": self._next_ticket,
             "label": outcome.label,
             "name": outcome.name,
             "fingerprint": outcome.fingerprint,
@@ -1332,7 +1312,7 @@ class EngineSession:
             self._opened = True
             tel.emit(
                 "engine_start", graph=self._graph, jobs=self.engine.jobs,
-                total=self._total, predicted_makespan=self._predicted,
+                total=self._next_ticket, predicted_makespan=self._predicted,
             )
         tel.emit(rtype, **fields)
 

@@ -20,19 +20,22 @@ The broker sits between the HTTP handlers and a resident
   ``aging_rate`` per second from its admission into the session (a
   graph's nodes age with their execution), so nothing starves.
 
-Every kind runs on the one session, driven by the one scheduler
-thread, and enters it the one way: as a job graph admitted through a
-:class:`~repro.exec.engine.GraphRun` (a run as a one-node graph, a tune
-lowered by :func:`~repro.tune.tune_pipeline`), whose head starts at the
-execution's priority.  Every node shares the worker pool, the
-timeout/retry settings, ``busy_slots``, and cancel with every other
-job.  The session hands each finished run to its graph inside ``poll``,
-off the broker lock, so a successor's cache lookup or generator build
-never blocks a submit.  Each execution starts (once its graph launched
-a run or settled) and finishes through the same
+Every kind runs on the one session and enters it the one way: as a job
+graph admitted through a :class:`~repro.exec.engine.GraphRun` (a run as
+a one-node graph, a tune lowered by :func:`~repro.tune.tune_pipeline`),
+whose head starts at the execution's priority.  Every node shares the
+worker pool, the timeout/retry settings, ``busy_slots``, and cancel with
+every other job.  Each execution starts (once its graph launched a run
+or settled) and finishes through the same
 :meth:`Broker._start`/:meth:`Broker._finish_graph`/:meth:`Broker._complete`,
 and admission treats every kind alike: tune and pipeline jobs draw quota
 tokens, count against ``queue_cap``, and coalesce by fingerprint.
+
+One thread drives the session: the scheduler thread alone builds,
+cancels, polls and closes it and its graphs, off the broker lock (the
+caller of :meth:`Broker.shutdown` closes it if :meth:`Broker.start` was
+never called).  An HTTP thread only journals and wakes it, so no build
+or cancel ever blocks a submit.
 
 The :class:`~repro.exec.cache.ResultCache` is the broker's only result
 store: the session writes run results, and ``_complete`` writes a
@@ -52,7 +55,6 @@ import queue
 import threading
 import time
 import uuid
-from collections import deque
 
 from ..exec.engine import GraphRun, SweepReport
 from ..pipeline import JobGraph, PipelineReport
@@ -154,7 +156,7 @@ class Broker:
         self._lock = threading.RLock()
         self._buckets = {}               # tenant -> TokenBucket
         self._inflight = {}              # fingerprint -> _Execution
-        self._pending = deque()          # executions awaiting admission
+        self._pending = []               # executions awaiting admission
         self._subscribers = []
         self._tenant_counts = {}         # tenant -> {counter: n}
         self._wait_hist = {}             # "2^k ms" bucket -> count
@@ -175,6 +177,7 @@ class Broker:
         self._stop = threading.Event()
         self._started_wall = time.time()
         self._threads = []
+        self._admitted = []   # executions in the session: scheduler's own
         self._recover()
 
     # ------------------------------------------------------------------
@@ -209,7 +212,9 @@ class Broker:
         if drain_timeout is None:
             drain_timeout = self.engine.drain_timeout
         self._stop_scheduler(drain=max(0.0, drain_timeout or 0.0))
-        self.session.close()
+        if not self._threads:
+            # start() was never called: this thread drives the session.
+            self.session.close()
         with self._lock:
             # Survivors go back to the journal as queued: their
             # execution died with this process, not their job.
@@ -229,8 +234,8 @@ class Broker:
     def _stop_scheduler(self, drain=0.0):
         """Wake the scheduler thread and join it for ``drain`` seconds
         (once closing, it returns when nothing is in flight); then stop,
-        wake and join it."""
-        for timeout in (drain, 5.0):
+        wake and join it.  On its way out it closes the session."""
+        for timeout in (drain, None):
             self.session.wake()
             for thread in self._threads:
                 thread.join(timeout=timeout)
@@ -422,17 +427,10 @@ class Broker:
             if execution is not None and job_id in execution.job_ids:
                 execution.job_ids.remove(job_id)
                 if not execution.job_ids:
-                    # Nobody is waiting on this fingerprint any more.
+                    # Nobody waits on it: free its slot, wake the scheduler.
                     execution.canceled = True
-                    if execution.graph is not None:
-                        execution.graph.cancel()
-                        if execution.graph.done:
-                            # Withdrawn while queued: poll() will never
-                            # report it, so it completes here.
-                            self._finish_graph(execution)
-                    elif execution in self._pending:
-                        self._pending.remove(execution)
-                        del self._inflight[execution.fingerprint]
+                    del self._inflight[execution.fingerprint]
+                    self.session.wake()
             if self.telemetry is not None:
                 self.telemetry.emit(
                     "serve_cancel", job=job_id, tenant=job.tenant,
@@ -584,33 +582,47 @@ class Broker:
     # Scheduler thread: session admission + completion handling
     # ------------------------------------------------------------------
     def _scheduler_loop(self):
-        while not self._stop.is_set():
-            due = self._scheduler_step()
-            if not self._stop.is_set():
-                self.session.wait(due, _IDLE_WAIT_S)
+        try:
+            while not self._stop.is_set():
+                due = self._scheduler_step()
+                if not self._stop.is_set():
+                    self.session.wait(due, _IDLE_WAIT_S)
+        finally:
+            self.session.close()
 
     def _scheduler_step(self):
+        """Admit, withdraw what was canceled, poll, then settle under the
+        broker lock what the graphs report; no session call takes it."""
         with self._lock:
-            while self._pending:
-                self._admit(self._pending.popleft())
-        due = self.session.poll()   # routes finished runs, off our lock
+            pending, self._pending = self._pending, []
+        for execution in pending:
+            if not execution.canceled:
+                self._admit(execution)
+        # ``canceled`` only ever turns true, and cancel then wakes this
+        # thread: a read that misses it withdraws the graph a step later.
+        for execution in self._admitted:
+            if execution.canceled and not execution.graph.stopped:
+                execution.graph.cancel()
+        due = self.session.poll()
+        settled = [(e, e.graph.started or e.graph.done,
+                    e.graph.outcomes() if e.graph.done else None)
+                   for e in self._admitted]
+        self._admitted = [e for e, _, outcomes in settled if outcomes is None]
+        busy = self.session.busy_slots
         with self._lock:
-            for execution in list(self._inflight.values()):
-                graph = execution.graph
-                if graph is None:
-                    continue
-                if execution.state != "running" and (
-                        graph.started or graph.done):
+            for execution, started, outcomes in settled:
+                if started and execution.state != "running":
                     self._start(execution)
-                if graph.done:
-                    self._finish_graph(execution)
-            self._busy_slots = self.session.busy_slots
-            if not self._inflight:
-                # An idle broker keeps no worker (nor the memory of its
-                # last run) alive; the next run forks afresh.
-                self.session.retire_idle()
-                if self._closing:
-                    self._stop.set()   # drained
+                if outcomes is not None:
+                    self._finish_graph(execution, outcomes)
+            self._busy_slots = busy
+            idle = not (self._inflight or self._admitted)
+            if idle and self._closing:
+                self._stop.set()   # drained
+        if idle:
+            # An idle broker keeps no worker (nor the memory of its last
+            # run) alive; the next run forks afresh.
+            self.session.retire_idle()
         return due
 
     def _admit(self, execution):
@@ -631,13 +643,17 @@ class Broker:
             execution.graph = GraphRun(self.session, graph,
                                        priority=priority)
             execution.graph.start()
-            if execution.kind == "run" and not execution.graph.done:
-                self._cache_rechecks += 1
         except Exception as exc:   # a declaration the engine rejects
             if execution.graph is not None:
                 execution.graph.cancel()
-            self._start(execution)
-            self._complete(execution, "failed", error=str(exc))
+            with self._lock:
+                self._start(execution)
+                self._complete(execution, "failed", error=str(exc))
+            return
+        self._admitted.append(execution)
+        if execution.kind == "run" and not execution.graph.done:
+            with self._lock:
+                self._cache_rechecks += 1
 
     def _live_jobs(self, execution):
         """The attached jobs of an execution that are not yet terminal."""
@@ -692,8 +708,8 @@ class Broker:
                 )
             self._publish({"event": state, "job": job.view()})
 
-    def _finish_graph(self, execution):
-        """An execution's graph is done: complete the execution.
+    def _finish_graph(self, execution, outcomes):
+        """An execution's graph is done with ``outcomes``: complete it.
 
         A run completes from its one outcome, with that outcome's error
         and attempts.  A tune's candidate failures are part of its
@@ -704,7 +720,6 @@ class Broker:
         if execution.canceled:
             self._complete(execution, "canceled")
             return
-        outcomes = execution.graph.outcomes()
         state, payload, error, attempts = "done", None, None, 1
         if execution.kind == "run":
             (outcome,) = outcomes

@@ -160,7 +160,9 @@ class GoldenStore:
         must be refreshed deliberately, never silently.
         """
         if name not in self:
-            return [f"{name}: no golden on file (run --update-goldens)"]
+            hint = ("run --update-goldens" if self.root.is_dir() else
+                    f"no directory {self.root.resolve()}; pass --goldens-dir")
+            return [f"{name}: no golden on file ({hint})"]
         try:
             envelope = self.load(name)
         except (OSError, ValueError) as exc:

@@ -133,6 +133,28 @@ def test_verify_help_documents_flags(capsys):
         assert flag in out
 
 
+def test_verify_names_missing_goldens_by_absolute_path(tmp_path, capsys):
+    empty = tmp_path / "goldens"
+    empty.mkdir()
+    argv = ["verify", "--quick", "--skip-fuzz", "--skip-race",
+            "--goldens-dir"]
+    assert main(argv + [str(empty)]) == 1
+    out = capsys.readouterr().out
+    assert "DRIFT" not in out
+    for name in ("fork_join_small", "mpi_only_small",
+                 "tampi_dataflow_small"):
+        assert f"golden {name}: MISSING ({empty / name}.json)" in out
+
+    # No such directory: the one problem names it, resolved, and the
+    # option that points verify at the committed goldens.
+    assert main(argv + [str(tmp_path / "absent")]) == 1
+    out = capsys.readouterr().out
+    problems = out.split("verify FAILED", 1)[1]
+    assert str((tmp_path / "absent").resolve()) in problems
+    assert "--goldens-dir" in problems
+    assert "--update-goldens" not in problems
+
+
 def test_run_scheduler_choices_are_centralized(capsys):
     """The run parser must accept exactly repro.tasking.runtime.SCHEDULERS."""
     from repro.tasking.runtime import SCHEDULERS

@@ -45,10 +45,10 @@ def small_spec(variant="mpi_only", **overrides):
 
 
 def admit(session, spec, *, priority=0.0):
-    """Admit ``spec`` as a one-node job graph; returns its ticket."""
+    """Admit ``spec`` as a one-node job graph; returns its GraphRun."""
     run = GraphRun(session, JobGraph.from_specs([spec]), priority=priority)
     run.start()
-    return run.first
+    return run
 
 
 def _sleep_forever_runner(spec_dict):
@@ -82,9 +82,9 @@ def test_session_executes_and_matches_run(tmp_path):
 
     engine = SweepEngine(jobs=2, cache=ResultCache(tmp_path / "cache"))
     session = engine.session()
-    tickets = [admit(session, spec) for spec in specs]
+    runs = [admit(session, spec) for spec in specs]
     pump(session, until=lambda: session.active == 0)
-    outcomes = [session.outcome(t) for t in tickets]
+    outcomes = [run.outcomes()[0] for run in runs]
     assert [o.status for o in outcomes] == ["ok", "ok", "ok"]
     # Always-subprocess execution reproduces in-process results exactly.
     assert [o.result for o in outcomes] == serial.results
@@ -102,9 +102,9 @@ def test_a_one_node_graph_keeps_the_trace(tmp_path):
     local = run_simulation(spec)
     engine = SweepEngine(jobs=1, cache=ResultCache(tmp_path / "cache"))
     session = engine.session()
-    ticket = admit(session, spec)
+    run = admit(session, spec)
     pump(session, until=lambda: session.active == 0)
-    outcome = session.outcome(ticket)
+    (outcome,) = run.outcomes()
     session.close()
     assert outcome.status == "ok"
     assert outcome.result.tracer.events
@@ -130,9 +130,9 @@ def test_reap_caches_the_worker_dict_as_sent(tmp_path, monkeypatch):
     monkeypatch.setattr(RunResult, "to_dict", watched_to_dict)
     engine = SweepEngine(jobs=1, cache=ResultCache(tmp_path / "cache"))
     session = engine.session()
-    ticket = admit(session, spec)
+    run = admit(session, spec)
     pump(session, until=lambda: session.active == 0)
-    outcome = session.outcome(ticket)
+    (outcome,) = run.outcomes()
     session.close()
     assert outcome.status == "ok"
     assert parent_calls == []
@@ -152,7 +152,7 @@ def test_session_priority_orders_launches(tmp_path):
     # queue wait times therefore order by descending priority.
     order = sorted(
         (low, high, mid),
-        key=lambda t: session.outcome(t).wait_time,
+        key=lambda run: run.outcomes()[0].wait_time,
     )
     assert order[0] == high
     assert order[1] == mid
@@ -172,21 +172,21 @@ def test_session_cancel_queued_and_running(tmp_path, monkeypatch):
     pump(session, until=lambda: session.busy_slots == 1)
 
     # Queued: canceled immediately, no subprocess ever existed.
-    assert session.cancel(queued) is True
-    outcome = session.outcome(queued)
+    assert session.cancel(queued.first) is True
+    (outcome,) = queued.outcomes()
     assert outcome.status == "canceled"
     assert outcome.error == "canceled while queued"
     assert outcome.worker_id is None
 
     # Running: terminate lands on the next poll.
-    assert session.cancel(running) is True
-    pump(session, until=lambda: session.outcome(running) is not None)
-    outcome = session.outcome(running)
+    assert session.cancel(running.first) is True
+    pump(session, until=lambda: running.outcomes()[0] is not None)
+    (outcome,) = running.outcomes()
     assert outcome.status == "canceled"
     assert outcome.error == "canceled while running"
     # The worker process is gone, not orphaned.
     assert session.busy_slots == 0
-    assert session.cancel(running) is False  # already terminal
+    assert session.cancel(running.first) is False  # already terminal
     session.close()
 
 
@@ -204,8 +204,8 @@ def test_session_close_cancels_and_emits_stream(tmp_path, monkeypatch):
     second = admit(session, small_spec(checksum_freq=3))
     pump(session, until=lambda: session.busy_slots == 1)
     session.close()
-    assert session.outcome(first).status == "canceled"
-    assert session.outcome(second).status == "canceled"
+    assert first.outcomes()[0].status == "canceled"
+    assert second.outcomes()[0].status == "canceled"
     with pytest.raises(RuntimeError, match="closed"):
         admit(session, small_spec())
 
@@ -243,9 +243,9 @@ def test_session_close_flushes_the_stats_store(tmp_path):
     path = tmp_path / "stats.json"
     spec = small_spec()
     session = SweepEngine(jobs=1, stats=RunStatsStore(path)).session()
-    ticket = admit(session, spec)
+    run = admit(session, spec)
     pump(session, until=lambda: session.active == 0)
-    assert session.outcome(ticket).status == "ok"
+    assert run.outcomes()[0].status == "ok"
     session.close()
     # A fresh store at the same path learned the run's duration.
     assert RunStatsStore(path).predict(spec_signature(spec)) is not None
@@ -430,7 +430,7 @@ def test_queued_work_takes_the_slot_a_crash_freed_at_once(tmp_path,
     while session.active and time.monotonic() < deadline:
         session.wait(session.poll())
     session.close()
-    assert session.outcome(crashing).ok and session.outcome(queued).ok
+    assert crashing.outcomes()[0].ok and queued.outcomes()[0].ok
     (first, crashed_at), (second, started_at), (third, _) = (
         _attempt_times(tmp_path))
     assert (first, second, third) == (CRASH_ONCE, 0, CRASH_ONCE)
@@ -468,12 +468,12 @@ def test_a_canceled_run_kills_its_worker(tmp_path, monkeypatch):
     pump(session, until=lambda: session.active == 0)
     held = admit(session, replace(small_spec(), sched_seed=HOLD))
     pump(session, until=lambda: len(_attempts(tmp_path)) == 2)
-    session.cancel(held)
-    pump(session, until=lambda: session.outcome(held) is not None)
+    session.cancel(held.first)
+    pump(session, until=lambda: held.outcomes()[0] is not None)
     last = admit(session, replace(small_spec(), sched_seed=1))
     pump(session, until=lambda: session.active == 0)
     session.close()
-    assert [session.outcome(t).status for t in (first, held, last)] == [
+    assert [run.outcomes()[0].status for run in (first, held, last)] == [
         "ok", "canceled", "ok"]
     (ok_pid, _), (held_pid, _), (last_pid, _) = _attempts(tmp_path)
     # The idle worker took the held run; after the cancel a fresh one
@@ -545,7 +545,7 @@ sys.path.insert(0, sys.argv[1])
 from test_engine_session import admit, small_spec
 from repro.exec import SweepEngine
 session = SweepEngine(jobs=2).session()
-tickets = [admit(session, small_spec(checksum_freq=c)) for c in (2, 3)]
+runs = [admit(session, small_spec(checksum_freq=c)) for c in (2, 3)]
 while session.active:
     session.wait(session.poll(), 0.05)
 print(*(proc.pid for proc, _ in session._idle), flush=True)

@@ -9,6 +9,7 @@ writes at the *end* of a run — an attempt killed mid-run (the crash
 tests) deliberately does not count.
 """
 
+import gc
 import json
 import os
 import sys
@@ -20,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro import AmrConfig, RunSpec, sphere
-from repro.exec import ResultCache, SweepEngine, run_spec_dict
+from repro.exec import ResultCache, RunOutcome, SweepEngine, run_spec_dict
 from repro.pipeline import register_generator
 from repro.serve import (
     Broker,
@@ -937,12 +938,42 @@ def test_a_new_served_run_counts_one_cache_miss(tmp_path, marker_dir):
 def test_a_slow_successor_node_does_not_block_submit(tmp_path, marker_dir):
     """A successor's generator builds while the session routes, off the
     broker lock, so a submit meanwhile answers at once."""
+    pipeline = slow_successor_pipeline()
+    _SLOW_NODE_STARTED.clear()
+    broker = make_broker(tmp_path, jobs=1)
+    broker.start()
+    try:
+        first = broker.submit(
+            submit_body(pipeline, kind="pipeline"))["job"]["id"]
+        assert _SLOW_NODE_STARTED.wait(30), "the slow node never built"
+        t0 = time.monotonic()
+        second = broker.submit(
+            submit_body(small_spec(checksum_freq=3)))["job"]["id"]
+        elapsed = time.monotonic() - t0
+        assert elapsed < 0.5, f"submit blocked for {elapsed:.2f}s"
+        assert [j.state for j in wait_terminal(broker, [first, second])] == [
+            "done", "done"]
+    finally:
+        broker.shutdown(drain_timeout=5.0)
+
+
+def slow_successor_pipeline():
     from repro.pipeline import PipelineNode, PipelineSpec
 
-    pipeline = PipelineSpec(name="slow-successor", nodes=(
+    return PipelineSpec(name="slow-successor", nodes=(
         PipelineNode("root", run=small_spec()),
         PipelineNode("slow", generator="test.serve_slow_analysis",
                      after=("root",)),
+    ))
+
+
+def test_a_slow_root_node_does_not_block_submit(tmp_path, marker_dir):
+    """A pipeline's root builds on the scheduler thread, off the broker
+    lock, so a submit meanwhile answers at once."""
+    from repro.pipeline import PipelineNode, PipelineSpec
+
+    pipeline = PipelineSpec(name="slow-root", nodes=(
+        PipelineNode("slow", generator="test.serve_slow_analysis"),
     ))
     _SLOW_NODE_STARTED.clear()
     broker = make_broker(tmp_path, jobs=1)
@@ -958,6 +989,61 @@ def test_a_slow_successor_node_does_not_block_submit(tmp_path, marker_dir):
         assert elapsed < 0.5, f"submit blocked for {elapsed:.2f}s"
         assert [j.state for j in wait_terminal(broker, [first, second])] == [
             "done", "done"]
+    finally:
+        broker.shutdown(drain_timeout=5.0)
+
+
+def test_a_cancel_during_a_slow_build_does_not_block_submit(
+    tmp_path, marker_dir,
+):
+    """A cancel only marks its execution; the scheduler thread withdraws
+    the graph once the build ends, so a submit made while another thread
+    cancels a building pipeline answers at once."""
+    _SLOW_NODE_STARTED.clear()
+    broker = make_broker(tmp_path, jobs=1)
+    broker.start()
+    try:
+        first = broker.submit(
+            submit_body(slow_successor_pipeline(), kind="pipeline"),
+        )["job"]["id"]
+        assert _SLOW_NODE_STARTED.wait(30), "the slow node never built"
+        canceler = threading.Thread(target=broker.cancel, args=(first,))
+        canceler.start()
+        time.sleep(0.1)
+        t0 = time.monotonic()
+        second = broker.submit(
+            submit_body(small_spec(checksum_freq=3)))["job"]["id"]
+        elapsed = time.monotonic() - t0
+        canceler.join(timeout=30)
+        assert elapsed < 0.5, f"submit blocked for {elapsed:.2f}s"
+        assert [j.state for j in wait_terminal(broker, [first, second])] == [
+            "canceled", "done"]
+    finally:
+        broker.shutdown(drain_timeout=5.0)
+
+
+def test_a_resident_session_keeps_no_finished_outcome(tmp_path, marker_dir):
+    """Each graph keeps its own outcomes, and the broker drops a graph
+    with its finished execution: a resident server frees every run."""
+    broker = make_broker(tmp_path)
+    broker.start()
+    try:
+        specs = [small_spec(checksum_freq=f) for f in (2, 3, 4, 5)]
+        ids = [broker.submit(submit_body(spec))["job"]["id"]
+               for spec in specs]
+        assert {j.state for j in wait_terminal(broker, ids)} == {"done"}
+        fingerprints = {spec.fingerprint() for spec in specs}
+        # The scheduler journals the jobs done before its step returns.
+        deadline = time.monotonic() + 5
+        while True:
+            gc.collect()
+            kept = sum(1 for o in gc.get_objects()
+                       if isinstance(o, RunOutcome)
+                       and o.fingerprint in fingerprints)
+            if not kept or time.monotonic() > deadline:
+                break
+            time.sleep(0.05)
+        assert kept == 0, f"{kept} finished outcome(s) still reachable"
     finally:
         broker.shutdown(drain_timeout=5.0)
 

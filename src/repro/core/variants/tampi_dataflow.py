@@ -31,8 +31,15 @@ import numpy as np
 
 from ... import tampi
 from ...amr.comm_plan import direction_tag, group_nbytes, message_groups
+from ...tasking import AccessMode
 from ...verify.witness import READ, WRITE
 from ..app import BaseRankProgram
+
+# Spawns pass finished ``(mode, handle)`` tuples, ordered ins, outs,
+# inouts, commutatives: the tracker wires edges (and so sets the release
+# order) in access order.
+IN, OUT, INOUT = AccessMode.IN, AccessMode.OUT, AccessMode.INOUT
+COMMUTATIVE = AccessMode.COMMUTATIVE
 
 
 class TampiDataflowProgram(BaseRankProgram):
@@ -91,7 +98,7 @@ class TampiDataflowProgram(BaseRankProgram):
                             slot, peer, direction_tag(axis, gi),
                             group_nbytes(mgroup), rbuf,
                         ),
-                        outs=[rbuf],
+                        accesses=((OUT, rbuf),),
                         phase="recv",
                     )
                     recv_jobs.append((slot, mgroup, rbuf))
@@ -108,13 +115,13 @@ class TampiDataflowProgram(BaseRankProgram):
                     ]
                     slots = [None] * len(mgroup)
                     for fi, t in enumerate(mgroup):
+                        src_handle = self.block_handle(t.src, group)
                         yield rt.charge_spawn()
                         rt.spawn(
                             ("pack d{} {.coords}", axis, t.src),
                             cost=self.copy_cost(t.nbytes),
                             body=self._pack_body(slots, fi, t, vs, sections[fi]),
-                            ins=[self.block_handle(t.src, group)],
-                            outs=[sections[fi]],
+                            accesses=((IN, src_handle), (OUT, sections[fi])),
                             affinity=t.src,
                             locality_factor=boost,
                             phase="pack",
@@ -127,7 +134,7 @@ class TampiDataflowProgram(BaseRankProgram):
                             slots, peer, direction_tag(axis, gi),
                             group_nbytes(mgroup), sections,
                         ),
-                        ins=sections,
+                        accesses=tuple([(IN, s) for s in sections]),
                         phase="send",
                     )
 
@@ -135,17 +142,16 @@ class TampiDataflowProgram(BaseRankProgram):
             # Ghost fills write disjoint planes of the destination block;
             # with --commutative_ghosts they take a commutative access
             # (mutual exclusion, any order) instead of inout.
-            commutative = cfg.commutative_ghosts
+            dst_mode = COMMUTATIVE if cfg.commutative_ghosts else INOUT
             for t in dplan.local:
+                src_handle = self.block_handle(t.src, group)
                 dst_handle = self.block_handle(t.dst, group)
                 yield rt.charge_spawn()
                 rt.spawn(
                     ("intra d{} {.coords}", axis, t.dst),
                     cost=self.copy_cost(t.nbytes),
                     body=self._local_copy_body(t, vs),
-                    ins=[self.block_handle(t.src, group)],
-                    inouts=[] if commutative else [dst_handle],
-                    commutatives=[dst_handle] if commutative else [],
+                    accesses=((IN, src_handle), (dst_mode, dst_handle)),
                     affinity=t.dst,
                     locality_factor=boost,
                     phase="intra",
@@ -160,9 +166,7 @@ class TampiDataflowProgram(BaseRankProgram):
                         ("unpack d{} {.coords}", axis, t.dst),
                         cost=self.copy_cost(t.nbytes),
                         body=self._unpack_body(slot, fi, t, vs, rbuf),
-                        ins=[rbuf],
-                        inouts=[] if commutative else [dst_handle],
-                        commutatives=[dst_handle] if commutative else [],
+                        accesses=((IN, rbuf), (dst_mode, dst_handle)),
                         affinity=t.dst,
                         locality_factor=boost,
                         phase="unpack",
@@ -227,7 +231,7 @@ class TampiDataflowProgram(BaseRankProgram):
                 ("stencil {.coords}", bid),
                 cost=cost,
                 body=self._stencil_body(bid, vs),
-                inouts=[self.block_handle(bid, group)],
+                accesses=((INOUT, self.block_handle(bid, group)),),
                 affinity=bid,
                 locality_factor=boost,
                 phase="stencil",
@@ -261,8 +265,8 @@ class TampiDataflowProgram(BaseRankProgram):
                     ("checksum {.coords}", bid),
                     cost=cost,
                     body=self._csum_body(partials, bid, vs, handle),
-                    ins=[self.block_handle(bid, group)],
-                    outs=[handle],
+                    accesses=((IN, self.block_handle(bid, group)),
+                              (OUT, handle)),
                     affinity=bid,
                     locality_factor=self.cost.locality_ipc_boost,
                     phase="checksum",
@@ -322,8 +326,9 @@ class TampiDataflowProgram(BaseRankProgram):
         groups = range(cfg.num_groups)
         rt = self.rt
         for bid in splits:
-            child_handles = [
-                self.block_handle(c, g)
+            accesses = [(IN, self.block_handle(bid, g)) for g in groups]
+            accesses += [
+                (OUT, self.block_handle(c, g))
                 for c in bid.children()
                 for g in groups
             ]
@@ -332,23 +337,22 @@ class TampiDataflowProgram(BaseRankProgram):
                 ("split {.coords}", bid),
                 cost=self.copy_cost(nbytes),
                 body=self._split_body(bid),
-                ins=[self.block_handle(bid, g) for g in groups],
-                outs=child_handles,
+                accesses=tuple(accesses),
                 phase="split",
             )
         for parent in consolidations:
-            child_handles = [
-                self.block_handle(c, g)
+            accesses = [
+                (IN, self.block_handle(c, g))
                 for c in parent.children()
                 for g in groups
             ]
+            accesses += [(OUT, self.block_handle(parent, g)) for g in groups]
             yield rt.charge_spawn()
             rt.spawn(
                 ("consolidate {.coords}", parent),
                 cost=self.copy_cost(nbytes),
                 body=self._merge_body(parent),
-                ins=child_handles,
-                outs=[self.block_handle(parent, g) for g in groups],
+                accesses=tuple(accesses),
                 phase="consolidate",
             )
 
@@ -386,7 +390,7 @@ class TampiDataflowProgram(BaseRankProgram):
                     body=self._recv_body(
                         slot, src, tag_base + idx, nbytes, rbuf
                     ),
-                    outs=[rbuf],
+                    accesses=((OUT, rbuf),),
                     phase="exchange-recv",
                 )
                 yield rt.charge_spawn()
@@ -394,8 +398,10 @@ class TampiDataflowProgram(BaseRankProgram):
                     ("xunpack {.coords}", bid),
                     cost=self.copy_cost(nbytes),
                     body=self._xunpack_body(slot, bid, rbuf),
-                    ins=[rbuf],
-                    outs=[self.block_handle(bid, g) for g in groups],
+                    accesses=(
+                        (IN, rbuf),
+                        *[(OUT, self.block_handle(bid, g)) for g in groups],
+                    ),
                     phase="exchange-unpack",
                 )
             elif src == self.rank:
@@ -406,8 +412,10 @@ class TampiDataflowProgram(BaseRankProgram):
                     ("xpack {.coords}", bid),
                     cost=self.copy_cost(nbytes),
                     body=self._xpack_body(slot, bid, sbuf),
-                    ins=[self.block_handle(bid, g) for g in groups],
-                    outs=[sbuf],
+                    accesses=(
+                        *[(IN, self.block_handle(bid, g)) for g in groups],
+                        (OUT, sbuf),
+                    ),
                     phase="exchange-pack",
                 )
                 yield rt.charge_spawn()
@@ -416,7 +424,7 @@ class TampiDataflowProgram(BaseRankProgram):
                     body=self._xsend_body(
                         slot, dst, tag_base + idx, nbytes, sbuf
                     ),
-                    ins=[sbuf],
+                    accesses=((IN, sbuf),),
                     phase="exchange-send",
                 )
         yield from rt.taskwait()

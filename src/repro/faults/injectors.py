@@ -14,7 +14,8 @@ One :class:`FaultInjector` is instantiated per run from the spec's
   timing that drives request completion — and therefore every blocking
   wait *and* every TAMPI release path downstream.
 
-Determinism: every stochastic decision draws from an LCG stream keyed by
+Determinism: every stochastic decision draws from an LCG stream
+(:func:`~repro.machine.costmodel.lcg_uniforms`) keyed by
 ``(plan.seed, fault kind, rank)`` via a splitmix64 mix.  Streams are
 per-kind so enabling message loss never shifts the jitter draws, and
 per-rank so rank-local event orderings cannot leak across ranks.  The
@@ -32,8 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-_LCG_MULT = 6364136223846793005
-_LCG_INC = 1442695040888963407
+from ..machine.costmodel import lcg_uniforms
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -46,20 +47,15 @@ def _splitmix64(x: int) -> int:
 
 
 class FaultRng:
-    """A tiny deterministic uniform stream (same LCG as the noise model)."""
+    """A seeded LCG stream; ``uniform()`` draws the next sample in [0, 1)."""
 
-    __slots__ = ("_state",)
+    __slots__ = ("uniform",)
 
     def __init__(self, seed: int, kind: str, rank: int):
         tag = sum(ord(c) << (8 * i) for i, c in enumerate(kind[:8]))
         state = _splitmix64(seed & _MASK64)
         state = _splitmix64(state ^ tag)
-        self._state = _splitmix64(state ^ (rank & _MASK64))
-
-    def uniform(self) -> float:
-        """The next sample in [0, 1)."""
-        self._state = (self._state * _LCG_MULT + _LCG_INC) & _MASK64
-        return self._state / 2.0**64
+        self.uniform = lcg_uniforms(_splitmix64(state ^ (rank & _MASK64)))
 
 
 @dataclass

@@ -14,6 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
+
+import numpy as np
 
 #: Bytes per grid variable (double precision).
 VAR_BYTES = 8
@@ -129,51 +132,72 @@ _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
 _LCG_MASK = (1 << 64) - 1
 
+#: Draws an LCG stream computes at a time.
+LCG_BATCH = 256
+
+#: ``(A, C)``: ``A[k] * s + C[k]`` (mod 2**64) is the state ``k + 1`` steps
+#: after ``s``.  Built by the process's first draw, not at import.
+_jump_tables = None
+
+
+def _lcg_batches(state):
+    global _jump_tables
+    if _jump_tables is None:
+        a, c, steps = 1, 0, []
+        for _ in range(LCG_BATCH):
+            a = a * _LCG_MULT & _LCG_MASK
+            c = (c * _LCG_MULT + _LCG_INC) & _LCG_MASK
+            steps.append((a, c))
+        _jump_tables = tuple(np.array(steps, dtype=np.uint64).T.copy())
+    mults, incs = _jump_tables
+    while True:  # uint64 arithmetic wraps mod 2**64, as the masks do
+        states = mults * np.uint64(state) + incs
+        state = int(states[-1])
+        yield (states / 2.0**64).tolist()
+
+
+def lcg_uniforms(state: int):
+    """A C-level callable drawing the next uniform in [0, 1) of the LCG
+    ``s <- (s * M + C) mod 2**64`` started at ``state``: bitwise the
+    ``s / 2.0**64`` of the scalar recurrence, computed in batches."""
+    return chain.from_iterable(_lcg_batches(state)).__next__
+
 
 class NoiseModel:
     """Deterministic per-rank system-noise generator.
 
     Stretches CPU charges by a bounded uniform factor and injects rare
-    OS-noise spikes, using a per-rank LCG so runs are exactly repeatable.
+    OS-noise spikes, drawing from a per-rank LCG stream
+    (:func:`lcg_uniforms`) so runs are exactly repeatable.
     The spike probability is proportional to the charged time, making the
     expected noise per CPU-second identical across variants — what differs
     is how each programming model *amplifies* it.
     """
 
-    __slots__ = ("spec", "_state", "_amp", "_spike_rate", "_spike_time")
+    __slots__ = ("spec", "_draw", "_amp", "_spike_rate", "_spike_time")
 
     def __init__(self, spec: CostSpec, rank: int):
         self.spec = spec
-        self._state = (rank * 2654435761 + 0x9E3779B97F4A7C15) & _LCG_MASK
+        self._draw = lcg_uniforms(
+            (rank * 2654435761 + 0x9E3779B97F4A7C15) & _LCG_MASK
+        )
         # Scalars copied out of the (frozen) spec: stretch() runs once per
         # CPU charge, i.e. at least once per task.
         self._amp = spec.noise_amplitude
         self._spike_rate = spec.noise_spike_rate
         self._spike_time = spec.noise_spike_time
 
-    def _uniform(self) -> float:
-        self._state = (self._state * _LCG_MULT + _LCG_INC) & _LCG_MASK
-        return self._state / 2.0**64
-
     def stretch(self, seconds: float) -> float:
-        """Return ``seconds`` with this rank's next noise sample applied.
-
-        Inlines the LCG draws of :meth:`_uniform` (identical state
-        updates, so the per-rank noise stream is unchanged).
-        """
+        """Return ``seconds`` with this rank's next noise sample applied."""
         if seconds <= 0:
             return seconds
         extra = 0.0
-        state = self._state
         if self._amp > 0:
-            state = (state * _LCG_MULT + _LCG_INC) & _LCG_MASK
-            extra += seconds * self._amp * (state / 2.0**64)
+            extra += seconds * self._amp * self._draw()
         if self._spike_rate > 0:
             p = seconds * self._spike_rate
             if p > 1.0:
                 p = 1.0
-            state = (state * _LCG_MULT + _LCG_INC) & _LCG_MASK
-            if state / 2.0**64 < p:
+            if self._draw() < p:
                 extra += self._spike_time
-        self._state = state
         return seconds + extra

@@ -136,6 +136,7 @@ class RankRuntime:
             from ..faults.injectors import FaultyNoise
 
             self.noise = FaultyNoise(self.noise, faults, rank, env)
+        self._stretch = self.noise.stretch  # after any fault layering
 
         self.tracker = DependencyTracker()
         #: handle -> [holder Task or None, deque of parked tasks]
@@ -202,25 +203,22 @@ class RankRuntime:
         label,
         cost=0.0,
         body=None,
-        ins=(),
-        outs=(),
-        inouts=(),
-        commutatives=(),
+        accesses=(),
         affinity=None,
         locality_factor=1.0,
         phase=None,
     ):
         """Create and register a task; returns it.
 
-        ``label`` is a ``str`` or a ``(fmt, *args)`` template (see
-        :class:`~repro.tasking.task.Task`).  The caller charges the
-        spawn overhead first with ``yield rt.charge_spawn()``.
+        ``label`` is a ``str`` or a ``(fmt, *args)`` template, and
+        ``accesses`` the tuple of ``(AccessMode, handle)`` pairs the task
+        adopts (see :class:`~repro.tasking.task.Task`).  The caller
+        charges the spawn overhead first with ``yield rt.charge_spawn()``.
         """
         env = self.env
         task = Task(
-            env, label, cost, body,
-            normalize_accesses(ins, outs, inouts, commutatives),
-            affinity, locality_factor, phase,
+            env, label, cost, body, accesses, affinity, locality_factor,
+            phase,
         )
         self.stats.tasks_spawned += 1
         self._outstanding += 1
@@ -259,11 +257,8 @@ class RankRuntime:
         *not* until all outstanding tasks do.  This is the feature behind
         the paper's delayed-checksum optimization (Section IV-C).
         """
-        task = Task(
-            self.env,
-            "taskwait-deps",
-            accesses=normalize_accesses(ins, outs, inouts),
-        )
+        accesses = normalize_accesses(ins, outs, inouts)
+        task = Task(self.env, "taskwait-deps", accesses=accesses)
         task.is_sync = True
         # Registered like a spawned task, but never outstanding.
         self.stats.tasks_spawned += 1
@@ -492,7 +487,7 @@ class RankRuntime:
             hits = stats.hits_by_phase
             hits[phase] = hits.get(phase, 0) + 1
             cost = cost / task.locality_factor
-        total = self.noise.stretch(cost + self._dispatch_overhead)
+        total = self._stretch(cost + self._dispatch_overhead)
         if total > 0:
             yield total
 

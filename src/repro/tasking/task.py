@@ -64,9 +64,10 @@ class Task:
         simulation events (used by communication tasks calling TAMPI).
         Released (set to ``None``) once it has run.
     accesses:
-        Sequence of ``(AccessMode, handle)`` pairs declaring the data the
-        task touches.  Handles are arbitrary hashables; two accesses
-        name the same data exactly when their handles are equal.
+        Tuple of ``(AccessMode, handle)`` pairs declaring the data the
+        task touches, adopted as is (not copied).  Handles are arbitrary
+        hashables; two accesses name the same data exactly when their
+        handles are equal.
     affinity:
         Cache-locality key; when a core runs two consecutive tasks with the
         same affinity the second enjoys the model's IPC boost.
@@ -109,9 +110,10 @@ class Task:
         locality_factor=1.0,
         phase=None,
     ):
-        if cost < 0:
+        # Negated so that NaN fails too.
+        if not cost >= 0:
             raise ValueError("task cost must be >= 0")
-        if locality_factor < 1.0:
+        if not locality_factor >= 1.0:
             raise ValueError("locality_factor must be >= 1.0")
         self.tid = next(env.task_ids)
         self.env = env
@@ -129,7 +131,7 @@ class Task:
                 self.gen_body = bool(code.co_flags & _CO_GENERATOR)
             else:  # exotic callables (partials, callables without code)
                 self.gen_body = inspect.isgeneratorfunction(body)
-        self.accesses = accesses = tuple(accesses)
+        self.accesses = accesses
         self.affinity = affinity
         self.locality_factor = locality_factor
         self.phase = phase if phase else self.label
@@ -195,16 +197,9 @@ class Task:
 def normalize_accesses(ins=(), outs=(), inouts=(), commutatives=()):
     """Build an access tuple from in/out/inout/commutative iterables.
 
-    Returns a tuple so :class:`Task` can adopt it without another copy.
+    For callers that hold handle lists; the spawn path takes a tuple its
+    caller builds directly.
     """
-    accesses = []
-    append = accesses.append
-    for handle in ins:
-        append((_IN, handle))
-    for handle in outs:
-        append((_OUT, handle))
-    for handle in inouts:
-        append((_INOUT, handle))
-    for handle in commutatives:
-        append((_COMMUTATIVE, handle))
-    return tuple(accesses)
+    modes = ((_IN, ins), (_OUT, outs), (_INOUT, inouts),
+             (_COMMUTATIVE, commutatives))
+    return tuple([(mode, h) for mode, handles in modes for h in handles])

@@ -13,6 +13,7 @@ access witness only when one is set.  None of this may move a result:
 """
 
 import hashlib
+import sys
 
 import pytest
 
@@ -88,6 +89,25 @@ def test_bound_stretch_is_the_runtime_noise_stretch():
     for program in _programs(_spec("mpi_only", faults=_CPU_FAULTS)):
         assert type(program.rt.noise) is FaultyNoise
         assert program._stretch == program.rt.noise.stretch
+
+
+def test_a_fault_plan_stretches_task_and_inline_charges(monkeypatch):
+    """The runtime and the program both bind the fault-layered stretch,
+    so task executions and inline charges alike pass through it."""
+    callers = []
+    stretch = FaultyNoise.stretch
+
+    def recording(self, seconds):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return stretch(self, seconds)
+
+    monkeypatch.setattr(FaultyNoise, "stretch", recording)
+    spec = _spec("tampi_dataflow", faults=_CPU_FAULTS)
+    for program in _programs(spec):
+        assert program.rt._stretch == program.rt.noise.stretch
+        assert program._stretch == program.rt.noise.stretch
+    driver.execute(spec)
+    assert {"_execute", "charge"} <= set(callers)
 
 
 def test_a_cpu_fault_plan_stretches_inline_charges():

@@ -6,7 +6,10 @@ from repro import tampi
 from repro.machine import CostSpec, Machine, NetworkSpec, NodeSpec
 from repro.mpi import World
 from repro.simx import Environment
-from repro.tasking import RankRuntime
+from repro.tasking import AccessMode, RankRuntime
+
+IN = AccessMode.IN
+OUT = AccessMode.OUT
 
 FREE = CostSpec(task_spawn_overhead=0.0, task_dispatch_overhead=0.0,
                 noise_amplitude=0.0, noise_spike_rate=0.0)
@@ -48,10 +51,11 @@ def test_isend_task_completes_only_when_message_lands():
 
     def sender_main():
         yield rt0.charge_spawn()
-        rt0.spawn("send", body=send_body, ins=["buf"])
+        rt0.spawn("send", body=send_body, accesses=((IN, "buf"),))
         yield rt0.charge_spawn()
         rt0.spawn(
-            "reuse", body=lambda: log.append(("reuse", env.now)), outs=["buf"]
+            "reuse", body=lambda: log.append(("reuse", env.now)),
+            accesses=((OUT, "buf"),),
         )
         yield from rt0.taskwait()
 
@@ -88,9 +92,9 @@ def test_irecv_data_available_to_successor():
 
     def receiver_main():
         yield rt1.charge_spawn()
-        rt1.spawn("recv", body=recv_body, outs=["rbuf"])
+        rt1.spawn("recv", body=recv_body, accesses=((OUT, "rbuf"),))
         yield rt1.charge_spawn()
-        rt1.spawn("unpack", body=unpack_body, ins=["rbuf"])
+        rt1.spawn("unpack", body=unpack_body, accesses=((IN, "rbuf"),))
         yield from rt1.taskwait()
 
     def sender_main():
@@ -116,12 +120,12 @@ def test_iwaitall_binds_multiple_requests():
 
     def receiver_main():
         yield rt1.charge_spawn()
-        rt1.spawn("recv-all", body=recv_body, outs=["faces"])
+        rt1.spawn("recv-all", body=recv_body, accesses=((OUT, "faces"),))
         yield rt1.charge_spawn()
         rt1.spawn(
             "consume",
             body=lambda: unpack_times.append(env.now),
-            ins=["faces"],
+            accesses=((IN, "faces"),),
         )
         yield from rt1.taskwait()
 
@@ -174,7 +178,7 @@ def test_computation_overlaps_inflight_communication():
 
     def receiver_main():
         yield rt1.charge_spawn()
-        rt1.spawn("recv", body=recv_body, outs=["ghost"])
+        rt1.spawn("recv", body=recv_body, accesses=((OUT, "ghost"),))
         for i in range(4):
             yield rt1.charge_spawn()
             rt1.spawn(
@@ -183,7 +187,7 @@ def test_computation_overlaps_inflight_communication():
                 body=lambda: stencil_times.append(env.now),
             )
         yield rt1.charge_spawn()
-        rt1.spawn("unpack", ins=["ghost"])
+        rt1.spawn("unpack", accesses=((IN, "ghost"),))
         yield from rt1.taskwait()
 
     def sender_main():

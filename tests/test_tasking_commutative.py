@@ -4,7 +4,12 @@ import pytest
 
 from repro.machine import CostSpec
 from repro.simx import Environment
-from repro.tasking import RankRuntime
+from repro.tasking import AccessMode, RankRuntime
+
+IN = AccessMode.IN
+OUT = AccessMode.OUT
+INOUT = AccessMode.INOUT
+COMMUTATIVE = AccessMode.COMMUTATIVE
 
 FREE = CostSpec(
     task_spawn_overhead=0.0,
@@ -41,7 +46,7 @@ def test_commutative_tasks_are_mutually_exclusive():
         for i in range(4):
             yield rt.charge_spawn()
             rt.spawn(
-                f"c{i}", cost=1.0, commutatives=["acc"],
+                f"c{i}", cost=1.0, accesses=((COMMUTATIVE, "acc"),),
                 body=self_pop(active, body(i)),
             )
         yield from rt.taskwait()
@@ -64,7 +69,7 @@ def test_commutative_serializes_but_parallel_elsewhere():
         # Four commutative tasks on one handle + four independent tasks.
         for i in range(4):
             yield rt.charge_spawn()
-            rt.spawn(f"c{i}", cost=1.0, commutatives=["acc"])
+            rt.spawn(f"c{i}", cost=1.0, accesses=((COMMUTATIVE, "acc"),))
         for i in range(4):
             yield rt.charge_spawn()
             rt.spawn(f"free{i}", cost=1.0)
@@ -82,14 +87,14 @@ def test_commutative_vs_inout_ordering():
 
     def main():
         yield rt.charge_spawn()
-        rt.spawn("w1", cost=1.0, outs=["acc"],
+        rt.spawn("w1", cost=1.0, accesses=((OUT, "acc"),),
                  body=lambda: order.append("w1"))
         for i in range(3):
             yield rt.charge_spawn()
-            rt.spawn(f"c{i}", cost=1.0, commutatives=["acc"],
+            rt.spawn(f"c{i}", cost=1.0, accesses=((COMMUTATIVE, "acc"),),
                      body=lambda i=i: order.append(f"c{i}"))
         yield rt.charge_spawn()
-        rt.spawn("w2", cost=1.0, inouts=["acc"],
+        rt.spawn("w2", cost=1.0, accesses=((INOUT, "acc"),),
                  body=lambda: order.append("w2"))
         yield from rt.taskwait()
 
@@ -106,15 +111,15 @@ def test_commutative_reader_ordering():
 
     def main():
         yield rt.charge_spawn()
-        rt.spawn("w", cost=1.0, outs=["acc"])
+        rt.spawn("w", cost=1.0, accesses=((OUT, "acc"),))
         yield rt.charge_spawn()
-        rt.spawn("r-before", cost=1.0, ins=["acc"],
+        rt.spawn("r-before", cost=1.0, accesses=((IN, "acc"),),
                  body=lambda: order.append("r-before"))
         yield rt.charge_spawn()
-        rt.spawn("c", cost=1.0, commutatives=["acc"],
+        rt.spawn("c", cost=1.0, accesses=((COMMUTATIVE, "acc"),),
                  body=lambda: order.append("c"))
         yield rt.charge_spawn()
-        rt.spawn("r-after", cost=1.0, ins=["acc"],
+        rt.spawn("r-after", cost=1.0, accesses=((IN, "acc"),),
                  body=lambda: order.append("r-after"))
         yield from rt.taskwait()
 
@@ -130,13 +135,16 @@ def test_commutative_multiple_handles_no_deadlock():
 
     def main():
         yield rt.charge_spawn()
-        rt.spawn("ab", cost=1.0, commutatives=["a", "b"],
+        rt.spawn("ab", cost=1.0,
+                 accesses=((COMMUTATIVE, "a"), (COMMUTATIVE, "b")),
                  body=lambda: done.append("ab"))
         yield rt.charge_spawn()
-        rt.spawn("bc", cost=1.0, commutatives=["b", "c"],
+        rt.spawn("bc", cost=1.0,
+                 accesses=((COMMUTATIVE, "b"), (COMMUTATIVE, "c")),
                  body=lambda: done.append("bc"))
         yield rt.charge_spawn()
-        rt.spawn("ca", cost=1.0, commutatives=["c", "a"],
+        rt.spawn("ca", cost=1.0,
+                 accesses=((COMMUTATIVE, "c"), (COMMUTATIVE, "a")),
                  body=lambda: done.append("ca"))
         yield from rt.taskwait()
 
@@ -153,10 +161,10 @@ def test_commutative_group_total_time_parallel_groups():
     def main():
         for i in range(3):
             yield rt.charge_spawn()
-            rt.spawn(f"g1-{i}", cost=1.0, commutatives=["g1"])
+            rt.spawn(f"g1-{i}", cost=1.0, accesses=((COMMUTATIVE, "g1"),))
         for i in range(3):
             yield rt.charge_spawn()
-            rt.spawn(f"g2-{i}", cost=1.0, commutatives=["g2"])
+            rt.spawn(f"g2-{i}", cost=1.0, accesses=((COMMUTATIVE, "g2"),))
         yield from rt.taskwait()
 
     run_main(env, main())
@@ -178,7 +186,7 @@ def test_functional_commutative_accumulation():
         for x in (1.0, 2.0, 3.0, 4.0, 5.0):
             yield rt.charge_spawn()
             rt.spawn(f"add{x}", cost=0.5,
-                     commutatives=["sum"], body=add(x))
+                     accesses=((COMMUTATIVE, "sum"),), body=add(x))
         yield from rt.taskwait()
 
     run_main(env, main())

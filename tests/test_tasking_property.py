@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from repro.machine import CostSpec
 from repro.simx import Environment
 from repro.tasking import RankRuntime
-from repro.tasking.task import AccessMode
+from repro.tasking.task import AccessMode, normalize_accesses
 
 FREE = CostSpec(
     task_spawn_overhead=0.0,
@@ -83,7 +83,7 @@ def test_property_conflicting_tasks_keep_registration_order(graph, cores):
             yield rt.charge_spawn()
             rt.spawn(
                 f"t{i}", cost=0.0, body=body(i),
-                ins=ins, outs=outs, inouts=inouts, commutatives=comm,
+                accesses=normalize_accesses(ins, outs, inouts, comm),
             )
         yield from rt.taskwait()
 
@@ -124,10 +124,12 @@ def test_property_runtime_always_drains(graph, cores):
                 f"t{i}",
                 cost=1e-6,
                 body=lambda i=i: executed.append(i),
-                ins=handles.get(AccessMode.IN, ()),
-                outs=handles.get(AccessMode.OUT, ()),
-                inouts=handles.get(AccessMode.INOUT, ()),
-                commutatives=handles.get(AccessMode.COMMUTATIVE, ()),
+                accesses=normalize_accesses(
+                    ins=handles.get(AccessMode.IN, ()),
+                    outs=handles.get(AccessMode.OUT, ()),
+                    inouts=handles.get(AccessMode.INOUT, ()),
+                    commutatives=handles.get(AccessMode.COMMUTATIVE, ()),
+                ),
             )
         yield from rt.taskwait()
 

@@ -15,6 +15,9 @@ from repro.tasking import (
     normalize_accesses,
 )
 
+IN = AccessMode.IN
+OUT = AccessMode.OUT
+
 FREE = CostSpec(
     task_spawn_overhead=0.0,
     task_dispatch_overhead=0.0,
@@ -51,6 +54,20 @@ def test_task_rejects_sublinear_locality_factor():
     env = Environment()
     with pytest.raises(ValueError):
         Task(env, "t", locality_factor=0.5)
+
+
+def test_spawn_rejects_nan_cost():
+    # A NaN cost would stretch to NaN, skip the sleep and run in no time.
+    env, rt = make_runtime(cost_spec=CostSpec())
+    with pytest.raises(ValueError):
+        rt.spawn("x", cost=float("nan"))
+    assert rt.outstanding == 0
+
+
+def test_task_rejects_nan_locality_factor():
+    env = Environment()
+    with pytest.raises(ValueError):
+        Task(env, "t", locality_factor=float("nan"))
 
 
 def test_normalize_accesses_modes():
@@ -171,10 +188,10 @@ def test_dependent_tasks_serialize():
 
     def main():
         yield rt.charge_spawn()
-        rt.spawn("w", cost=1.0, outs=["x"],
+        rt.spawn("w", cost=1.0, accesses=((OUT, "x"),),
                  body=lambda: order.append("w"))
         yield rt.charge_spawn()
-        rt.spawn("r", cost=1.0, ins=["x"],
+        rt.spawn("r", cost=1.0, accesses=((IN, "x"),),
                  body=lambda: order.append("r"))
         yield from rt.taskwait()
 
@@ -189,16 +206,16 @@ def test_diamond_dependency_graph():
 
     def main():
         yield rt.charge_spawn()
-        rt.spawn("a", cost=1.0, outs=["x"],
+        rt.spawn("a", cost=1.0, accesses=((OUT, "x"),),
                  body=lambda: order.append("a"))
         yield rt.charge_spawn()
-        rt.spawn("b", cost=1.0, ins=["x"], outs=["y"],
+        rt.spawn("b", cost=1.0, accesses=((IN, "x"), (OUT, "y")),
                  body=lambda: order.append("b"))
         yield rt.charge_spawn()
-        rt.spawn("c", cost=1.0, ins=["x"], outs=["z"],
+        rt.spawn("c", cost=1.0, accesses=((IN, "x"), (OUT, "z")),
                  body=lambda: order.append("c"))
         yield rt.charge_spawn()
-        rt.spawn("d", cost=1.0, ins=["y", "z"],
+        rt.spawn("d", cost=1.0, accesses=((IN, "y"), (IN, "z")),
                  body=lambda: order.append("d"))
         yield from rt.taskwait()
 
@@ -304,10 +321,10 @@ def test_waiter_table_bounded_under_taskwait_stress():
     def main():
         for i in range(30):
             yield rt.charge_spawn()
-            rt.spawn(f"w{i}", cost=0.5, outs=[("h", i % 3)])
+            rt.spawn(f"w{i}", cost=0.5, accesses=((OUT, ("h", i % 3)),))
             yield rt.charge_spawn()
             rt.spawn(f"p{i}", cost=0.0, body=probe,
-                     ins=[("h", i % 3)])
+                     accesses=((IN, ("h", i % 3)),))
             if i % 3 == 0:
                 yield from rt.taskwait_with_deps(ins=[("h", i % 3)])
             if i % 5 == 0:
@@ -342,10 +359,10 @@ def test_locality_scheduler_applies_ipc_boost():
 
     def main():
         yield rt.charge_spawn()
-        rt.spawn("a", cost=1.0, outs=["blk"], affinity="blk",
+        rt.spawn("a", cost=1.0, accesses=((OUT, "blk"),), affinity="blk",
                  locality_factor=2.0)
         yield rt.charge_spawn()
-        rt.spawn("b", cost=1.0, ins=["blk"], affinity="blk",
+        rt.spawn("b", cost=1.0, accesses=((IN, "blk"),), affinity="blk",
                  locality_factor=2.0)
         yield from rt.taskwait()
 
@@ -361,12 +378,12 @@ def test_fifo_scheduler_no_front_push():
 
     def main():
         yield rt.charge_spawn()
-        rt.spawn("a", cost=1.0, outs=["x"],
+        rt.spawn("a", cost=1.0, accesses=((OUT, "x"),),
                  body=lambda: order.append("a"))
         yield rt.charge_spawn()
         rt.spawn("c", cost=1.0, body=lambda: order.append("c"))
         yield rt.charge_spawn()
-        rt.spawn("b", cost=1.0, ins=["x"],
+        rt.spawn("b", cost=1.0, accesses=((IN, "x"),),
                  body=lambda: order.append("b"))
         yield from rt.taskwait()
 
@@ -381,12 +398,12 @@ def test_locality_scheduler_runs_successor_immediately():
 
     def main():
         yield rt.charge_spawn()
-        rt.spawn("a", cost=1.0, outs=["x"],
+        rt.spawn("a", cost=1.0, accesses=((OUT, "x"),),
                  body=lambda: order.append("a"))
         yield rt.charge_spawn()
         rt.spawn("c", cost=1.0, body=lambda: order.append("c"))
         yield rt.charge_spawn()
-        rt.spawn("b", cost=1.0, ins=["x"],
+        rt.spawn("b", cost=1.0, accesses=((IN, "x"),),
                  body=lambda: order.append("b"))
         yield from rt.taskwait()
 
@@ -437,7 +454,7 @@ def test_zero_overhead_charge_schedules_nothing():
         seq, queued = env._seq, list(env._queue)
         for i in range(16):
             yield rt.charge_spawn()
-            rt.spawn(f"t{i}", cost=0.0, outs=[("h", i)])
+            rt.spawn(f"t{i}", cost=0.0, accesses=((OUT, ("h", i)),))
         # The burst scheduled no event (every schedule takes a sequence
         # number) and the loop processed none: the heap is as it was.
         seen.append((env._seq - seq, env._queue == queued, env.now))
@@ -491,9 +508,9 @@ def test_taskwait_with_deps_waits_only_for_named_data():
 
     def main():
         yield rt.charge_spawn()
-        rt.spawn("fast", cost=1.0, outs=["a"])
+        rt.spawn("fast", cost=1.0, accesses=((OUT, "a"),))
         yield rt.charge_spawn()
-        rt.spawn("slow", cost=10.0, outs=["b"])
+        rt.spawn("slow", cost=10.0, accesses=((OUT, "b"),))
         yield from rt.taskwait_with_deps(ins=["a"])
         checkpoints["after-deps"] = env.now
         yield from rt.taskwait()
@@ -522,9 +539,9 @@ def test_taskwait_with_deps_chain():
 
     def main():
         yield rt.charge_spawn()
-        rt.spawn("w1", cost=1.0, outs=["x"])
+        rt.spawn("w1", cost=1.0, accesses=((OUT, "x"),))
         yield rt.charge_spawn()
-        rt.spawn("w2", cost=1.0, ins=["x"], outs=["y"])
+        rt.spawn("w2", cost=1.0, accesses=((IN, "x"), (OUT, "y")))
         yield from rt.taskwait_with_deps(ins=["y"])
         assert env.now == pytest.approx(2.0)
 

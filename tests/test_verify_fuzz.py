@@ -5,7 +5,7 @@ import pytest
 from repro import run_simulation
 from repro.machine import CostSpec
 from repro.simx import Environment
-from repro.tasking import RankRuntime
+from repro.tasking import AccessMode, RankRuntime
 from repro.verify import (
     ScheduleVarianceError,
     default_golden_specs,
@@ -37,11 +37,11 @@ def test_fuzz_scheduler_respects_dependencies(seed):
     def main():
         for i in range(12):
             # Even tasks form an inout chain on "h"; odd tasks are free.
-            handles = {"inouts": ["h"]} if i % 2 == 0 else {}
+            accesses = ((AccessMode.INOUT, "h"),) if i % 2 == 0 else ()
             yield rt.charge_spawn()
             rt.spawn(
                 f"t{i}", cost=1e-6,
-                body=lambda i=i: order.append(i), **handles,
+                body=lambda i=i: order.append(i), accesses=accesses,
             )
         yield from rt.taskwait()
 

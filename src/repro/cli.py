@@ -633,34 +633,25 @@ def _build_cfg(args, num_ranks):
 
 def _make_engine(args):
     from .exec import ResultCache, RunStatsStore, SweepEngine
+    from .obs.telemetry import TELEMETRY_ENV, ProgressPrinter, TelemetryBus
 
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     stats = None if args.no_stats else RunStatsStore(args.stats_file)
     telemetry = None
     if getattr(args, "telemetry", None):
-        from .obs.telemetry import TELEMETRY_ENV, TelemetryBus
-
         telemetry = TelemetryBus(args.telemetry)
         # Exported so PDES worker grandchildren (and any other spawned
         # process) can attach to the same stream; deliberately not a
         # spec field — fingerprints stay identical with telemetry on.
         os.environ[TELEMETRY_ENV] = os.path.abspath(args.telemetry)
-
-    def progress(event):
-        if event["event"] in ("ok", "cached", "failed", "blocked", "retry"):
-            print(
-                f"[{event['index'] + 1}/{event['total']}] "
-                f"{event['label']}: {event['status']}"
-                f" ({event['wall_time']:.2f}s)",
-                file=sys.stderr,
-            )
+    if args.jobs > 1:  # the stderr progress line: a view over the records
+        telemetry = ProgressPrinter(telemetry)
 
     return SweepEngine(
         jobs=args.jobs,
         cache=cache,
         timeout=args.timeout,
         retries=args.retries,
-        progress=progress if args.jobs > 1 else None,
         stats=stats,
         telemetry=telemetry,
         drain_timeout=getattr(args, "drain_timeout", 30.0),

@@ -8,8 +8,8 @@ across a worker-process pool with no level barriers and
 critical-path-first ready ordering, a content-addressed on-disk result
 cache keyed by spec fingerprint, a persistent run-duration stats store
 keyed by *normalized* spec signature (drives the duration predictions),
-per-run timeout and crash retry with exponential backoff, and structured
-progress reporting.  ``repro.bench`` and the CLI execute through it.
+per-run timeout and crash retry with exponential backoff, and a
+telemetry record per job transition.  ``repro.bench`` and the CLI run it.
 Whatever the source — a list of specs, a labelled
 :meth:`~repro.pipeline.JobGraph.from_specs` sweep, a pipeline, or a
 serve-broker execution — work enters the engine one way: as a job graph.

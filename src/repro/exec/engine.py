@@ -28,8 +28,8 @@ the general one.  Both flow through one scheduler with one contract:
   transitive dependents finish as ``blocked`` (a distinct terminal
   status, so "skipped because upstream failed" is never reported as a
   failure of the node itself);
-* progress (cached / start / ok / retry / failed / blocked, wall-time
-  per run) is reported through a callback.
+* every job transition is recorded once, as a telemetry record; a
+  progress display is a view over those records.
 
 One scheduler core does the executing: :class:`EngineSession` launches,
 reaps, times out, retries, cancels and finalizes every run, and
@@ -326,12 +326,6 @@ class SweepEngine:
         Base of the exponential retry backoff (``backoff * 2**attempt``,
         plus up to 50% :func:`retry_jitter` seeded by the run
         fingerprint — never by wall clock, so retried sweeps reproduce).
-    progress:
-        Optional callback receiving event dicts (``event ∈ {cached,
-        start, ok, retry, failed, blocked}``).
-    mp_context:
-        ``multiprocessing`` start method (default: ``fork`` where
-        available, else ``spawn``).
     runner:
         Picklable ``spec_dict -> result_dict`` executed in workers
         (test/instrumentation hook; defaults to :func:`run_spec_dict`).
@@ -345,15 +339,15 @@ class SweepEngine:
         rides in the cache envelope — updates it; predictions from it
         drive the critical-path-first ordering of the ready set.
     telemetry:
-        A :class:`~repro.obs.telemetry.TelemetryBus` (or ``None``,
-        the default: fully disabled, zero emission cost).  The engine
-        emits every job-lifecycle transition — queued, launched,
-        retried, done/failed/blocked, cache hits — with worker ids and
-        slot counts, plus ``engine_start``/``engine_stop`` envelopes;
-        pool children post ``run_start``/``run_end`` spans through a
-        queue the parent drains.  Telemetry is not part of any
-        :class:`RunSpec`: fingerprints, cache keys, and results are
-        byte-identical with it on or off.
+        A :class:`~repro.obs.telemetry.TelemetryBus` or other emitter
+        (or ``None``, the default: fully disabled, zero emission cost).
+        The engine's only account of a job's life: every transition —
+        queued, launched, retried, done/failed/blocked, cache hits —
+        with worker ids and slot counts, in ``engine_start``/
+        ``engine_stop`` envelopes; pool children post ``run_start``/
+        ``run_end`` spans through a queue the parent drains.  Telemetry
+        is not part of any :class:`RunSpec`: fingerprints, cache keys,
+        and results are byte-identical with it on or off.
     drain_timeout:
         Seconds a graceful shutdown (:meth:`request_shutdown`, or
         SIGTERM/SIGINT while running on the main thread) waits for
@@ -361,8 +355,8 @@ class SweepEngine:
     """
 
     def __init__(self, *, jobs=1, cache=None, timeout=None, retries=2,
-                 backoff=0.25, progress=None, mp_context=None, runner=None,
-                 stats=None, telemetry=None, drain_timeout=30.0):
+                 backoff=0.25, runner=None, stats=None, telemetry=None,
+                 drain_timeout=30.0):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         if retries < 0:
@@ -372,7 +366,6 @@ class SweepEngine:
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
-        self.progress = progress
         self.runner = runner or run_spec_dict
         self.stats = stats
         self.telemetry = telemetry
@@ -387,13 +380,10 @@ class SweepEngine:
             # Route the store's predicted-vs-actual reconciliation into
             # the same stream the engine writes.
             stats.telemetry = telemetry
-        if mp_context is None:
-            mp_context = (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
-            )
-        self._ctx = multiprocessing.get_context(mp_context)
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn"
+        )
 
     # ------------------------------------------------------------------
     def request_shutdown(self):
@@ -1093,9 +1083,7 @@ class EngineSession:
             wid=task.wid, slots=task.slots, attempt=task.attempts,
             predicted=task.predicted,
         )
-        if task.attempts == 1:
-            task.graph.started = True
-            self._progress("start", self._outcome(task, "running"))
+        task.graph.started = True
         task.deadline = (
             task.started + engine.timeout if engine.timeout else None
         )
@@ -1202,8 +1190,6 @@ class EngineSession:
             "job_retry", node=task.name, run=task.fingerprint,
             attempt=task.attempts, reason=reason,
         )
-        self._progress("retry", self._outcome(task, "retrying",
-                                              error=reason))
         return None
 
     def _withdraw(self, task, status, error, blocker=None):
@@ -1251,7 +1237,7 @@ class EngineSession:
                             blocker=blocker)
 
     def _settle(self, outcome, *, predicted=None, blocker=None):
-        """Record a terminal outcome: bookkeeping, progress, telemetry.
+        """Record a terminal outcome: bookkeeping and telemetry.
 
         Executed runs arrive through :meth:`_finalize`; job-graph
         admission settles the nodes it decides itself (cached, analysis,
@@ -1261,8 +1247,6 @@ class EngineSession:
         self._counts[status] += 1
         self._tickets.pop(index, None)
         self._cancel_requested.discard(index)
-        if status != "canceled":
-            self._progress(status, outcome)
         job = dict(node=outcome.name or outcome.label,
                    run=outcome.fingerprint)
         if status == "cached":
@@ -1283,25 +1267,6 @@ class EngineSession:
                 predicted=predicted, **job,
             )
         return outcome
-
-    def _progress(self, event, outcome):
-        progress = self.engine.progress
-        if progress is None:
-            return
-        progress({
-            "event": event,
-            "index": outcome.index,
-            "total": self._next_ticket,
-            "label": outcome.label,
-            "name": outcome.name,
-            "fingerprint": outcome.fingerprint,
-            "status": outcome.status,
-            "attempts": outcome.attempts,
-            "wall_time": outcome.wall_time,
-            "wait_time": outcome.wait_time,
-            "worker_id": outcome.worker_id,
-            "slots": outcome.slots,
-        })
 
     def _record(self, rtype, **fields):
         """The session's one telemetry emitter (``engine_start`` first)."""

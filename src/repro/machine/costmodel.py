@@ -13,6 +13,7 @@ NUMA and locality factors), which set the shape of every experiment.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, replace
 from itertools import chain
 
@@ -153,7 +154,9 @@ def _lcg_batches(state):
     while True:  # uint64 arithmetic wraps mod 2**64, as the masks do
         states = mults * np.uint64(state) + incs
         state = int(states[-1])
-        yield (states / 2.0**64).tolist()
+        batch = array("d", (states / 2.0**64).tobytes())
+        del states  # suspended, a stream keeps only the 2 KB batch
+        yield batch
 
 
 def lcg_uniforms(state: int):

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 
 #: Environment variable carrying the telemetry JSONL path.  Child
@@ -291,6 +292,45 @@ class QueueEmitter(_EmitterBase):
             self.queue.put(record)
         except Exception:
             pass  # a closed queue must never fail the run
+
+
+class ProgressPrinter(_EmitterBase):
+    """The CLI's stderr progress line, a view over the job records.
+
+    One ``[k/N] <node>: <status> (<wall>s)`` line per settled job (but a
+    canceled one) and per retry.  ``N`` is ``engine_start.total``, raised
+    to ``k`` once a fan-out's later children pass it, and ``k`` counts the
+    jobs settled since.  Every record goes on, unchanged, to ``bus``.
+    """
+
+    __slots__ = ("bus", "path", "_total", "_settled", "_launched")
+    #: Job record -> the status its line shows (``job_done`` has one).
+    _STATUS = dict(job_done="ok", job_cached="cached", job_failed="failed",
+                   job_blocked="blocked", job_retry="retrying")
+
+    def __init__(self, bus=None):
+        super().__init__()
+        self.bus, self.path = bus, getattr(bus, "path", None)
+        self._total = self._settled = 0
+        self._launched = {}  # node -> launch time of its running attempt
+
+    def write_record(self, record):
+        rtype, t, node = record["type"], record["t"], record.get("node")
+        if rtype == "engine_start":
+            self._total, self._settled = record["total"], 0
+        elif rtype == "job_launched":
+            self._launched[node] = t
+        elif rtype in self._STATUS:
+            start = self._launched.pop(node, t)
+            status = record.get("status", self._STATUS[rtype])
+            if status != "canceled":
+                self._settled += rtype != "job_retry"
+                self._total = max(self._total, self._settled)
+                wall = record.get("wall_time", t - start)
+                print(f"[{self._settled}/{self._total}] {node}: {status} "
+                      f"({wall:.2f}s)", file=sys.stderr)
+        if self.bus is not None:
+            self.bus.write_record(record)
 
 
 def drain_queue(queue, bus) -> int:

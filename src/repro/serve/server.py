@@ -195,14 +195,14 @@ class ServeHandler(BaseHTTPRequestHandler):
 
     def _send_telemetry(self):
         """The raw telemetry JSONL (whole current file, then EOF)."""
-        bus = self.broker.telemetry
-        if bus is None:
+        path = getattr(self.broker.telemetry, "path", None)
+        if path is None:
             raise ProtocolError(
                 "not_found",
                 "server was started without --telemetry",
             )
         try:
-            with open(bus.path, "rb") as fh:
+            with open(path, "rb") as fh:
                 data = fh.read()
         except OSError as exc:
             raise ProtocolError(

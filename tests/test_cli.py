@@ -105,6 +105,53 @@ def test_sweep_command_prints_table(capsys, tmp_path):
     assert "4 executed" in out
 
 
+def test_sweep_progress_line_is_a_view_over_the_job_records(capsys,
+                                                             tmp_path):
+    import re
+    from collections import Counter
+
+    from repro.obs.telemetry import read_records, validate_file
+
+    def sweep(jobs, name):
+        stream = tmp_path / f"{name}.jsonl"
+        assert main([
+            "sweep", "--variants", "mpi_only", "tampi_dataflow",
+            "--nodes", "1", "--preset", "laptop", "--ranks-per-node", "2",
+            "--root", "2", "2", "2", "--nx", "4", "--num-vars", "2",
+            "--tsteps", "1", "--stages", "2", "--checksum-freq", "2",
+            "--max-refine-level", "1", "--jobs", str(jobs), "--no-stats",
+            "--cache-dir", str(tmp_path / name),  # cold by construction
+            "--telemetry", str(stream),
+        ]) == 0
+        validate_file(stream)
+        return read_records(stream), capsys.readouterr().err
+
+    records, err = sweep(2, "printed")
+    lines = err.splitlines()
+    assert len(lines) == 2, err
+    done = []
+    for k, line in enumerate(lines, 1):
+        m = re.fullmatch(rf"\[{k}/2\] (\S+): ok \(\d+\.\d\ds\)", line)
+        assert m, line
+        done.append(m.group(1))
+    assert sorted(done) == ["mpi_only@1n", "tampi_dataflow@1n"]
+
+    # Without the printer (--jobs 1) the stream holds the same job
+    # records: the printer forwards every record unchanged.
+    bare, bare_err = sweep(1, "bare")
+    assert bare_err == ""
+
+    def jobs_of(stream):
+        return Counter(
+            (r["type"], r["node"], tuple(sorted(r)))
+            for r in stream if r["type"].startswith("job_")
+        )
+
+    assert [r["type"] for r in records].count("engine_start") == 1
+    assert jobs_of(records) == jobs_of(bare)
+    assert [r["node"] for r in records if r["type"] == "job_done"] == done
+
+
 def test_run_hybrid_defaults_to_paper_ranks_per_node(capsys):
     """cmd_run and the driver resolve the same default (4, Table I)."""
     rc = main([

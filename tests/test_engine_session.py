@@ -578,3 +578,30 @@ def test_idle_workers_exit_when_the_engine_process_dies():
     while not all(_exited(p) for p in pids):
         assert time.monotonic() < deadline, "idle workers outlived the engine"
         time.sleep(0.05)
+
+
+# ----------------------------------------------------------------------
+# One thread drives a session: nothing in the engine takes a lock
+# ----------------------------------------------------------------------
+_LOCK_TYPES = (type(threading.Lock()), type(threading.RLock()),
+               threading._PyRLock)
+
+
+def _locks(obj):
+    return sorted(name for name, value in vars(obj).items()
+                  if isinstance(value, _LOCK_TYPES))
+
+
+def test_no_engine_session_or_graph_holds_a_lock():
+    engine = SweepEngine(jobs=1)
+    assert engine.run([small_spec()]).executed == 1
+    assert _locks(engine) == []
+    session = engine.session()
+    try:
+        run = GraphRun(session, JobGraph.from_specs([small_spec()]))
+        run.start()
+        session.poll()  # launches the run: the session is live
+        assert session.active == 1
+        assert (_locks(engine), _locks(session), _locks(run)) == ([], [], [])
+    finally:
+        session.close()

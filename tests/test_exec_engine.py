@@ -14,6 +14,7 @@ from repro.exec import (
     SweepError,
     run_spec_dict,
 )
+from repro.obs.telemetry import TelemetryBus, read_records
 from repro.pipeline import JobGraph
 
 
@@ -139,7 +140,6 @@ def test_worker_crash_is_retried_then_succeeds(tmp_path, monkeypatch, jobs):
     monkeypatch.setenv("REPRO_EXEC_TEST_DIR", str(tmp_path))
     spec = small_sweep()[2]
     engine = SweepEngine(jobs=jobs, retries=2, backoff=0.01,
-                         mp_context="fork",
                          runner=_crash_until_third_attempt)
     report = engine.run([spec])
     outcome = report.outcomes[0]
@@ -152,7 +152,7 @@ def test_worker_crash_is_retried_then_succeeds(tmp_path, monkeypatch, jobs):
 def test_worker_crash_fails_only_that_run(jobs):
     specs = small_sweep()
     engine = SweepEngine(jobs=jobs, retries=1, backoff=0.01,
-                         mp_context="fork", runner=_crash_fork_join_only)
+                         runner=_crash_fork_join_only)
     report = engine.run(specs)
     by_variant = {o.spec.variant: o for o in report.outcomes}
     assert by_variant["fork_join"].status == "failed"
@@ -169,7 +169,7 @@ def test_worker_crash_fails_only_that_run(jobs):
 def test_timeout_kills_and_fails_the_run(jobs):
     spec = small_sweep()[0]
     engine = SweepEngine(jobs=jobs, timeout=0.25, retries=0,
-                         mp_context="fork", runner=_hang_forever)
+                         runner=_hang_forever)
     report = engine.run([spec])
     outcome = report.outcomes[0]
     assert outcome.status == "failed"
@@ -180,7 +180,7 @@ def test_timeout_kills_and_fails_the_run(jobs):
 def test_deterministic_exception_is_not_retried(jobs):
     spec = small_sweep()[0]
     engine = SweepEngine(jobs=jobs, retries=5, backoff=0.01,
-                         mp_context="fork", runner=_raise_value_error)
+                         runner=_raise_value_error)
     report = engine.run([spec])
     outcome = report.outcomes[0]
     assert outcome.status == "failed"
@@ -199,20 +199,23 @@ def test_inline_errors_become_failed_outcomes():
 
 
 # ----------------------------------------------------------------------
-# Progress reporting
+# Job records: the engine's one account of a job's life
 # ----------------------------------------------------------------------
 def test_progress_events_are_emitted(tmp_path):
-    events = []
     specs = small_sweep()
     cache = ResultCache(tmp_path / "cache")
-    SweepEngine(jobs=2, cache=cache, progress=events.append).run(specs)
-    assert sum(1 for e in events if e["event"] == "ok") == 3
-    SweepEngine(jobs=2, cache=cache, progress=events.append).run(specs)
-    cached = [e for e in events if e["event"] == "cached"]
-    assert len(cached) == 3
-    assert all(e["total"] == 3 for e in events)
-    ok = [e for e in events if e["event"] == "ok"]
-    assert all(e["wall_time"] > 0 for e in ok)
+    bus = TelemetryBus(tmp_path / "tel.jsonl")
+    SweepEngine(jobs=2, cache=cache, telemetry=bus).run(specs)
+    cold = read_records(bus.path)
+    assert sum(1 for r in cold if r["type"] == "job_done") == 3
+    SweepEngine(jobs=2, cache=cache, telemetry=bus).run(specs)
+    records = read_records(bus.path)
+    warm = records[len(cold):]
+    assert sum(1 for r in warm if r["type"] == "job_cached") == 3
+    starts = [r for r in records if r["type"] == "engine_start"]
+    assert len(starts) == 2 and all(r["total"] == 3 for r in starts)
+    done = [r for r in records if r["type"] == "job_done"]
+    assert all(r["status"] == "ok" and r["wall_time"] > 0 for r in done)
 
 
 def test_report_summary_mentions_counts(tmp_path):
@@ -261,9 +264,9 @@ def test_partitioned_run_wider_than_the_pool_still_completes():
     assert report.failed == 0
 
 
-def test_pending_slot_widths_bin_pack():
+def test_pending_slot_widths_bin_pack(tmp_path):
     """The scheduler never oversubscribes: concurrent slot usage stays
-    within ``jobs`` (verified via start/finish progress ordering)."""
+    within ``jobs`` (verified via launch/finish record ordering)."""
     from dataclasses import replace
 
     cfg = small_config(num_ranks=4, npx=2, npy=2, init_x=1, init_y=1)
@@ -271,16 +274,16 @@ def test_pending_slot_widths_bin_pack():
                    ranks_per_node=4)
     # Three 2-slot tasks in a 4-slot pool: at most two run at once.
     specs = [replace(spec, pdes_workers=2, sched_seed=i) for i in range(3)]
-    events = []
-    report = SweepEngine(jobs=4, progress=events.append).run(
+    bus = TelemetryBus(tmp_path / "tel.jsonl")
+    report = SweepEngine(jobs=4, telemetry=bus).run(
         JobGraph.from_specs(specs, labels=["a", "b", "c"])
     )
     assert report.failed == 0
     concurrent = peak = 0
-    for e in events:
-        if e["event"] == "start":
+    for r in read_records(bus.path):
+        if r["type"] == "job_launched":
             concurrent += 1
             peak = max(peak, concurrent)
-        elif e["event"] in ("ok", "failed"):
+        elif r["type"] in ("job_done", "job_failed", "job_retry"):
             concurrent -= 1
     assert peak <= 2, f"pool oversubscribed: {peak} 2-slot tasks at once"

@@ -8,6 +8,7 @@ import pytest
 
 from repro import AmrConfig, RunSpec, sphere
 from repro.exec import ResultCache, SweepEngine, SweepError, run_spec_dict
+from repro.obs.telemetry import TelemetryBus, read_records
 from repro.pipeline import (
     JobGraph,
     JobNode,
@@ -379,7 +380,7 @@ def _sleepy_runner(spec_dict):
     return run_spec_dict(spec_dict)
 
 
-def test_node_starts_as_soon_as_its_own_predecessors_finish():
+def test_node_starts_as_soon_as_its_own_predecessors_finish(tmp_path):
     """With two workers, ``child`` (after the fast root) must start while
     the unrelated slow root is still running — a level-barrier scheduler
     would stall it until the whole first level drained."""
@@ -390,14 +391,15 @@ def test_node_starts_as_soon_as_its_own_predecessors_finish():
         PipelineNode("child", generator="test.echo_spec",
                      params={"sched_seed": 2}, after=("fast",)),
     ))
-    events = []
-    engine = SweepEngine(jobs=2, retries=0, mp_context="fork",
-                         runner=_sleepy_runner, progress=events.append)
+    bus = TelemetryBus(tmp_path / "tel.jsonl")
+    engine = SweepEngine(jobs=2, retries=0, runner=_sleepy_runner,
+                         telemetry=bus)
     report = run_pipeline(pipe, engine=engine)
     assert report.ok
-    order = [(e["event"], e["name"]) for e in events]
-    child_start = order.index(("start", "child"))
-    slow_done = order.index(("ok", "slow"))
+    order = [(r["type"], r.get("attempt", r.get("status")), r.get("node"))
+             for r in read_records(bus.path)]
+    child_start = order.index(("job_launched", 1, "child"))
+    slow_done = order.index(("job_done", "ok", "slow"))
     assert child_start < slow_done, order
 
 
@@ -431,15 +433,17 @@ def fan_pipeline(seeds):
     ))
 
 
-def test_empty_fan_out_settles_at_once():
-    events = []
+def test_empty_fan_out_settles_at_once(tmp_path):
+    bus = TelemetryBus(tmp_path / "tel.jsonl")
     report = run_pipeline(
-        fan_pipeline([]), engine=SweepEngine(progress=events.append),
+        fan_pipeline([]), engine=SweepEngine(telemetry=bus),
     )
     assert report.outcome("fan").status == "ok"
     assert report.result("fan") == []
     assert report.result("sum") == []
-    assert not [e for e in events if e["event"] == "start"]
+    types = [r["type"] for r in read_records(bus.path)]
+    assert types.count("job_done") == 2  # the stream saw both nodes
+    assert "job_launched" not in types
 
 
 def test_failed_child_is_data_for_the_successor():
@@ -460,22 +464,24 @@ def test_fan_out_children_hit_the_cache_one_by_one(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     run_pipeline(fan_pipeline([1]),
                  engine=SweepEngine(jobs=1, cache=cache))
-    events = []
+    def launched(path):
+        return [r["node"] for r in read_records(path)
+                if r["type"] == "job_launched" and r["attempt"] == 1]
+
     # The wider fan-out shares child 0 with the first run.
+    bus = TelemetryBus(tmp_path / "wider.jsonl")
     wider = run_pipeline(fan_pipeline([1, 2]), engine=SweepEngine(
-        jobs=1, cache=cache, progress=events.append,
+        jobs=1, cache=cache, telemetry=bus,
     ))
     assert [c.status for c in wider.result("fan")] == ["cached", "ok"]
     assert wider.outcome("fan").status == "ok"
-    assert [e["name"] for e in events if e["event"] == "start"] == [
-        "fan[1]",
-    ]
-    events.clear()
+    assert launched(bus.path) == ["fan[1]"]
+    bus = TelemetryBus(tmp_path / "warm.jsonl")
     warm = run_pipeline(fan_pipeline([1, 2]), engine=SweepEngine(
-        jobs=1, cache=cache, progress=events.append,
+        jobs=1, cache=cache, telemetry=bus,
     ))
     assert warm.sweep.executed == 0
-    assert not [e for e in events if e["event"] == "start"]
+    assert launched(bus.path) == []
     assert [c.status for c in warm.result("fan")] == ["cached", "cached"]
     assert warm.outcome("fan").status == "cached"
     assert warm.results_dict() == wider.results_dict()

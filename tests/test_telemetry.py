@@ -20,6 +20,7 @@ from repro.pipeline import (
 from repro.obs import EngineReport
 from repro.obs.telemetry import (
     TELEMETRY_ENV,
+    ProgressPrinter,
     QueueEmitter,
     TelemetryBus,
     TelemetryError,
@@ -587,3 +588,31 @@ class TestTailFollow:
                        max_frames=5)
         assert "after" in frame and "finished" in frame
         assert "before" not in frame
+
+
+def test_progress_printer_reads_the_job_records_and_forwards_them(
+        tmp_path, capsys):
+    bus = TelemetryBus(tmp_path / "t.jsonl")
+    printer = ProgressPrinter(bus)
+    assert printer.path == bus.path and ProgressPrinter().path is None
+    emit = printer.emit
+    emit("engine_start", graph="g", jobs=2, total=2)
+    emit("job_launched", node="a", wid=0, slots=1, attempt=1)
+    emit("job_retry", node="a", attempt=1, reason="worker died")
+    emit("job_launched", node="a", wid=0, slots=1, attempt=2)
+    emit("job_done", node="a", status="ok", attempts=2, wall_time=1.5)
+    emit("job_cached", node="b", run="f")
+    emit("job_done", node="c", status="canceled", attempts=0,
+         wall_time=0.0)
+    emit("job_failed", node="d", attempts=1, wall_time=0.25)
+    emit("job_blocked", node="e", blocker="d")  # a fan-out child past N
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0].startswith("[0/2] a: retrying (")
+    assert lines[1:] == [
+        "[1/2] a: ok (1.50s)", "[2/2] b: cached (0.00s)",
+        "[3/3] d: failed (0.25s)", "[4/4] e: blocked (0.00s)",
+    ]
+    assert [r["type"] for r in read_records(bus.path)] == [
+        "engine_start", "job_launched", "job_retry", "job_launched",
+        "job_done", "job_cached", "job_done", "job_failed", "job_blocked",
+    ]

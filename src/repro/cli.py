@@ -900,7 +900,7 @@ def cmd_pipeline(args) -> int:
 
     from . import bench  # noqa: F401 — registers the bench.* generators
     from .obs import pipeline_summary
-    from .pipeline import JobGraph, PipelineSpec, run_pipeline
+    from .pipeline import JobGraph, PipelineSpec
 
     if (args.name is None) == (args.file is None):
         raise ValueError(
@@ -918,13 +918,13 @@ def cmd_pipeline(args) -> int:
             costs=engine.predict_costs(graph), workers=args.jobs,
         ))
         return 0
-    report = run_pipeline(pipeline, engine=engine)
+    report = engine.run(pipeline)
     print(pipeline_summary(report), end="")
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(report.results_dict(), fh, indent=2, sort_keys=True)
         print(f"node results written: {args.json}")
-    return 1 if report.sweep.failed else 0
+    return 1 if report.failed else 0
 
 
 def cmd_verify(args) -> int:

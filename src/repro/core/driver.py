@@ -82,7 +82,7 @@ class _Sim:
 
     __slots__ = (
         "machine", "env", "world", "shared", "programs", "procs",
-        "profiler", "witness", "injector", "cores_per_rank",
+        "profiler", "witness", "injector",
     )
 
     def close(self):
@@ -165,7 +165,6 @@ def _build_simulation(rs, machine, local_ranks=None, partition=None):
     sim.profiler = profiler
     sim.witness = witness
     sim.injector = injector
-    sim.cores_per_rank = cores_per_rank
     return sim
 
 
@@ -201,25 +200,10 @@ def _execute(run_spec: RunSpec) -> RunResult:
         sim.witness.check()  # raises AccessRaceError on undeclared accesses
 
     env.flush_metrics()
-    profiler, injector = sim.profiler, sim.injector
-    profile = (
-        build_profile_report(
-            profiler,
-            rs,
-            num_ranks=machine.num_ranks,
-            cores_per_rank=sim.cores_per_rank,
-            makespan=env.now,
-            fault_injector=injector,
-        )
-        if rs.profile
-        else None
-    )
-
-    result = RunResult(
-        variant=rs.variant,
-        num_nodes=num_nodes,
-        ranks_per_node=ranks_per_node,
-        total_time=env.now,
+    result = _finish_result(
+        rs, machine, sim.profiler,
+        sim.injector.stats if sim.injector is not None else None,
+        makespan=env.now,
         refine_time=programs[0].refine_seconds,
         flops=sim.shared.flops,
         num_blocks=sim.shared.structure.num_blocks(),
@@ -227,6 +211,42 @@ def _execute(run_spec: RunSpec) -> RunResult:
         checksums=list(sim.shared.checksum_log),
         comm_stats=CommStats.from_world(sim.world.stats),
         runtime_stats=[RuntimeStats.from_runtime(p.rt.stats) for p in programs],
+    )
+    sim.close()
+    return result
+
+
+def _finish_result(rs, machine, profiler, fault_stats, makespan,
+                   pdes=None, **figures) -> RunResult:
+    """Wrap a finished run's measured ``figures`` in its RunResult.
+
+    The one place a run's envelope (variant, nodes, ranks per node,
+    makespan) and its observation attachments are built, for a serial
+    run and a partitioned one (:func:`repro.simx.parallel.run_partitioned`,
+    which passes its ``pdes`` accounting) alike: the phase summary and the
+    profiler when there is one, the profile report when ``rs.profile``,
+    the trace view when ``rs.trace``, and the fault ledger
+    ``fault_stats`` (a :class:`~repro.faults.FaultStats`) when a fault
+    plan was active.
+    """
+    profile = None
+    if rs.profile:
+        profile = build_profile_report(
+            profiler,
+            rs,
+            num_ranks=machine.num_ranks,
+            cores_per_rank=(
+                1 if rs.variant == "mpi_only" else machine.cores_per_rank
+            ),
+            makespan=makespan,
+            fault_stats=fault_stats,
+            pdes=pdes,
+        )
+    return RunResult(
+        variant=rs.variant,
+        num_nodes=rs.num_nodes,
+        ranks_per_node=rs.ranks_per_node,
+        total_time=makespan,
         phase_summary=(
             PhaseSummary.from_profiler(profiler)
             if profiler is not None
@@ -234,10 +254,9 @@ def _execute(run_spec: RunSpec) -> RunResult:
         ),
         profile=profile,
         fault_stats=(
-            injector.stats.to_dict() if injector is not None else None
+            fault_stats.to_dict() if fault_stats is not None else None
         ),
         tracer=Tracer.from_profiler(profiler) if rs.trace else None,
         profiler=profiler,
+        **figures,
     )
-    sim.close()
-    return result

@@ -66,7 +66,7 @@ from .stats import FALLBACK_CONSERVATISM, fallback_cost, spec_signature
 
 
 class SweepError(RuntimeError):
-    """Raised when a sweep finished with failed runs and strictness is on."""
+    """Raised by :meth:`SweepReport.raise_failures` when runs failed."""
 
 
 def retry_jitter(fingerprint: str, attempt: int) -> float:
@@ -123,17 +123,50 @@ class RunOutcome:
         return self.status in ("ok", "cached")
 
 
+def _payload(result):
+    """A node result as timing-free JSON."""
+    if isinstance(result, RunResult):
+        return result.to_dict()
+    if isinstance(result, list) and all(
+        isinstance(c, RunOutcome) for c in result
+    ):
+        return [_payload(c.result) if c.ok else None for c in result]
+    return result
+
+
 @dataclass
 class SweepReport:
-    """Structured outcome of one job graph (input order preserved)."""
+    """Structured outcome of one job graph (input order preserved).
+
+    Node outcomes keep the :class:`RunOutcome` semantics — including
+    ``wait_time`` (seconds between "predecessors done" and launch) and
+    ``exec_time`` (the successful attempt alone) — addressable by node
+    name.
+    """
 
     outcomes: list = field(default_factory=list)
     wall_time: float = 0.0
+    #: The job graph's name (a pipeline's ``PipelineSpec.name``).
+    name: str = None
 
     @property
     def results(self) -> list:
         """Node results in input order (``None`` for failed/blocked)."""
         return [o.result for o in self.outcomes]
+
+    def outcome(self, name: str) -> RunOutcome:
+        for o in self.outcomes:
+            if o.name == name:
+                return o
+        raise KeyError(name)
+
+    def result(self, name: str):
+        """The node's result payload (``None`` for failed/blocked)."""
+        return self.outcome(name).result
+
+    @property
+    def ok(self) -> bool:
+        return all(o.ok for o in self.outcomes)
 
     @property
     def executed(self) -> int:
@@ -186,6 +219,42 @@ class SweepReport:
             f"{self.completed}/{len(self.outcomes)} runs "
             f"({parts}) in {self.wall_time:.2f}s"
         )
+
+    def results_dict(self) -> dict:
+        """Node name → serialized result, **timing-free**.
+
+        Deterministic for deterministic runs: two executions of the same
+        graph (cached or not) produce byte-identical JSON here, which is
+        exactly what the CI cache-integrity check diffs.  A fan-out node
+        serializes as its children's results in order (``None`` for a
+        child that failed).  Timing and status live in :meth:`to_dict`
+        instead.
+        """
+        return {o.name: _payload(o.result) for o in self.outcomes}
+
+    def to_dict(self) -> dict:
+        nodes = []
+        for o in self.outcomes:
+            entry = {
+                "name": o.name,
+                "status": o.status,
+                "fingerprint": o.fingerprint,
+                "attempts": o.attempts,
+                "wall_time": o.wall_time,
+                "wait_time": o.wait_time,
+                "exec_time": o.exec_time,
+                "worker_id": o.worker_id,
+                "slots": o.slots,
+            }
+            if o.error is not None:
+                entry["error"] = o.error
+            nodes.append(entry)
+        return {
+            "pipeline": self.name,
+            "summary": self.summary(),
+            "nodes": nodes,
+            "results": self.results_dict(),
+        }
 
 
 # ----------------------------------------------------------------------
@@ -473,6 +542,7 @@ class SweepEngine:
             self._restore_signal_handlers(previous)
         return SweepReport(
             outcomes=run.outcomes(), wall_time=time.monotonic() - t0,
+            name=graph.name,
         )
 
     def session(self) -> "EngineSession":

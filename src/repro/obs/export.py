@@ -228,7 +228,7 @@ def ascii_summary(report, top=8) -> str:
 def pipeline_summary(report) -> str:
     """Per-node scheduling table for a pipeline run.
 
-    Takes a :class:`~repro.pipeline.PipelineReport` and renders, per
+    Takes a pipeline's :class:`~repro.exec.SweepReport` and renders, per
     node, when it became ready vs when it ran: ``wait`` is time spent
     ready-but-not-started (queueing behind workers or backoff), ``exec``
     the successful attempt alone, ``wall`` the attempt including retries.
@@ -237,22 +237,22 @@ def pipeline_summary(report) -> str:
     def cell(value, fmt="{:.4f}"):
         return fmt.format(value) if value is not None else "-"
 
-    name_w = max((len(o.name or o.label) for o in report.sweep.outcomes),
+    name_w = max((len(o.name or o.label) for o in report.outcomes),
                  default=4)
     name_w = max(name_w, 4)
     lines = [
-        f"== pipeline: {report.pipeline.name} ==",
+        f"== pipeline: {report.name} ==",
         f"  {'node':<{name_w}}  {'status':<7}  {'wait(s)':>9}  "
         f"{'exec(s)':>9}  {'wall(s)':>9}  {'att':>3}",
     ]
-    for out in report.sweep.outcomes:
+    for out in report.outcomes:
         lines.append(
             f"  {(out.name or out.label):<{name_w}}  {out.status:<7}  "
             f"{cell(out.wait_time):>9}  "
             f"{cell(out.exec_time):>9}  "
             f"{cell(out.wall_time):>9}  {out.attempts:>3}"
         )
-    lines.append(f"  {report.sweep.summary()}")
+    lines.append(f"  {report.summary()}")
     return "\n".join(lines) + "\n"
 
 

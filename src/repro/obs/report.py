@@ -195,13 +195,13 @@ class ProfileReport:
 
 def build_profile_report(
     profiler, rs, num_ranks, cores_per_rank, makespan,
-    fault_injector=None, pdes=None,
+    fault_stats=None, pdes=None,
 ) -> ProfileReport:
     """Assemble a :class:`ProfileReport` from one finished run.
 
     ``rs`` is the *resolved* :class:`~repro.core.RunSpec`.
-    ``fault_injector`` is the run's :class:`~repro.faults.FaultInjector`
-    when its fault plan was active — its ledger is embedded next to the
+    ``fault_stats`` is the run's :class:`~repro.faults.FaultStats` ledger
+    when its fault plan was active — it is embedded next to the
     observed fault-blocker idle seconds so injected and observed delay
     can be reconciled.  ``pdes``
     is the partitioned-run accounting dict of
@@ -210,10 +210,10 @@ def build_profile_report(
     cores_by_rank = {rank: cores_per_rank for rank in range(num_ranks)}
     idle = idle_gaps(profiler, cores_by_rank, makespan)
     faults = {}
-    if fault_injector is not None:
+    if fault_stats is not None:
         by_blocker = idle.get("by_blocker", {})
         faults = {
-            "injected": fault_injector.stats.to_dict(),
+            "injected": fault_stats.to_dict(),
             "observed": {
                 "fault_noise": by_blocker.get("fault_noise", 0.0),
                 "fault_retry": by_blocker.get("fault_retry", 0.0),

@@ -5,7 +5,7 @@ Quickstart::
     from repro.core import RunSpec
     from repro.exec import ResultCache, SweepEngine
     from repro.exec.stats import RunStatsStore
-    from repro.pipeline import PipelineNode, PipelineSpec, run_pipeline
+    from repro.pipeline import PipelineNode, PipelineSpec
 
     calibrate = RunSpec(variant="tampi_dataflow", num_nodes=1, ...)
     spec = PipelineSpec(name="diamond", nodes=(
@@ -19,7 +19,8 @@ Quickstart::
     ))
     engine = SweepEngine(jobs=4, cache=ResultCache(".repro-cache"),
                          stats=RunStatsStore(".repro-stats.json"))
-    report = run_pipeline(spec, engine, strict=True)
+    report = engine.run(spec)
+    report.raise_failures()
 
 Nodes launch the moment their own predecessors complete; the ready set
 is ordered critical-path-first using durations predicted from the stats
@@ -28,7 +29,6 @@ referenced by registry name, never by callable).
 """
 
 from .graph import JobGraph, JobNode
-from .report import PipelineReport, run_pipeline
 from .spec import (
     GENERATORS,
     PipelineNode,
@@ -42,9 +42,7 @@ __all__ = [
     "JobGraph",
     "JobNode",
     "PipelineNode",
-    "PipelineReport",
     "PipelineSpec",
     "get_generator",
     "register_generator",
-    "run_pipeline",
 ]

@@ -57,7 +57,7 @@ import time
 import uuid
 
 from ..exec.engine import GraphRun, SweepReport
-from ..pipeline import JobGraph, PipelineReport
+from ..pipeline import JobGraph
 from ..tune import tune_pipeline
 from ..tune.engine import finish_tune
 from .protocol import (
@@ -733,12 +733,10 @@ class Broker:
             except RuntimeError as exc:
                 state, error = "failed", str(exc)
         else:
-            report = PipelineReport(
-                pipeline=execution.payload, sweep=SweepReport(outcomes),
-            )
+            report = SweepReport(outcomes, name=execution.payload.name)
             if report.ok:
                 payload = {
-                    "pipeline": report.pipeline.name,
+                    "pipeline": report.name,
                     "nodes": {o.name: o.status for o in outcomes},
                     "results": report.results_dict(),
                 }

@@ -76,16 +76,6 @@ class _WorkerLink:
         self.mail.broadcast(record)
 
 
-class _InjectorView:
-    """Adapter giving ``build_profile_report`` the merged fault ledger
-    through the ``fault_injector.stats`` attribute it expects."""
-
-    __slots__ = ("stats",)
-
-    def __init__(self, stats):
-        self.stats = stats
-
-
 def _drive_windows(sim, mail, barrier, mins, wid, la, bus=None):
     """Run one worker's share of the window protocol to completion.
 
@@ -293,10 +283,9 @@ def run_partitioned(rs):
     Returns the merged :class:`~repro.core.RunResult` — byte-identical
     on all serializable fields to the serial run of the same spec.
     """
-    from ...core.results import CommStats, RunResult
+    from ...core.driver import _finish_result
+    from ...core.results import CommStats
     from ...faults.injectors import FaultStats
-    from ...obs.report import PhaseSummary, build_profile_report
-    from ...obs.trace import Tracer
 
     spec = rs.machine
     machine = spec.machine(
@@ -402,36 +391,16 @@ def run_partitioned(rs):
         )
     ]
 
-    cores_per_rank = (
-        1 if rs.variant == "mpi_only" else machine.cores_per_rank
-    )
-    profile = None
-    if rs.profile:
-        profile = build_profile_report(
-            profiler,
-            rs,
-            num_ranks=machine.num_ranks,
-            cores_per_rank=cores_per_rank,
-            makespan=total_time,
-            fault_injector=(
-                _InjectorView(fault_stats)
-                if fault_stats is not None
-                else None
-            ),
-            pdes={
-                "workers": num_workers,
-                "windows": workers[0]["windows"],
-                "lookahead": la,
-                "stall_wall_seconds": [w["stall"] for w in workers],
-                "elapsed_wall_seconds": [w["elapsed"] for w in workers],
-            },
-        )
-
-    return RunResult(
-        variant=rs.variant,
-        num_nodes=rs.num_nodes,
-        ranks_per_node=rs.ranks_per_node,
-        total_time=total_time,
+    return _finish_result(
+        rs, machine, profiler, fault_stats,
+        makespan=total_time,
+        pdes={
+            "workers": num_workers,
+            "windows": workers[0]["windows"],
+            "lookahead": la,
+            "stall_wall_seconds": [w["stall"] for w in workers],
+            "elapsed_wall_seconds": [w["elapsed"] for w in workers],
+        },
         refine_time=workers[owner0]["refine_time"],
         flops=sum(w["flops"] for w in workers),
         num_blocks=workers[0]["num_blocks"],
@@ -441,15 +410,4 @@ def run_partitioned(rs):
             _merge_world_stats([w["stats"] for w in workers])
         ),
         runtime_stats=runtime_stats,
-        phase_summary=(
-            PhaseSummary.from_profiler(profiler)
-            if profiler is not None
-            else None
-        ),
-        profile=profile,
-        fault_stats=(
-            fault_stats.to_dict() if fault_stats is not None else None
-        ),
-        tracer=Tracer.from_profiler(profiler) if rs.trace else None,
-        profiler=profiler,
     )

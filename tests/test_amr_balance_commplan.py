@@ -243,6 +243,27 @@ def test_global_transfers_match_the_per_face_reference():
         "same", "finer", "coarser"}
 
 
+def test_comm_plans_walk_each_block_once(monkeypatch):
+    """An epoch's plans come from one ``all_neighbors`` walk per block,
+    never from a ``face_neighbors`` call per face."""
+    cfg = config()
+    s = MeshStructure(cfg)
+    objects = [MovingObject(sphere(center=(0.05, 0.05, 0.05), radius=0.08))]
+    for _ in range(2):
+        apply_plan(s, plan_refinement(s, objects))
+    assert {b.level for b in s.active} == {0, 1, 2}
+
+    def per_face(*args):
+        raise AssertionError("comm plans walk faces one call each")
+
+    monkeypatch.setattr(MeshStructure, "face_neighbors", per_face)
+    plans = build_all_rank_plans(s, cfg, cfg.num_vars)
+    assert sorted(plans) == list(range(cfg.num_ranks))
+    rels = {t.rel for dirs in plans.values() for d in dirs
+            for ts in (d.local, *d.sends.values()) for t in ts}
+    assert rels == {"same", "finer", "coarser"}
+
+
 # ----------------------------------------------------------------------
 # Message grouping
 # ----------------------------------------------------------------------

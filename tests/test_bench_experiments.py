@@ -132,7 +132,8 @@ def test_tune_pipeline_orders_tune_behind_calibration():
 
 def test_tune_nodes_in_a_pipeline_report_like_run_tune():
     from repro import AmrConfig, RunSpec, sphere
-    from repro.pipeline import PipelineNode, PipelineSpec, run_pipeline
+    from repro.exec import SweepEngine
+    from repro.pipeline import PipelineNode, PipelineSpec
     from repro.tune import TuneSpec, run_tune, tune_pipeline
 
     base = RunSpec(
@@ -153,7 +154,9 @@ def test_tune_nodes_in_a_pipeline_report_like_run_tune():
         PipelineNode("calibrate", run=base),
         *tune_pipeline(tune).nodes,
     ))
-    report = run_pipeline(flow, strict=True).result("report")
+    run = SweepEngine().run(flow)
+    run.raise_failures()
+    report = run.result("report")
     assert report == run_tune(tune).to_dict()
     assert report["name"] == "node-tune"
     assert [e["rank"] for e in report["entries"]] == [1, 2]

@@ -18,10 +18,11 @@ import sys
 import pytest
 
 from repro import AmrConfig, sphere
-from repro.core import RunSpec, driver
+from repro.core import RunSpec, driver, run_simulation
 from repro.faults import FaultPlan
 from repro.faults.injectors import FaultyNoise
 from repro.machine.costmodel import NoiseModel
+from repro.simx import Environment
 from repro.verify.witness import AccessWitness
 
 #: ``total_time`` of :func:`_spec` ("mpi_only", faults=_CPU_FAULTS), as
@@ -134,3 +135,24 @@ def test_witness_touch_sequence_is_pinned(monkeypatch, variant):
     assert result.total_time > 0
     assert count > 0
     assert digest.hexdigest() == TOUCH_DIGESTS[variant]
+
+
+@pytest.mark.parametrize("variant",
+                         ["mpi_only", "fork_join", "tampi_dataflow"])
+def test_cpu_charges_allocate_no_event(monkeypatch, variant):
+    """A CPU charge yields its delay: no tasking, core or TAMPI frame
+    creates a timeout event.  The MPI layer's message timers may."""
+    timeout = Environment.timeout
+    callers = []
+
+    def spy(self, *args, **kwargs):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return timeout(self, *args, **kwargs)
+
+    monkeypatch.setattr(Environment, "timeout", spy)
+    run_simulation(_spec(variant))
+    charged = sorted({
+        name for name in callers
+        if name.startswith(("repro.tasking", "repro.core", "repro.tampi"))
+    })
+    assert charged == []

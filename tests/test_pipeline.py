@@ -16,7 +16,6 @@ from repro.pipeline import (
     PipelineSpec,
     get_generator,
     register_generator,
-    run_pipeline,
 )
 
 
@@ -273,7 +272,7 @@ def diamond(name="diamond"):
 
 
 def test_predecessor_results_reach_dependent_builders():
-    report = run_pipeline(diamond())
+    report = SweepEngine().run(diamond())
     assert report.ok
     base = report.result("root")
     left = report.outcome("left")
@@ -287,10 +286,10 @@ def test_predecessor_results_reach_dependent_builders():
 
 def test_diamond_second_run_is_fully_cached_and_byte_identical(tmp_path):
     cache = ResultCache(tmp_path / "cache")
-    first = run_pipeline(diamond(), engine=SweepEngine(jobs=1, cache=cache))
-    second = run_pipeline(diamond(), engine=SweepEngine(jobs=1, cache=cache))
-    assert first.sweep.executed == 4 and first.sweep.cached == 0
-    assert second.sweep.executed == 0 and second.sweep.cached == 4
+    first = SweepEngine(jobs=1, cache=cache).run(diamond())
+    second = SweepEngine(jobs=1, cache=cache).run(diamond())
+    assert first.executed == 4 and first.cached == 0
+    assert second.executed == 0 and second.cached == 4
     blob1 = json.dumps(first.results_dict(), sort_keys=True)
     blob2 = json.dumps(second.results_dict(), sort_keys=True)
     assert blob1 == blob2
@@ -300,7 +299,7 @@ def test_analysis_fingerprint_tracks_inputs(tmp_path):
     """Changing a *direct* input re-runs the join; unchanged nodes stay
     cached."""
     cache = ResultCache(tmp_path / "cache")
-    run_pipeline(diamond(), engine=SweepEngine(jobs=1, cache=cache))
+    SweepEngine(jobs=1, cache=cache).run(diamond())
     changed = PipelineSpec(name="diamond", nodes=(
         PipelineNode("root", run=small_spec()),
         PipelineNode("left", generator="test.spec_from_dep",
@@ -310,7 +309,7 @@ def test_analysis_fingerprint_tracks_inputs(tmp_path):
         PipelineNode("join", generator="test.join_stats",
                      after=("left", "right")),
     ))
-    rerun = run_pipeline(changed, engine=SweepEngine(jobs=1, cache=cache))
+    rerun = SweepEngine(jobs=1, cache=cache).run(changed)
     assert rerun.outcome("root").status == "cached"  # untouched
     assert rerun.outcome("left").status == "cached"  # same derived spec
     assert rerun.outcome("right").status == "ok"     # new params
@@ -329,15 +328,15 @@ def test_failed_predecessor_blocks_the_dependent_subtree():
         PipelineNode("unaffected", generator="test.join_stats",
                      after=("good",)),
     ))
-    report = run_pipeline(pipe)
+    report = SweepEngine().run(pipe)
     assert report.outcome("bad").status == "failed"
     assert report.outcome("child").status == "blocked"
     assert report.outcome("grandchild").status == "blocked"
     assert report.outcome("unaffected").status == "ok"
-    assert report.sweep.failed == 1 and report.sweep.blocked == 2
-    assert "2 blocked" in report.sweep.summary()
+    assert report.failed == 1 and report.blocked == 2
+    assert "2 blocked" in report.summary()
     with pytest.raises(SweepError, match="blocked downstream"):
-        report.sweep.raise_failures()
+        report.raise_failures()
     # Blocked != failed: the blocked outcomes name their blocker.
     assert "bad" in report.outcome("child").error
 
@@ -349,18 +348,19 @@ def test_builder_exception_fails_the_node_and_blocks_children():
         PipelineNode("after", generator="test.join_stats",
                      after=("boom",)),
     ))
-    report = run_pipeline(pipe)
+    report = SweepEngine().run(pipe)
     assert report.outcome("root").status == "ok"
     assert report.outcome("boom").status == "failed"
     assert "builder exploded" in report.outcome("boom").error
     assert report.outcome("after").status == "blocked"
 
 
-def test_strict_run_pipeline_raises_on_failure():
+def test_raise_failures_raises_on_a_failed_pipeline_node():
     bad = small_spec(config=small_config(num_ranks=2), ranks_per_node=4)
     pipe = PipelineSpec(name="p", nodes=(PipelineNode("bad", run=bad),))
+    report = SweepEngine().run(pipe)
     with pytest.raises(SweepError):
-        run_pipeline(pipe, strict=True)
+        report.raise_failures()
 
 
 def test_flat_sweeps_still_run_through_the_same_engine():
@@ -394,7 +394,7 @@ def test_node_starts_as_soon_as_its_own_predecessors_finish(tmp_path):
     bus = TelemetryBus(tmp_path / "tel.jsonl")
     engine = SweepEngine(jobs=2, retries=0, runner=_sleepy_runner,
                          telemetry=bus)
-    report = run_pipeline(pipe, engine=engine)
+    report = engine.run(pipe)
     assert report.ok
     order = [(r["type"], r.get("attempt", r.get("status")), r.get("node"))
              for r in read_records(bus.path)]
@@ -417,7 +417,7 @@ def test_non_json_analysis_value_fails_only_its_node(tmp_path, cached):
         PipelineNode("other", generator="test.join_stats",
                      after=("root",)),
     ))
-    report = run_pipeline(pipe, engine=SweepEngine(jobs=1, cache=cache))
+    report = SweepEngine(jobs=1, cache=cache).run(pipe)
     bad = report.outcome("bad")
     assert bad.status == "failed"
     assert "TypeError" in bad.error and "Traceback" in bad.error
@@ -435,9 +435,7 @@ def fan_pipeline(seeds):
 
 def test_empty_fan_out_settles_at_once(tmp_path):
     bus = TelemetryBus(tmp_path / "tel.jsonl")
-    report = run_pipeline(
-        fan_pipeline([]), engine=SweepEngine(telemetry=bus),
-    )
+    report = SweepEngine(telemetry=bus).run(fan_pipeline([]))
     assert report.outcome("fan").status == "ok"
     assert report.result("fan") == []
     assert report.result("sum") == []
@@ -447,7 +445,7 @@ def test_empty_fan_out_settles_at_once(tmp_path):
 
 
 def test_failed_child_is_data_for_the_successor():
-    report = run_pipeline(fan_pipeline([1, "bad", 2]))
+    report = SweepEngine().run(fan_pipeline([1, "bad", 2]))
     children = report.result("fan")
     assert [c.status for c in children] == ["ok", "failed", "ok"]
     assert "bad" not in children[1].name
@@ -457,30 +455,29 @@ def test_failed_child_is_data_for_the_successor():
     summary = report.result("sum")
     assert [c["status"] for c in summary] == ["ok", "failed", "ok"]
     assert summary[0]["blocks"] == children[0].result.num_blocks
-    assert report.sweep.failed == 0 and report.sweep.blocked == 0
+    assert report.failed == 0 and report.blocked == 0
 
 
 def test_fan_out_children_hit_the_cache_one_by_one(tmp_path):
     cache = ResultCache(tmp_path / "cache")
-    run_pipeline(fan_pipeline([1]),
-                 engine=SweepEngine(jobs=1, cache=cache))
+    SweepEngine(jobs=1, cache=cache).run(fan_pipeline([1]))
     def launched(path):
         return [r["node"] for r in read_records(path)
                 if r["type"] == "job_launched" and r["attempt"] == 1]
 
     # The wider fan-out shares child 0 with the first run.
     bus = TelemetryBus(tmp_path / "wider.jsonl")
-    wider = run_pipeline(fan_pipeline([1, 2]), engine=SweepEngine(
-        jobs=1, cache=cache, telemetry=bus,
-    ))
+    wider = SweepEngine(jobs=1, cache=cache, telemetry=bus).run(
+        fan_pipeline([1, 2])
+    )
     assert [c.status for c in wider.result("fan")] == ["cached", "ok"]
     assert wider.outcome("fan").status == "ok"
     assert launched(bus.path) == ["fan[1]"]
     bus = TelemetryBus(tmp_path / "warm.jsonl")
-    warm = run_pipeline(fan_pipeline([1, 2]), engine=SweepEngine(
-        jobs=1, cache=cache, telemetry=bus,
-    ))
-    assert warm.sweep.executed == 0
+    warm = SweepEngine(jobs=1, cache=cache, telemetry=bus).run(
+        fan_pipeline([1, 2])
+    )
+    assert warm.executed == 0
     assert launched(bus.path) == []
     assert [c.status for c in warm.result("fan")] == ["cached", "cached"]
     assert warm.outcome("fan").status == "cached"
@@ -489,8 +486,8 @@ def test_fan_out_children_hit_the_cache_one_by_one(tmp_path):
 
 def test_fan_out_results_dict_is_identical_across_jobs():
     pipe = fan_pipeline([1, "bad", 2, 3])
-    serial = run_pipeline(pipe, engine=SweepEngine(jobs=1))
-    parallel = run_pipeline(pipe, engine=SweepEngine(jobs=2))
+    serial = SweepEngine(jobs=1).run(pipe)
+    parallel = SweepEngine(jobs=2).run(pipe)
     blob1 = json.dumps(serial.results_dict(), sort_keys=True)
     blob2 = json.dumps(parallel.results_dict(), sort_keys=True)
     assert blob1 == blob2

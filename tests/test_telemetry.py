@@ -15,7 +15,6 @@ from repro.pipeline import (
     PipelineNode,
     PipelineSpec,
     register_generator,
-    run_pipeline,
 )
 from repro.obs import EngineReport
 from repro.obs.telemetry import (
@@ -385,7 +384,7 @@ class TestRunOutcomeFields:
         pipeline = PipelineSpec(
             "attr", nodes=[PipelineNode(name="run0", run=spec)]
         )
-        report = run_pipeline(pipeline, engine=SweepEngine(jobs=2))
+        report = SweepEngine(jobs=2).run(pipeline)
         doc = json.loads(json.dumps(report.to_dict()))
         (node,) = doc["nodes"]
         assert node["worker_id"] in (0, 1)
